@@ -2,14 +2,28 @@
 
 Runs each hot kernel on both backends and prints per-call wall times and
 the numba speedup.  When numba is not importable the script still runs,
-timing only the numpy column.
+timing only the numpy column.  Path kernels also report path-steps (one
+Euler step of one path) and numpy nanoseconds per path-step.
+
+--json PATH stores the run under --label in a JSON file (other labels
+already in the file are kept), so a before/after pair can share one file:
+
+    PYTHONPATH=<parent checkout>/src python3 benchmarks/bench_kernels.py \
+        --json BENCH_<date>_<sha>.json --label before
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py \
+        --json BENCH_<date>_<sha>.json --label after
 
 Usage:
-    python3 benchmarks/bench_kernels.py [--samples 2000] [--repeat 5]
+    python3 benchmarks/bench_kernels.py [--samples 2000] [--repeat 5] [--json PATH --label NAME]
 """
 
 import argparse
+import datetime
+import json
 import math
+import os
+import platform
+import sys
 import time
 
 import numpy as np
@@ -59,16 +73,16 @@ def bench_structured(args):
     dt = epsilon / 256
 
     def run_numpy():
-        _kernels.run_paths_structured_numpy(
+        return _kernels.run_paths_structured_numpy(
             args.seed, args.samples, n, dt, epsilon, store=False, want_phi=True
         )
 
     def run_numba():
-        _kernels.run_paths_structured_numba(
+        return _kernels.run_paths_structured_numba(
             args.seed, args.samples, n, dt, epsilon, store=False, want_phi=True
         )
 
-    return f"structured paths n=64, {args.samples} paths", run_numpy, run_numba
+    return f"structured paths n=64, {args.samples} paths", run_numpy, run_numba, dt
 
 
 def bench_dense(args):
@@ -82,16 +96,79 @@ def bench_dense(args):
     dt = epsilon / 256
 
     def run_numpy():
-        _kernels.run_paths_dense_numpy(
+        return _kernels.run_paths_dense_numpy(
             args.seed, args.samples, sig_sqrt, diag, dt, epsilon, store=False
         )
 
     def run_numba():
-        _kernels.run_paths_dense_numba(
+        return _kernels.run_paths_dense_numba(
             args.seed, args.samples, sig_sqrt, diag, dt, epsilon, store=False
         )
 
-    return f"dense paths dim=4, {args.samples} paths", run_numpy, run_numba
+    return f"dense paths dim=4, {args.samples} paths", run_numpy, run_numba, dt
+
+
+def bench_dense_dynkin(args):
+    # verify-dynkin's bare instance: dim 2, gamma 0.5, epsilon 0.05, dt = epsilon/1024
+    sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
+    vals, vecs = np.linalg.eigh(sigma)
+    sig_sqrt = (vecs * np.sqrt(vals)) @ vecs.T
+    gen = np.array([0.0, 0.0, 0.0, 0.5])
+    epsilon = 0.05
+    dt = epsilon / 1024
+    kw = dict(gen_coeffs=gen, store=True)
+
+    def run_numpy():
+        return _kernels.run_paths_dense_numpy(args.seed, args.samples, sig_sqrt, np.ones(2), dt, epsilon, **kw)
+
+    def run_numba():
+        return _kernels.run_paths_dense_numba(args.seed, args.samples, sig_sqrt, np.ones(2), dt, epsilon, **kw)
+
+    return f"dense Dynkin dim=2, {args.samples} paths", run_numpy, run_numba, dt
+
+
+def bench_dense_bridge(args):
+    # the one-coordinate run of exit_probability_report at epsilon 0.5, bridge on
+    epsilon = 0.25
+    dt = epsilon / 512
+    kw = dict(bridge=True, store=False)
+
+    def run_numpy():
+        return _kernels.run_paths_dense_numpy(args.seed, args.samples, np.eye(1), np.ones(1), dt, epsilon, **kw)
+
+    def run_numba():
+        return _kernels.run_paths_dense_numba(args.seed, args.samples, np.eye(1), np.ones(1), dt, epsilon, **kw)
+
+    return f"dense bridge dim=1, {args.samples} paths", run_numpy, run_numba, dt
+
+
+def path_steps(out, dt):
+    """Euler steps taken, summed over paths: ceil(tau / dt) per path."""
+    return int(np.ceil(out["tau"] / dt - 1e-9).sum())
+
+
+def store_json(path, label, args, rows):
+    record = {
+        "date": datetime.date.today().isoformat(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "numba_enabled": _kernels.NUMBA_ENABLED,
+        "argv": sys.argv[1:],
+        "samples": args.samples,
+        "repeat": args.repeat,
+        "seed": args.seed,
+        "kernels": rows,
+    }
+    data = {"runs": {}}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    data["runs"][label] = record
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def main():
@@ -99,23 +176,35 @@ def main():
     parser.add_argument("--samples", type=int, default=2000, help="paths per sampling benchmark")
     parser.add_argument("--repeat", type=int, default=5, help="repetitions; best time wins")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--json", metavar="PATH", help="store the timings in a JSON file")
+    parser.add_argument("--label", default="run", help="key of this run inside the --json file")
     args = parser.parse_args()
 
     print(f"numba available: {_kernels.NUMBA_AVAILABLE}, enabled: {_kernels.NUMBA_ENABLED}")
     benches = [bench_wht(args), bench_eval(args), bench_structured(args), bench_dense(args)]
+    benches += [bench_dense_dynkin(args), bench_dense_bridge(args)]
 
-    width = max(len(name) for name, _, _ in benches)
-    header = f"{'kernel':<{width}}  {'numpy':>10}  {'numba':>10}  {'speedup':>8}"
+    width = max(len(b[0]) for b in benches)
+    header = f"{'kernel':<{width}}  {'numpy':>10}  {'numba':>10}  {'speedup':>8}  {'ns/step':>8}"
     print(header)
     print("-" * len(header))
-    for name, run_numpy, run_numba in benches:
+    rows = {}
+    for name, run_numpy, run_numba, *dt in benches:
         t_np = best_of(args.repeat, run_numpy)
+        row = {"numpy_best_s": t_np, "numba_best_s": None}
+        if dt:
+            row["path_steps"] = path_steps(run_numpy(), dt[0])
+            row["numpy_ns_per_path_step"] = 1e9 * t_np / row["path_steps"]
+        per_step = f"{row['numpy_ns_per_path_step']:>8.0f}" if dt else f"{'':>8}"
         if _kernels.NUMBA_AVAILABLE:
             run_numba()  # JIT warmup outside the timed region
-            t_nb = best_of(args.repeat, run_numba)
-            print(f"{name:<{width}}  {t_np:>9.4f}s  {t_nb:>9.4f}s  {t_np / t_nb:>7.1f}x")
+            row["numba_best_s"] = t_nb = best_of(args.repeat, run_numba)
+            print(f"{name:<{width}}  {t_np:>9.4f}s  {t_nb:>9.4f}s  {t_np / t_nb:>7.1f}x  {per_step}")
         else:
-            print(f"{name:<{width}}  {t_np:>9.4f}s  {'n/a':>10}  {'n/a':>8}")
+            print(f"{name:<{width}}  {t_np:>9.4f}s  {'n/a':>10}  {'n/a':>8}  {per_step}")
+        rows[name] = row
+    if args.json:
+        store_json(args.json, args.label, args, rows)
 
 
 if __name__ == "__main__":

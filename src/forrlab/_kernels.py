@@ -9,6 +9,12 @@ Two families of kernels live here:
   per-path accumulators (trapezoid time-integral of a multilinear
   observable, and the forrelation statistic of the stopped point).
 
+The numba backend has one per-path stream kernel per covariance family.
+The numpy backend has a single path loop over a paths-minor ``(dim, live)``
+state for both families; a family only supplies the mixer that adds one
+step's increment (n normals through a WHT for the structured covariance,
+a matrix product with the square root for a dense one).
+
 Backend selection: the numba variants are used when numba imports and the
 environment variable FORRLAB_DISABLE_NUMBA is not set to a truthy value;
 otherwise the numpy variants are used.  Both variants are always defined
@@ -181,19 +187,27 @@ def eval_multilinear_batch_numpy(
     """Evaluate sum_S c[S] prod_{i in S} x_i at each row of ``points``.
 
     ``coeffs`` has length 2^N with bit i of the index marking variable i.
-    Work is chunked over rows to cap the (rows x 2^N) scratch table.
+    Work is chunked over rows to cap the (2^N x rows) scratch table.
     """
+    coeffs = np.asarray(coeffs, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
-    n_pts, n_vars = points.shape
-    out = np.empty(n_pts)
-    for start in range(0, n_pts, chunk):
-        stop = min(start + chunk, n_pts)
-        tab = np.tile(coeffs, (stop - start, 1))
-        for i in range(n_vars):
-            pairs = tab.reshape(stop - start, -1, 2)
-            tab = pairs[:, :, 0] + points[start:stop, i, None] * pairs[:, :, 1]
-        out[start:stop] = tab[:, 0]
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], chunk):
+        out[start : start + chunk] = _eval_multilinear_cols_np(coeffs, points[start : start + chunk].T)
     return out
+
+
+def _eval_multilinear_cols_np(coeffs, cols):
+    """Multilinear evaluation at each column of a ``(N, points)`` array.
+
+    Folds the table down the first axis: variable i pairs entries 2j and
+    2j+1 as ``c[2j] + x_i * c[2j+1]``, so a paths-minor state needs no
+    transpose or tiled copy of the table.
+    """
+    tab = coeffs[:, None]
+    for x in cols:
+        tab = tab[0::2] + x * tab[1::2]
+    return tab[0]
 
 
 @njit(cache=True)
@@ -252,7 +266,8 @@ def _bridge_direction_nb(prev, new, hvar):
 # For the block covariance [[I, H], [H, I]] with orthonormal symmetric H,
 # sigma B_t equals (u_t, H u_t) in distribution where u_t is a standard
 # n-dimensional Brownian motion, so only the top half is simulated (n
-# gaussians per step) and the bottom half is one WHT away.
+# gaussians per step) and the bottom half is one WHT away.  The numpy twin
+# is the structured mixer of the shared loop below.
 
 
 @njit(cache=True)
@@ -410,147 +425,12 @@ def _paths_structured_nb(
     return x_out, tau_out, exited_out, phi_out, acc_out
 
 
-def _bridge_masks_np(rng, prev, new, hvar, inside):
-    """Vectorized bridge test; returns (crossed_up, crossed_down) masks.
-
-    ``inside`` marks coordinates whose endpoints are both in the cube.
-    Uniforms are drawn for the full array shape (vectorization); only the
-    ``inside`` entries take effect.
-    """
-    a = _BARRIER
-    with np.errstate(over="ignore"):
-        p_up = np.exp(-2.0 * (a - prev) * (a - new) / hvar)
-        p_dn = np.exp(-2.0 * (a + prev) * (a + new) / hvar)
-    p = p_up + p_dn - p_up * p_dn
-    r = rng.random(prev.shape)
-    crossed = inside & (r < p)
-    up = crossed & (r < p_up)
-    return up, crossed & ~up
-
-
-def _wht_first_axis_np(src, dst, scratch):
-    """Unnormalized WHT down the first axis of ``src``, written to ``dst``.
-
-    Paths-minor twin of :func:`wht_inplace_np` for ``(n, paths)`` arrays:
-    each butterfly level is one add and one subtract over contiguous blocks
-    of paths, alternating between ``dst`` and ``scratch`` so the last level
-    lands in ``dst``.  Every output element sees the same adds in the same
-    order as the row-major butterflies, so results are bit-identical.
-    """
-    n = src.shape[0]
-    if n == 1:
-        dst[...] = src
-        return
-    levels = n.bit_length() - 1
-    bufs = (dst, scratch) if levels % 2 else (scratch, dst)
-    a = src
-    h = 1
-    while h < n:
-        b = bufs[0]
-        bufs = bufs[::-1]
-        s = a.reshape(n // (2 * h), 2, h, -1)
-        d = b.reshape(n // (2 * h), 2, h, -1)
-        np.add(s[:, 0], s[:, 1], out=d[:, 0])
-        np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
-        a = b
-        h *= 2
-
-
-def _paths_structured_block_np(
-    rng, count, n, dt, epsilon, bridge, gen_coeffs, store, want_phi
-):
-    inv = 1.0 / np.sqrt(n)
-    want_acc = gen_coeffs.size > 0
-    big = 2 * n
-    x_fin = np.empty((count if store else 0, big))
-    tau = np.full(count, epsilon)
-    exited = np.zeros(count, dtype=bool)
-    phi = np.empty(count if want_phi else 0)
-    acc_fin = np.empty(count if want_acc else 0)
-
-    # paths-minor layout: column j holds live path alive[j], rows :n are u
-    # and rows n: are Hu / sqrt(n); the draws stay in (path, coordinate) order
-    st = np.zeros((big, count))
-    scratch = np.empty((n, count))
-    alive = np.arange(count)
-    acc = np.zeros(count) if want_acc else None
-    af_prev = np.full(count, gen_coeffs[0]) if want_acc else None
-    t = 0.0
-    tiny = 1e-12 * epsilon
-
-    def finalize(rows, cols, up_mask=None, dn_mask=None):
-        # back to one C-ordered row per path: einsum over the transposed
-        # layout would change phi in the last bit
-        pt = np.ascontiguousarray(cols.T)
-        np.clip(pt, -_BARRIER, _BARRIER, out=pt)
-        if up_mask is not None:
-            pt[up_mask.T] = _BARRIER
-            pt[dn_mask.T] = -_BARRIER
-        if store:
-            x_fin[rows] = pt
-        if want_phi:
-            yw = pt[:, n:].copy()
-            wht_inplace_np(yw)
-            phi[rows] = np.einsum("ij,ij->i", pt[:, :n], yw) * (inv / n)
-
-    while t < epsilon - tiny and alive.size:
-        h = min(dt, epsilon - t)
-        m = alive.size
-        prev = st.copy() if bridge else None
-        g = rng.standard_normal((m, n))
-        g *= np.sqrt(h)
-        top, bot = st[:n], st[n:]
-        top += g.T
-        _wht_first_axis_np(top, bot, scratch)
-        bot *= inv
-        t += h
-
-        up_mask = dn_mask = None
-        if bridge:
-            outside = np.abs(st) > _BARRIER
-            stop = outside.any(axis=0)
-            inside = ~outside & (np.abs(prev) <= _BARRIER)
-            # transposed views draw the uniforms in (path, coordinate) order
-            up_t, dn_t = _bridge_masks_np(rng, prev.T, st.T, h, inside.T)
-            up_mask, dn_mask = up_t.T, dn_t.T
-            stop |= up_mask.any(axis=0) | dn_mask.any(axis=0)
-        else:
-            stop = (st.max(axis=0) > _BARRIER) | (st.min(axis=0) < -_BARRIER)
-
-        if want_acc:
-            af_new = eval_multilinear_batch_numpy(gen_coeffs, st.T)
-            acc += 0.5 * (af_prev + af_new) * h
-            af_prev = af_new
-
-        if stop.any():
-            rows = alive[stop]
-            tau[rows] = min(t, epsilon)
-            exited[rows] = True
-            finalize(
-                rows,
-                st[:, stop],
-                up_mask[:, stop] if bridge else None,
-                dn_mask[:, stop] if bridge else None,
-            )
-            keep = ~stop
-            if want_acc:
-                acc_fin[rows] = acc[stop]
-                acc = acc[keep]
-                af_prev = af_prev[keep]
-            alive = alive[keep]
-            st = st.compress(keep, axis=1)
-            scratch = np.empty((n, alive.size))
-
-    if alive.size:
-        finalize(alive, st)
-        if want_acc:
-            acc_fin[alive] = acc
-    return x_fin, tau, exited, phi, acc_fin
-
-
 # ---------------------------------------------------------------------------
 # Dense path kernel: increments sig_sqrt @ g for an explicit matrix sig_sqrt
 # ---------------------------------------------------------------------------
+#
+# The numba kernel steps one path at a time; on the numpy backend this family
+# is the dense mixer of the paths-minor loop below, shared with the structured one.
 
 
 @njit(cache=True)
@@ -670,70 +550,184 @@ def _paths_dense_nb(seeds, block, total, sig_sqrt, diag, dt, epsilon, bridge, ge
     return x_out, tau_out, exited_out, acc_out
 
 
-def _paths_dense_block_np(rng, count, sig_sqrt, diag, dt, epsilon, bridge, gen_coeffs, store):
+# ---------------------------------------------------------------------------
+# Numpy path loop: one paths-minor loop, two mixers
+# ---------------------------------------------------------------------------
+#
+# Both covariance families step one (dim, live) state array whose column j
+# holds live path alive[j], and differ only in the mixer that adds a step's
+# increment in place: the structured mixer turns n normals per path into
+# (u, Hu/sqrt(n)), the dense mixer multiplies dim normals by sig_sqrt.  The
+# exit and bridge tests, the trapezoid accumulator, compaction of exited
+# paths and finalize are shared.  Normals and bridge uniforms are drawn as
+# (live, k) arrays, i.e. in (path, coordinate) order.
+
+
+def _bridge_masks_np(rng, prev, new, hvar, inside):
+    """Vectorized bridge test; returns (crossed_up, crossed_down) masks.
+
+    ``inside`` marks coordinates whose endpoints are both in the cube.
+    Uniforms are drawn for the full array shape (vectorization); only the
+    ``inside`` entries take effect.
+    """
+    a = _BARRIER
+    with np.errstate(over="ignore"):
+        p_up = np.exp(-2.0 * (a - prev) * (a - new) / hvar)
+        p_dn = np.exp(-2.0 * (a + prev) * (a + new) / hvar)
+    p = p_up + p_dn - p_up * p_dn
+    r = rng.random(prev.shape)
+    crossed = inside & (r < p)
+    up = crossed & (r < p_up)
+    return up, crossed & ~up
+
+
+def _wht_first_axis_np(src, dst, scratch):
+    """Unnormalized WHT down the first axis of ``src``, written to ``dst``.
+
+    Paths-minor twin of :func:`wht_inplace_np` for ``(n, paths)`` arrays:
+    each butterfly level is one add and one subtract over contiguous blocks
+    of paths, alternating between ``dst`` and ``scratch`` so the last level
+    lands in ``dst``.  Every output element sees the same adds in the same
+    order as the row-major butterflies, so results are bit-identical.
+    """
+    n = src.shape[0]
+    if n == 1:
+        dst[...] = src
+        return
+    levels = n.bit_length() - 1
+    bufs = (dst, scratch) if levels % 2 else (scratch, dst)
+    a = src
+    h = 1
+    while h < n:
+        b = bufs[0]
+        bufs = bufs[::-1]
+        s = a.reshape(n // (2 * h), 2, h, -1)
+        d = b.reshape(n // (2 * h), 2, h, -1)
+        np.add(s[:, 0], s[:, 1], out=d[:, 0])
+        np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
+        a = b
+        h *= 2
+
+
+def _structured_mixer(n):
+    """Mixer for [[I, H], [H, I]]: rows :n are u, rows n: are Hu / sqrt(n)."""
+    inv = 1.0 / np.sqrt(n)
+    scratch = np.empty((n, 0))
+
+    def mix(rng, st, h):
+        nonlocal scratch
+        m = st.shape[1]
+        if scratch.shape[1] != m:
+            scratch = np.empty((n, m))
+        g = rng.standard_normal((m, n))
+        g *= np.sqrt(h)
+        top, bot = st[:n], st[n:]
+        top += g.T
+        _wht_first_axis_np(top, bot, scratch)
+        bot *= inv
+
+    return mix
+
+
+def _dense_mixer(sig_sqrt):
+    """Mixer for an explicit square root: increments sig_sqrt @ g."""
     dim = sig_sqrt.shape[0]
+
+    def mix(rng, st, h):
+        inc = rng.standard_normal((st.shape[1], dim)) @ sig_sqrt.T
+        inc *= np.sqrt(h)
+        st += inc.T
+
+    return mix
+
+
+def _paths_block_np(
+    rng, count, dim, mix, diag, dt, epsilon, bridge, gen_coeffs, store, want_phi=False
+):
+    """Step ``count`` paths from the origin on one RNG stream.
+
+    ``mix(rng, st, h)`` adds one step's increment to the ``(dim, live)``
+    state in place.  ``diag`` (scalar or per coordinate) is the variance rate
+    of each coordinate, so the bridge test uses step variance ``h * diag``.
+    ``want_phi`` (structured family) adds the forrelation statistic of the
+    two halves of each stopped point.
+    """
     want_acc = gen_coeffs.size > 0
     x_fin = np.empty((count if store else 0, dim))
     tau = np.full(count, epsilon)
     exited = np.zeros(count, dtype=bool)
+    phi = np.empty(count if want_phi else 0)
     acc_fin = np.empty(count if want_acc else 0)
 
-    x = np.zeros((count, dim))
+    st = np.zeros((dim, count))
     alive = np.arange(count)
     acc = np.zeros(count) if want_acc else None
     af_prev = np.full(count, gen_coeffs[0]) if want_acc else None
     t = 0.0
     tiny = 1e-12 * epsilon
 
-    def finalize(rows, pts, up_mask=None, dn_mask=None):
-        pt = np.clip(pts, -_BARRIER, _BARRIER)
+    def finalize(rows, cols, up_mask=None, dn_mask=None):
+        # back to one C-ordered row per path: einsum over the transposed
+        # layout would change phi in the last bit
+        pt = np.ascontiguousarray(cols.T)
+        np.clip(pt, -_BARRIER, _BARRIER, out=pt)
         if up_mask is not None:
-            pt[up_mask] = _BARRIER
-            pt[dn_mask] = -_BARRIER
+            pt[up_mask.T] = _BARRIER
+            pt[dn_mask.T] = -_BARRIER
         if store:
             x_fin[rows] = pt
+        if want_phi:
+            n = dim // 2
+            yw = pt[:, n:].copy()
+            wht_inplace_np(yw)
+            phi[rows] = np.einsum("ij,ij->i", pt[:, :n], yw) * (1.0 / np.sqrt(n) / n)
 
     while t < epsilon - tiny and alive.size:
         h = min(dt, epsilon - t)
-        m = alive.size
-        prev = x[alive]
-        g = rng.standard_normal((m, dim))
-        new = prev + (g @ sig_sqrt.T) * np.sqrt(h)
+        prev = st.copy() if bridge else None
+        mix(rng, st, h)
         t += h
 
-        outside = np.abs(new) > _BARRIER
-        stop = outside.any(axis=1)
         up_mask = dn_mask = None
         if bridge:
+            outside = np.abs(st) > _BARRIER
+            stop = outside.any(axis=0)
             inside = ~outside & (np.abs(prev) <= _BARRIER)
-            up_mask, dn_mask = _bridge_masks_np(rng, prev, new, h * diag, inside)
-            stop |= up_mask.any(axis=1) | dn_mask.any(axis=1)
+            # transposed views draw the uniforms in (path, coordinate) order
+            up_t, dn_t = _bridge_masks_np(rng, prev.T, st.T, h * diag, inside.T)
+            up_mask, dn_mask = up_t.T, dn_t.T
+            stop |= up_mask.any(axis=0) | dn_mask.any(axis=0)
+        else:
+            stop = (st.max(axis=0) > _BARRIER) | (st.min(axis=0) < -_BARRIER)
 
         if want_acc:
-            af_new = eval_multilinear_batch_numpy(gen_coeffs, new)
-            acc[alive] += 0.5 * (af_prev[alive] + af_new) * h
-            af_prev[alive] = af_new
+            af_new = _eval_multilinear_cols_np(gen_coeffs, st)
+            acc += 0.5 * (af_prev + af_new) * h
+            af_prev = af_new
 
-        x[alive] = new
         if stop.any():
             rows = alive[stop]
             tau[rows] = min(t, epsilon)
             exited[rows] = True
             finalize(
                 rows,
-                new[stop],
-                up_mask[stop] if bridge else None,
-                dn_mask[stop] if bridge else None,
+                st[:, stop],
+                up_mask[:, stop] if bridge else None,
+                dn_mask[:, stop] if bridge else None,
             )
+            keep = ~stop
             if want_acc:
-                acc_fin[rows] = acc[rows]
-            alive = alive[~stop]
+                acc_fin[rows] = acc[stop]
+                acc = acc[keep]
+                af_prev = af_prev[keep]
+            alive = alive[keep]
+            st = st.compress(keep, axis=1)
 
     if alive.size:
-        finalize(alive, x[alive])
+        finalize(alive, st)
         if want_acc:
-            acc_fin[alive] = acc[alive]
-    return x_fin, tau, exited, acc_fin
+            acc_fin[alive] = acc
+    return x_fin, tau, exited, phi, acc_fin
 
 
 # ---------------------------------------------------------------------------
@@ -771,21 +765,27 @@ def run_paths_structured_numba(
     return _norm_outputs(x, tau, exited, phi, acc, store, want_phi, gen.size > 0, n_streams, n_samples)
 
 
+def _run_blocks_np(master_seed, n_samples, step_block):
+    """Run ``step_block(rng, count)`` once per stream; concatenate its outputs."""
+    n_streams = -(-n_samples // STREAM_BLOCK)
+    children, _ = stream_seeds(master_seed, n_streams)
+    parts = [
+        step_block(np.random.default_rng(child), min(STREAM_BLOCK, n_samples - k * STREAM_BLOCK))
+        for k, child in enumerate(children)
+    ]
+    return n_streams, [np.concatenate(col) for col in zip(*parts)]
+
+
 def run_paths_structured_numpy(
     master_seed, n_samples, n, dt, epsilon, bridge=False, gen_coeffs=None, store=True, want_phi=False
 ):
     gen = _gen_arr(gen_coeffs)
-    n_streams = -(-n_samples // STREAM_BLOCK)
-    children, _ = stream_seeds(master_seed, n_streams)
-    parts = []
-    for k, child in enumerate(children):
-        count = min(STREAM_BLOCK, n_samples - k * STREAM_BLOCK)
-        rng = np.random.default_rng(child)
-        parts.append(
-            _paths_structured_block_np(rng, count, n, dt, epsilon, bridge, gen, store, want_phi)
-        )
-    x, tau, exited, phi, acc = (
-        np.concatenate([p[i] for p in parts]) for i in range(5)
+    n_streams, (x, tau, exited, phi, acc) = _run_blocks_np(
+        master_seed,
+        n_samples,
+        lambda rng, count: _paths_block_np(
+            rng, count, 2 * n, _structured_mixer(n), 1.0, dt, epsilon, bridge, gen, store, want_phi
+        ),
     )
     return _norm_outputs(x, tau, exited, phi, acc, store, want_phi, gen.size > 0, n_streams, n_samples)
 
@@ -815,16 +815,13 @@ def run_paths_dense_numpy(
     master_seed, n_samples, sig_sqrt, diag, dt, epsilon, bridge=False, gen_coeffs=None, store=True
 ):
     gen = _gen_arr(gen_coeffs)
-    n_streams = -(-n_samples // STREAM_BLOCK)
-    children, _ = stream_seeds(master_seed, n_streams)
-    parts = []
-    for k, child in enumerate(children):
-        count = min(STREAM_BLOCK, n_samples - k * STREAM_BLOCK)
-        rng = np.random.default_rng(child)
-        parts.append(
-            _paths_dense_block_np(rng, count, sig_sqrt, diag, dt, epsilon, bridge, gen, store)
-        )
-    x, tau, exited, acc = (np.concatenate([p[i] for p in parts]) for i in range(4))
+    n_streams, (x, tau, exited, _, acc) = _run_blocks_np(
+        master_seed,
+        n_samples,
+        lambda rng, count: _paths_block_np(
+            rng, count, sig_sqrt.shape[0], _dense_mixer(sig_sqrt), diag, dt, epsilon, bridge, gen, store
+        ),
+    )
     return _norm_outputs(x, tau, exited, None, acc, store, False, gen.size > 0, n_streams, n_samples)
 
 

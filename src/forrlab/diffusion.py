@@ -37,6 +37,10 @@ BARRIER = 0.5
 # dense covariance construction is quadratic in memory; keep it modest
 DENSE_DIM_LIMIT = 4096
 
+# stored stopped points take samples x dim doubles; 1 GiB is ten times the
+# largest batch the acceptance criteria store (1e5 paths at dim 128)
+STORED_PATHS_BYTE_LIMIT = 2**30
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -310,10 +314,16 @@ def sample_stopped_paths(
     independent stream per block of 1024 paths, so results are reproducible
     for a fixed seed and path count on a given backend.  want_phi asks the
     structured sampler to also return the correlation functional of the two
-    halves of each stopped point.
+    halves of each stopped point.  Storing more than STORED_PATHS_BYTE_LIMIT
+    bytes of stopped points raises CapacityError before anything is sampled.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if store_paths and n_samples * cov.dim * 8 > STORED_PATHS_BYTE_LIMIT:
+        raise CapacityError(
+            f"storing {n_samples} stopped points of dim {cov.dim} exceeds the "
+            f"{STORED_PATHS_BYTE_LIMIT} byte limit; sample without path storage or in smaller batches"
+        )
     master = config.seed if seed is None else seed
     if isinstance(cov, CovarianceSpec):
         raw = _kernels.run_paths_structured(
@@ -406,17 +416,10 @@ def exit_probability_report(cov, config: SamplerConfig, samples: int, seed=None)
     p_half = proportion_estimate(early, samples)
 
     one_cfg = SamplerConfig(half, min(config.dt, half), config.bridge_correction, master)
-    raw = _kernels.run_paths_dense(
-        master + 1,
-        samples,
-        np.eye(1),
-        np.ones(1),
-        one_cfg.dt,
-        one_cfg.epsilon,
-        bridge=one_cfg.bridge_correction,
-        store=False,
+    one = sample_stopped_paths(
+        equicorrelated_covariance(1, 0.0), one_cfg, samples, store_paths=False, seed=master + 1
     )
-    p_one = proportion_estimate(int(raw["exited"].sum()), samples)
+    p_one = proportion_estimate(int(one.exited.sum()), samples)
 
     bound_one = 2.0 * math.exp(-1.0 / (4.0 * config.epsilon))
     bound_union = dim * bound_one

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import forrlab.diffusion as diff
+from forrlab.errors import CapacityError
 from forrlab.report import PASS
 from oracles import dense_sqrt_oracle, theta_series_exit_probability
 
@@ -251,6 +252,19 @@ class TestBatchSampling:
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
             diff.sample_stopped_paths(diff.build_sigma(1), diff.default_sampler_config(2), 0)
+
+    def test_oversized_path_storage_refused_before_sampling(self, monkeypatch):
+        # `sample --n 1024 --samples 1000000` would store 1e6 x 2048 doubles (16 GB)
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the kernel ran before the capacity check")
+
+        monkeypatch.setattr(diff._kernels, "run_paths_structured", no_sampling)
+        cov = diff.build_sigma(1024)
+        cfg = diff.default_sampler_config(cov.dim)
+        with pytest.raises(CapacityError):
+            diff.sample_stopped_paths(cov, cfg, 1_000_000, store_paths=True)
+        # criterion 06 stores 1e5 points of dim 128; the limit leaves 10x room
+        assert 10 * 100_000 * 128 * 8 <= diff.STORED_PATHS_BYTE_LIMIT
 
 
 class TestDtRefinement:

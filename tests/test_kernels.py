@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from forrlab import _kernels as K
+from forrlab.diffusion import equicorrelated_covariance
 
 
 def direct_wht_oracle(v):
@@ -242,6 +243,68 @@ def test_structured_numpy_outputs_match_pinned_digests(case):
         if out[key] is not None
     }
     assert got == STRUCTURED_DIGESTS[case]
+
+
+# sha256 digests of run_paths_dense_numpy outputs, pinned from the row-major
+# dense loop that preceded the shared paths-minor loop.  The dense routes
+# (Dynkin's identity, the stopped-mean bound, the one-coordinate exit
+# estimate) must see the same draws and the same bits; see the note on
+# STRUCTURED_DIGESTS before pinning new values.
+DENSE_DIGESTS = {
+    # (name, seed, paths, dim, gamma, dt divisor, bridge test, generator accumulator)
+    ("d1-bridge-partial", 21, 1100, 1, 0.0, 64, True, False): {
+        "x_tau": "3f1e546f71fec208d5255734a0f3e7cd4fb39ac75fbd7a2fd69c65b84002a17a",
+        "tau": "7526259888be7a5d3a8c49e6c96043f6bfa1e9afd6280167f6b8af16fb071a10",
+        "exited": "d4fad92b5963a771614119d7f93af9d4dce6b8159cddc53162d73a1642908e95",
+    },
+    ("d2-dynkin", 22, 1100, 2, 0.5, 64, False, True): {
+        "x_tau": "dadb2c1fcee1764bac91eb5d15138329bdd8b5e83ec1fd0d90991d47e56b2240",
+        "tau": "27768ffebd29bdcc886532a84f234be6b7fe95410a48ec3b32132ecedd4d57ed",
+        "exited": "5c5e478b1f28b17915a40c096feb1008fe93a3ffa3e278ad5443e8a982c658e0",
+        "accumulator": "e5e2fd92e6a5e8bdb7b441e16ed04b96c9117c94d324b41da190113ce821ab72",
+    },
+    ("d4-grid", 23, 1024, 4, 0.2, 64, False, False): {
+        "x_tau": "533b612271cc5f13887d6fa1498cce8d579fd512901f45181023ab94fc5ef5dd",
+        "tau": "9f2fc0f68e05860f489ed8e7baa8e0a75873081c2c9ddfc64c42f658b2d4d5ae",
+        "exited": "dd5ad6d8ec245ad2bc32affdc0fad0b198349adb0601f0a5e3cb27b21a0c37f3",
+    },
+    ("d4-bridge-generator", 24, 1024, 4, 0.2, 64, True, True): {
+        "x_tau": "c8e053d57cedb3ea398d0a6dbb404ef659f6ca19eade398f2e531ef3e6e4cf81",
+        "tau": "aec9143ea863ca6e1995ccebbc865c8bd9f5ae17ed1a2fb307d9ed4e836dafec",
+        "exited": "10342534d14b2eb7be76789e96726f9db6c2d45736f8d56a77ad8f5e2f325dea",
+        "accumulator": "27d5e60cc95ac92431943324c9a9d5a13339d951fe4d4b6cea0ad1dacb2cd0b9",
+    },
+    ("d8-bridge-partial", 25, 1100, 8, 0.1, 64, True, False): {
+        "x_tau": "3c8604f0f8554572a2c1f8e886c8bafe318e55c0f718f4c4c9c4c8d6eeecdda5",
+        "tau": "75df0acfea25b854c9e770b6cd5d4d41f57d3371253470242bcd2d8a3b475e20",
+        "exited": "d1f417704425a83a1b753f9c8887110cc9206070fb9215fb26896f4585abbac6",
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(DENSE_DIGESTS), ids=[c[0] for c in DENSE_DIGESTS])
+def test_dense_numpy_outputs_match_pinned_digests(case):
+    _, seed, paths, dim, gamma, divisor, bridge, generator = case
+    cov = equicorrelated_covariance(dim, gamma)
+    eps = 1.0 / (8.0 * np.log(2 * dim))
+    gen = np.random.default_rng(99).standard_normal(2**dim) if generator else None
+    out = K.run_paths_dense_numpy(
+        seed,
+        paths,
+        cov.sqrt_matrix,
+        np.diagonal(cov.matrix).copy(),
+        eps / divisor,
+        eps,
+        bridge=bridge,
+        gen_coeffs=gen,
+        store=True,
+    )
+    got = {
+        key: hashlib.sha256(out[key].tobytes()).hexdigest()
+        for key in ("x_tau", "tau", "exited", "accumulator")
+        if out[key] is not None
+    }
+    assert got == DENSE_DIGESTS[case]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
