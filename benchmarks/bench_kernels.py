@@ -1,9 +1,8 @@
-"""Benchmark the numba kernels against their pure-numpy twins.
+"""Benchmark the hot kernels of forrlab._kernels at fixed shapes.
 
-Runs each hot kernel on both backends and prints per-call wall times and
-the numba speedup.  When numba is not importable the script still runs,
-timing only the numpy column.  Path kernels also report path-steps (one
-Euler step of one path) and numpy nanoseconds per path-step.
+Runs each kernel and prints its best per-call wall time.  Path kernels also
+report path-steps (one Euler step of one path) and nanoseconds per
+path-step.
 
 --json PATH stores the run under --label in a JSON file (other labels
 already in the file are kept), so a before/after pair can share one file:
@@ -44,13 +43,10 @@ def best_of(repeat, fn, *args, **kwargs):
 def bench_wht(args):
     rows = np.random.default_rng(args.seed).normal(size=(4096, 128))
 
-    def run_numpy():
+    def run():
         _kernels.wht_batch_numpy(rows.copy())
 
-    def run_numba():
-        _kernels.wht_batch_numba(rows.copy())
-
-    return "batched WHT 4096x128", run_numpy, run_numba
+    return "batched WHT 4096x128", run, None
 
 
 def bench_eval(args):
@@ -58,13 +54,10 @@ def bench_eval(args):
     coeffs = rng.normal(size=2**10)
     points = rng.uniform(-0.5, 0.5, size=(args.samples, 10))
 
-    def run_numpy():
+    def run():
         _kernels.eval_multilinear_batch_numpy(coeffs, points)
 
-    def run_numba():
-        _kernels.eval_multilinear_batch_numba(coeffs, points)
-
-    return f"multilinear eval {args.samples}x2^10", run_numpy, run_numba
+    return f"multilinear eval {args.samples}x2^10", run, None
 
 
 def bench_structured(args):
@@ -72,17 +65,12 @@ def bench_structured(args):
     epsilon = 1.0 / (8.0 * math.log(2 * n))
     dt = epsilon / 256
 
-    def run_numpy():
+    def run():
         return _kernels.run_paths_structured_numpy(
             args.seed, args.samples, n, dt, epsilon, store=False, want_phi=True
         )
 
-    def run_numba():
-        return _kernels.run_paths_structured_numba(
-            args.seed, args.samples, n, dt, epsilon, store=False, want_phi=True
-        )
-
-    return f"structured paths n=64, {args.samples} paths", run_numpy, run_numba, dt
+    return f"structured paths n=64, {args.samples} paths", run, dt
 
 
 def bench_dense(args):
@@ -95,17 +83,12 @@ def bench_dense(args):
     epsilon = 1.0 / (8.0 * math.log(dim))
     dt = epsilon / 256
 
-    def run_numpy():
+    def run():
         return _kernels.run_paths_dense_numpy(
             args.seed, args.samples, sig_sqrt, diag, dt, epsilon, store=False
         )
 
-    def run_numba():
-        return _kernels.run_paths_dense_numba(
-            args.seed, args.samples, sig_sqrt, diag, dt, epsilon, store=False
-        )
-
-    return f"dense paths dim=4, {args.samples} paths", run_numpy, run_numba, dt
+    return f"dense paths dim=4, {args.samples} paths", run, dt
 
 
 def bench_dense_dynkin(args):
@@ -118,13 +101,10 @@ def bench_dense_dynkin(args):
     dt = epsilon / 1024
     kw = dict(gen_coeffs=gen, store=True)
 
-    def run_numpy():
+    def run():
         return _kernels.run_paths_dense_numpy(args.seed, args.samples, sig_sqrt, np.ones(2), dt, epsilon, **kw)
 
-    def run_numba():
-        return _kernels.run_paths_dense_numba(args.seed, args.samples, sig_sqrt, np.ones(2), dt, epsilon, **kw)
-
-    return f"dense Dynkin dim=2, {args.samples} paths", run_numpy, run_numba, dt
+    return f"dense Dynkin dim=2, {args.samples} paths", run, dt
 
 
 def bench_dense_bridge(args):
@@ -133,13 +113,10 @@ def bench_dense_bridge(args):
     dt = epsilon / 512
     kw = dict(bridge=True, store=False)
 
-    def run_numpy():
+    def run():
         return _kernels.run_paths_dense_numpy(args.seed, args.samples, np.eye(1), np.ones(1), dt, epsilon, **kw)
 
-    def run_numba():
-        return _kernels.run_paths_dense_numba(args.seed, args.samples, np.eye(1), np.ones(1), dt, epsilon, **kw)
-
-    return f"dense bridge dim=1, {args.samples} paths", run_numpy, run_numba, dt
+    return f"dense bridge dim=1, {args.samples} paths", run, dt
 
 
 def path_steps(out, dt):
@@ -154,7 +131,6 @@ def store_json(path, label, args, rows):
         "numpy": np.__version__,
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "numba_enabled": _kernels.NUMBA_ENABLED,
         "argv": sys.argv[1:],
         "samples": args.samples,
         "repeat": args.repeat,
@@ -180,28 +156,23 @@ def main():
     parser.add_argument("--label", default="run", help="key of this run inside the --json file")
     args = parser.parse_args()
 
-    print(f"numba available: {_kernels.NUMBA_AVAILABLE}, enabled: {_kernels.NUMBA_ENABLED}")
     benches = [bench_wht(args), bench_eval(args), bench_structured(args), bench_dense(args)]
     benches += [bench_dense_dynkin(args), bench_dense_bridge(args)]
 
     width = max(len(b[0]) for b in benches)
-    header = f"{'kernel':<{width}}  {'numpy':>10}  {'numba':>10}  {'speedup':>8}  {'ns/step':>8}"
+    header = f"{'kernel':<{width}}  {'best':>10}  {'ns/step':>8}"
     print(header)
     print("-" * len(header))
     rows = {}
-    for name, run_numpy, run_numba, *dt in benches:
-        t_np = best_of(args.repeat, run_numpy)
-        row = {"numpy_best_s": t_np, "numba_best_s": None}
-        if dt:
-            row["path_steps"] = path_steps(run_numpy(), dt[0])
-            row["numpy_ns_per_path_step"] = 1e9 * t_np / row["path_steps"]
-        per_step = f"{row['numpy_ns_per_path_step']:>8.0f}" if dt else f"{'':>8}"
-        if _kernels.NUMBA_AVAILABLE:
-            run_numba()  # JIT warmup outside the timed region
-            row["numba_best_s"] = t_nb = best_of(args.repeat, run_numba)
-            print(f"{name:<{width}}  {t_np:>9.4f}s  {t_nb:>9.4f}s  {t_np / t_nb:>7.1f}x  {per_step}")
-        else:
-            print(f"{name:<{width}}  {t_np:>9.4f}s  {'n/a':>10}  {'n/a':>8}  {per_step}")
+    for name, run, dt in benches:
+        best = best_of(args.repeat, run)
+        row = {"best_s": best}
+        per_step = f"{'':>8}"
+        if dt is not None:
+            row["path_steps"] = path_steps(run(), dt)
+            row["ns_per_path_step"] = 1e9 * best / row["path_steps"]
+            per_step = f"{row['ns_per_path_step']:>8.0f}"
+        print(f"{name:<{width}}  {best:>9.4f}s  {per_step}")
         rows[name] = row
     if args.json:
         store_json(args.json, args.label, args, rows)

@@ -8,8 +8,6 @@ and bound the construction relies on as an executable, seed-reproducible
 check.
 """
 
-from forrlab._kernels import NUMBA_AVAILABLE, NUMBA_ENABLED
-
 __version__ = "0.1.0"
 
-__all__ = ["NUMBA_AVAILABLE", "NUMBA_ENABLED", "__version__"]
+__all__ = ["__version__"]

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from forrlab._kernels import eval_multilinear_batch, wht_inplace_np
+from forrlab._kernels import eval_multilinear_batch_numpy, wht_inplace_np
 from forrlab.errors import CapacityError
 
 __all__ = [
@@ -266,11 +266,11 @@ def eval_multilinear(f: BooleanFunction, x: Sequence[float]) -> float:
 
 
 def eval_multilinear_many(f: BooleanFunction, points: np.ndarray) -> np.ndarray:
-    """Evaluate f at each row of ``points`` (backend-accelerated)."""
+    """Evaluate f at each row of ``points`` with the batched kernel."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != f.n_vars:
         raise ValueError(f"expected points of shape (m, {f.n_vars})")
-    return eval_multilinear_batch(f.coeffs, points)
+    return eval_multilinear_batch_numpy(f.coeffs, points)
 
 
 def restrict(f: BooleanFunction, rho: Restriction) -> BooleanFunction:

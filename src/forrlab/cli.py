@@ -33,7 +33,6 @@ import time
 
 import numpy as np
 
-from . import _kernels
 from . import boolean_fourier as bf
 from . import diffusion as diff
 from . import forrelation as forr
@@ -158,11 +157,6 @@ def _resolve_function(args, n_vars: int, rng) -> bf.BooleanFunction:
     return f
 
 
-def _set_workers(args) -> None:
-    if args.workers is not None:
-        _kernels.set_worker_threads(args.workers)
-
-
 def _emit(args, report: ExperimentReport, started: float) -> int:
     report.wall_time_s = time.perf_counter() - started
     text = report.to_json(no_timing=args.no_timestamp) + "\n"
@@ -181,7 +175,6 @@ def _emit(args, report: ExperimentReport, started: float) -> int:
 
 def _cmd_sample(args) -> int:
     started = time.perf_counter()
-    _set_workers(args)
     seed = _master_seed(args)
     cov = _build_covariance(args)
     config = _build_config(args, cov, seed)
@@ -276,7 +269,6 @@ def _cmd_verify_lemma(args) -> int:
 
 def _cmd_verify_dynkin(args) -> int:
     started = time.perf_counter()
-    _set_workers(args)
     seed = _master_seed(args)
     # bare invocation reproduces the dimension-2 closed-form instance
     if args.n is None and args.dim is None:
@@ -293,7 +285,6 @@ def _cmd_verify_dynkin(args) -> int:
 
 def _cmd_verify_main(args) -> int:
     started = time.perf_counter()
-    _set_workers(args)
     seed = _master_seed(args)
     # bare invocation uses the dense dimension-4, gamma 0.2 reference family
     if args.n is None and args.dim is None:
@@ -307,7 +298,6 @@ def _cmd_verify_main(args) -> int:
 
 def _cmd_verify_prop(args) -> int:
     started = time.perf_counter()
-    _set_workers(args)
     seed = _master_seed(args)
     cov = diff.build_sigma(args.n)
     config = _build_config(args, cov, seed)
@@ -317,7 +307,6 @@ def _cmd_verify_prop(args) -> int:
 
 def _cmd_advantage(args) -> int:
     started = time.perf_counter()
-    _set_workers(args)
     seed = _master_seed(args)
     cov = diff.build_sigma(args.n)
     config = _build_config(args, cov, seed)
@@ -329,7 +318,6 @@ def _cmd_advantage(args) -> int:
 
 def _cmd_sweep(args) -> int:
     started = time.perf_counter()
-    _set_workers(args)
     seed = _master_seed(args)
     ns = _parse_n_range(args.n)
     if args.samples < 0:
@@ -406,9 +394,6 @@ def _add_sampling_flags(p, default_samples: int) -> None:
         "--bridge",
         action="store_true",
         help="apply the per-coordinate bridge correction to exit detection",
-    )
-    p.add_argument(
-        "--workers", type=int, help="sampling threads (default: all available; estimates do not depend on it)"
     )
 
 
@@ -612,7 +597,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=20_000, help="paths per size; 0 skips sampling")
     p.add_argument("--dt-div", type=int, default=1024, help="grid steps per horizon")
     p.add_argument("--bridge", action="store_true", help="bridge-corrected exit detection")
-    p.add_argument("--workers", type=int, help="sampling threads")
     p.add_argument("--ell", type=float, default=1.0, help="log exponent of the level-mass profile")
     p.add_argument("--depth", type=int, default=2, help="depth parameter of the level-mass profile")
     p.add_argument("--c", type=float, default=1.0, help="constant of the level-mass profile")

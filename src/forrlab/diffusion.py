@@ -13,11 +13,12 @@ transforms.  The dense family accepts an arbitrary symmetric positive
 semidefinite matrix with unit diagonal and uses an eigendecomposition square
 root; it is intended for small dimensions.
 
-Batch sampling dispatches to the compiled or pure-numpy kernel backend (see
-_kernels).  sample_stopped_path is a single-path readable reference with the
-same stepping and exit semantics, useful for auditing the kernels.  Exit
-detection is discrete-time threshold crossing, optionally sharpened by a
-per-coordinate Brownian-bridge crossing test between grid points.
+Batch sampling runs the paths-minor path loop of _kernels, one RNG stream
+per block of paths.  sample_stopped_path is a single-path readable
+reference with the same stepping and exit semantics, useful for auditing
+the kernels.  Exit detection is discrete-time threshold crossing,
+optionally sharpened by a per-coordinate Brownian-bridge crossing test
+between grid points.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ BARRIER = 0.5
 DENSE_DIM_LIMIT = 4096
 
 # stored stopped points take samples x dim doubles; 1 GiB is ten times the
-# largest batch the acceptance criteria store (1e5 paths at dim 128)
+# largest batch the acceptance criteria store (1e5 paths at dim 128).  The
+# same limit caps the state of one stream block, STREAM_BLOCK x dim doubles
+# (16 MB at n = 1024), which the sampler holds even without storage.
 STORED_PATHS_BYTE_LIMIT = 2**30
 
 
@@ -308,14 +311,15 @@ def sample_stopped_paths(
     gen_coeffs=None,
     seed: int | None = None,
 ) -> StoppedBatch:
-    """Sample a batch of stopped paths on the kernel backend.
+    """Sample a batch of stopped paths with the batch kernels.
 
     The master seed (config.seed unless overridden) is split into one
     independent stream per block of 1024 paths, so results are reproducible
-    for a fixed seed and path count on a given backend.  want_phi asks the
-    structured sampler to also return the correlation functional of the two
-    halves of each stopped point.  Storing more than STORED_PATHS_BYTE_LIMIT
-    bytes of stopped points raises CapacityError before anything is sampled.
+    for a fixed seed and path count.  want_phi asks the structured sampler
+    to also return the correlation functional of the two halves of each
+    stopped point.  Storing more than STORED_PATHS_BYTE_LIMIT bytes of
+    stopped points, or a stream block whose state alone exceeds it, raises
+    CapacityError before anything is sampled.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -324,9 +328,15 @@ def sample_stopped_paths(
             f"storing {n_samples} stopped points of dim {cov.dim} exceeds the "
             f"{STORED_PATHS_BYTE_LIMIT} byte limit; sample without path storage or in smaller batches"
         )
+    block = min(n_samples, _kernels.STREAM_BLOCK)
+    if block * cov.dim * 8 > STORED_PATHS_BYTE_LIMIT:
+        raise CapacityError(
+            f"the state of {block} paths of dim {cov.dim} exceeds the "
+            f"{STORED_PATHS_BYTE_LIMIT} byte limit; sample fewer paths or a smaller dimension"
+        )
     master = config.seed if seed is None else seed
     if isinstance(cov, CovarianceSpec):
-        raw = _kernels.run_paths_structured(
+        raw = _kernels.run_paths_structured_numpy(
             master,
             n_samples,
             cov.n,
@@ -340,7 +350,7 @@ def sample_stopped_paths(
     else:
         if want_phi:
             raise ValueError("the half-correlation functional needs the structured covariance")
-        raw = _kernels.run_paths_dense(
+        raw = _kernels.run_paths_dense_numpy(
             master,
             n_samples,
             cov.sqrt_matrix,

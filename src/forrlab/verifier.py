@@ -150,7 +150,7 @@ def verify_dynkin(
         batch = sample_stopped_paths(
             cov, cfg, samples, store_paths=True, gen_coeffs=gen, seed=run_seed
         )
-        values = _kernels.eval_multilinear_batch(f.coeffs, batch.x_tau)
+        values = _kernels.eval_multilinear_batch_numpy(f.coeffs, batch.x_tau)
         lhs = mean_estimate(values - f_zero)
         rhs = mean_estimate(batch.accumulator)
         return batch, values, lhs, rhs
@@ -232,7 +232,7 @@ def verify_stopped_mean_bound(
         raise ValueError("paths batch must carry stored endpoints")
     samples = len(paths)
 
-    values = _kernels.eval_multilinear_batch(f.coeffs, paths.x_tau)
+    values = _kernels.eval_multilinear_batch_numpy(f.coeffs, paths.x_tau)
     est = mean_estimate(values)
     est_tau = mean_estimate(paths.tau)
     f_zero = f.coefficient(())

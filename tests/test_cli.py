@@ -253,16 +253,6 @@ class TestReproducibility:
         assert via_env.returncode == 0
         assert via_env.stdout == via_flag.stdout
 
-    def test_worker_count_does_not_change_estimates(self):
-        argv = (
-            "verify-prop", "--n", "2", "--samples", "2000", "--dt-div", "64",
-            "--seed", "9", "--no-timestamp",
-        )
-        one = run_cli(*argv, "--workers", "1", env={"NUMBA_NUM_THREADS": "2"})
-        two = run_cli(*argv, "--workers", "2", env={"NUMBA_NUM_THREADS": "2"})
-        assert one.returncode == 0
-        assert one.stdout == two.stdout
-
 
 class TestSweep:
     def test_arithmetic_only_profile(self):

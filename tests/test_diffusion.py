@@ -258,13 +258,24 @@ class TestBatchSampling:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the kernel ran before the capacity check")
 
-        monkeypatch.setattr(diff._kernels, "run_paths_structured", no_sampling)
+        monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", no_sampling)
         cov = diff.build_sigma(1024)
         cfg = diff.default_sampler_config(cov.dim)
         with pytest.raises(CapacityError):
             diff.sample_stopped_paths(cov, cfg, 1_000_000, store_paths=True)
         # criterion 06 stores 1e5 points of dim 128; the limit leaves 10x room
         assert 10 * 100_000 * 128 * 8 <= diff.STORED_PATHS_BYTE_LIMIT
+
+    def test_oversized_block_state_refused_before_sampling(self, monkeypatch):
+        # without storage one stream block still holds 1024 x 2^18 doubles (2 GiB)
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the kernel ran before the capacity check")
+
+        monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", no_sampling)
+        cov = diff.build_sigma(2**17)
+        cfg = diff.default_sampler_config(cov.dim)
+        with pytest.raises(CapacityError):
+            diff.sample_stopped_paths(cov, cfg, 1024, store_paths=False)
 
 
 class TestDtRefinement:

@@ -1,9 +1,6 @@
-"""Kernel-level tests: transform oracles, backend twins, path invariants."""
+"""Kernel-level tests: transform oracles, pinned digests, path invariants."""
 
 import hashlib
-import os
-import subprocess
-import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -57,12 +54,6 @@ class TestWalshHadamardKernels:
         for r in range(5):
             npt.assert_allclose(got[r], direct_wht_oracle(a[r]), atol=1e-12)
 
-    @pytest.mark.skipif(not K.NUMBA_AVAILABLE, reason="numba not importable")
-    def test_numba_twin_matches_numpy(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((7, 64))
-        npt.assert_array_equal(K.wht_batch_numba(a.copy()), K.wht_batch_numpy(a.copy()))
-
 
 class TestMultilinearEvalKernels:
     def test_matches_naive_sum(self):
@@ -83,53 +74,30 @@ class TestMultilinearEvalKernels:
             atol=1e-14,
         )
 
-    @pytest.mark.skipif(not K.NUMBA_AVAILABLE, reason="numba not importable")
-    def test_numba_twin_matches_numpy(self):
-        rng = np.random.default_rng(9)
-        coeffs = rng.standard_normal(2**6)
-        pts = rng.uniform(-1, 1, size=(50, 6))
-        npt.assert_allclose(
-            K.eval_multilinear_batch_numba(coeffs, pts),
-            K.eval_multilinear_batch_numpy(coeffs, pts),
-            atol=1e-12,
-        )
 
-
-def run_structured(backend, **kw):
-    fn = K.run_paths_structured_numba if backend == "numba" else K.run_paths_structured_numpy
-    return fn(**kw)
-
-
-BACKENDS = ["numpy"] + (["numba"] if K.NUMBA_AVAILABLE else [])
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
+# one kernel per family; the "numpy" id keeps the test names stable
+@pytest.mark.parametrize("run", [K.run_paths_structured_numpy], ids=["numpy"])
 class TestStructuredPathKernel:
-    def test_cube_and_tau_invariants(self, backend):
+    def test_cube_and_tau_invariants(self, run):
         eps = 0.05
-        out = run_structured(
-            backend, master_seed=1, n_samples=300, n=4, dt=eps / 64, epsilon=eps, store=True
-        )
+        out = run(master_seed=1, n_samples=300, n=4, dt=eps / 64, epsilon=eps, store=True)
         assert np.abs(out["x_tau"]).max() <= 0.5 + 1e-15
         assert out["tau"].min() > 0
         assert out["tau"].max() <= eps
         surv = ~out["exited"]
         npt.assert_array_equal(out["tau"][surv], eps)
 
-    def test_bottom_half_is_transform_of_top(self, backend):
+    def test_bottom_half_is_transform_of_top(self, run):
         eps = 0.02
-        out = run_structured(
-            backend, master_seed=2, n_samples=200, n=8, dt=eps / 32, epsilon=eps, store=True
-        )
+        out = run(master_seed=2, n_samples=200, n=8, dt=eps / 32, epsilon=eps, store=True)
         keep = ~out["exited"]
         x = out["x_tau"][keep]
         want = np.stack([direct_wht_oracle(row) for row in x[:, :8]]) / np.sqrt(8)
         npt.assert_allclose(x[:, 8:], want, atol=1e-12)
 
-    def test_phi_output_matches_stored_point(self, backend):
+    def test_phi_output_matches_stored_point(self, run):
         eps = 0.05
-        out = run_structured(
-            backend,
+        out = run(
             master_seed=3,
             n_samples=150,
             n=4,
@@ -144,13 +112,12 @@ class TestStructuredPathKernel:
         )
         npt.assert_allclose(out["phi"], redo, atol=1e-12)
 
-    def test_constant_generator_accumulates_c_times_tau(self, backend):
+    def test_constant_generator_accumulates_c_times_tau(self, run):
         # trapezoid integral of a constant observable must equal c * tau
         eps = 0.04
         gen = np.zeros(2**8)
         gen[0] = 1.7
-        out = run_structured(
-            backend,
+        out = run(
             master_seed=4,
             n_samples=100,
             n=4,
@@ -161,18 +128,18 @@ class TestStructuredPathKernel:
         )
         npt.assert_allclose(out["accumulator"], 1.7 * out["tau"], rtol=1e-12)
 
-    def test_determinism_and_partial_blocks(self, backend):
+    def test_determinism_and_partial_blocks(self, run):
         kw = dict(master_seed=5, n_samples=1100, n=2, dt=0.001, epsilon=0.01, store=True)
-        a = run_structured(backend, **kw)
-        b = run_structured(backend, **kw)
+        a = run(**kw)
+        b = run(**kw)
         npt.assert_array_equal(a["x_tau"], b["x_tau"])
         npt.assert_array_equal(a["tau"], b["tau"])
         assert a["stream_ids"].max() == 1  # two streams for 1100 paths
 
-    def test_store_flag_does_not_change_draws(self, backend):
+    def test_store_flag_does_not_change_draws(self, run):
         kw = dict(master_seed=6, n_samples=64, n=2, dt=0.001, epsilon=0.01)
-        a = run_structured(backend, store=True, want_phi=True, **kw)
-        b = run_structured(backend, store=False, want_phi=True, **kw)
+        a = run(store=True, want_phi=True, **kw)
+        b = run(store=False, want_phi=True, **kw)
         npt.assert_array_equal(a["tau"], b["tau"])
         npt.assert_array_equal(a["phi"], b["phi"])
         assert b["x_tau"] is None
@@ -183,7 +150,8 @@ class TestStructuredPathKernel:
 # move a single bit: the acceptance criteria that share the seeded n=64 batch
 # then still check the same draws.  A mismatch after a numpy upgrade or on
 # other hardware means a float routine changed its rounding; confirm against
-# a run of the reference kernel before pinning new digests.
+# a run of the reference kernel before pinning new digests.  The stream_ids
+# digests pin the stream layout, i.e. which RNG stream serves each path.
 STRUCTURED_DIGESTS = {
     # (name, seed, paths, n, dt divisor, bridge test, generator accumulator)
     ("n64-grid", 11, 1024, 64, 64, False, False): {
@@ -191,18 +159,21 @@ STRUCTURED_DIGESTS = {
         "tau": "1a4d5b0223ec0cc8fdbbfcb0fd05577ecfa686a7edc6c81d1370e6261fbb9f25",
         "exited": "a0cc6e14e8b9898421d18cd8702998b0766a889a3e819fc4a5cc7c016bd89943",
         "phi": "eed01d8cc1cf31addfbdbbcbc75ba6fae1a64b3f67668cb457972407fbf06f5b",
+        "stream_ids": "9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47",
     },
     ("n64-bridge", 12, 256, 64, 64, True, False): {
         "x_tau": "201f6d62d3070465f50a07250ac1b18ced66930993fd44ff54213d97813c6055",
         "tau": "87e996ab44ddca3a9e63ff42d6045e9d29f75ec48f370eb65cbf0625f2452aa1",
         "exited": "09e0b66171c101688a43d428dfeb2eb55de9c9f1d42e2e7bf5540cb584584bb4",
         "phi": "30e61591295fa2a4f85f843957d24aed75d46747130a9aa64389d84d3c0fa926",
+        "stream_ids": "e5a00aa9991ac8a5ee3109844d84a55583bd20572ad3ffcd42792f3c36b183ad",
     },
     ("n4-bridge-partial", 13, 1100, 4, 64, True, False): {
         "x_tau": "3e96ddfb4d75656b1c752d2b01912ad6b95e4ca8e7129e160a9b70b7d47aec6b",
         "tau": "54ae31bf6715dc8ff83b3a9a8884685896e6fd81aa97e732834f2e51c6b75702",
         "exited": "60070435a2cbc06a09e3ba15fa6e8b2d96361e7eca76da6d131df2d9a7bb5680",
         "phi": "93f33901cc0e319f773b72512656847b43d7f573d0dcc92aea261cfb9d5597ea",
+        "stream_ids": "d401efd75b6033854f05e9a7a85ef672934502223a9b290d6a9a60e7174bd2e0",
     },
     ("n2-generator-partial", 14, 1100, 2, 64, False, True): {
         "x_tau": "bef36c40a0662402c8960195997da6916322ade22260e135e6e3865651db0d07",
@@ -210,6 +181,7 @@ STRUCTURED_DIGESTS = {
         "exited": "4942f3cee443df1c7dd06296b8226d01df95dd56f460ec582d6d08fa673b2a5c",
         "phi": "fbca09ce5419512043cd37f5c14dcefe21f57c1c7b99f986aa29cb46ce69dfda",
         "accumulator": "6970f25689d784f82c6cc78414a83d12462ece0907ef30b847f8d79b73db0165",
+        "stream_ids": "d401efd75b6033854f05e9a7a85ef672934502223a9b290d6a9a60e7174bd2e0",
     },
     ("n2-generator-bridge", 15, 1100, 2, 64, True, True): {
         "x_tau": "a151f9c8ff4f3d40376ba926cafb23989ebb29bb0b9caa496d22d0eafd6b11d2",
@@ -217,12 +189,14 @@ STRUCTURED_DIGESTS = {
         "exited": "e76771262de69c1d86bbcf6ea9c31197cf19510acf455075fb143cf97915bd50",
         "phi": "053845140ea87a4472276f86a711e59d63aed10e443111e5c446c99516bc5f2a",
         "accumulator": "ca46e0983921dbc49d52fc302db311f863e34859458cc211188c91fb0690a0d3",
+        "stream_ids": "d401efd75b6033854f05e9a7a85ef672934502223a9b290d6a9a60e7174bd2e0",
     },
     ("n1024-grid", 16, 128, 1024, 32, False, False): {
         "x_tau": "0d973e6db40a27acd32ff13fe17cc90bc1e71b9c7e7474916854d62bd8fe63a6",
         "tau": "5e2ea65dfccf6b470dbeb406079661a98daefc1568b3455d0ca586ef8bac92e0",
         "exited": "b63bfa5d879bfb50b9ef2c7fb0b2927b1c4efaa7a96dd403c1941ffcd1521c88",
         "phi": "9ceb5170c772bfa56726f9c0b06111db26f652cb4372b9e3156fa7cb40bffc10",
+        "stream_ids": "5f70bf18a086007016e948b04aed3b82103a36bea41755b6cddfaf10ace3c6ef",
     },
 }
 
@@ -239,7 +213,7 @@ def test_structured_numpy_outputs_match_pinned_digests(case):
     )
     got = {
         key: hashlib.sha256(out[key].tobytes()).hexdigest()
-        for key in ("x_tau", "tau", "exited", "phi", "accumulator")
+        for key in ("x_tau", "tau", "exited", "phi", "accumulator", "stream_ids")
         if out[key] is not None
     }
     assert got == STRUCTURED_DIGESTS[case]
@@ -256,28 +230,33 @@ DENSE_DIGESTS = {
         "x_tau": "3f1e546f71fec208d5255734a0f3e7cd4fb39ac75fbd7a2fd69c65b84002a17a",
         "tau": "7526259888be7a5d3a8c49e6c96043f6bfa1e9afd6280167f6b8af16fb071a10",
         "exited": "d4fad92b5963a771614119d7f93af9d4dce6b8159cddc53162d73a1642908e95",
+        "stream_ids": "d401efd75b6033854f05e9a7a85ef672934502223a9b290d6a9a60e7174bd2e0",
     },
     ("d2-dynkin", 22, 1100, 2, 0.5, 64, False, True): {
         "x_tau": "dadb2c1fcee1764bac91eb5d15138329bdd8b5e83ec1fd0d90991d47e56b2240",
         "tau": "27768ffebd29bdcc886532a84f234be6b7fe95410a48ec3b32132ecedd4d57ed",
         "exited": "5c5e478b1f28b17915a40c096feb1008fe93a3ffa3e278ad5443e8a982c658e0",
         "accumulator": "e5e2fd92e6a5e8bdb7b441e16ed04b96c9117c94d324b41da190113ce821ab72",
+        "stream_ids": "d401efd75b6033854f05e9a7a85ef672934502223a9b290d6a9a60e7174bd2e0",
     },
     ("d4-grid", 23, 1024, 4, 0.2, 64, False, False): {
         "x_tau": "533b612271cc5f13887d6fa1498cce8d579fd512901f45181023ab94fc5ef5dd",
         "tau": "9f2fc0f68e05860f489ed8e7baa8e0a75873081c2c9ddfc64c42f658b2d4d5ae",
         "exited": "dd5ad6d8ec245ad2bc32affdc0fad0b198349adb0601f0a5e3cb27b21a0c37f3",
+        "stream_ids": "9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47",
     },
     ("d4-bridge-generator", 24, 1024, 4, 0.2, 64, True, True): {
         "x_tau": "c8e053d57cedb3ea398d0a6dbb404ef659f6ca19eade398f2e531ef3e6e4cf81",
         "tau": "aec9143ea863ca6e1995ccebbc865c8bd9f5ae17ed1a2fb307d9ed4e836dafec",
         "exited": "10342534d14b2eb7be76789e96726f9db6c2d45736f8d56a77ad8f5e2f325dea",
         "accumulator": "27d5e60cc95ac92431943324c9a9d5a13339d951fe4d4b6cea0ad1dacb2cd0b9",
+        "stream_ids": "9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47",
     },
     ("d8-bridge-partial", 25, 1100, 8, 0.1, 64, True, False): {
         "x_tau": "3c8604f0f8554572a2c1f8e886c8bafe318e55c0f718f4c4c9c4c8d6eeecdda5",
         "tau": "75df0acfea25b854c9e770b6cd5d4d41f57d3371253470242bcd2d8a3b475e20",
         "exited": "d1f417704425a83a1b753f9c8887110cc9206070fb9215fb26896f4585abbac6",
+        "stream_ids": "d401efd75b6033854f05e9a7a85ef672934502223a9b290d6a9a60e7174bd2e0",
     },
 }
 
@@ -301,18 +280,17 @@ def test_dense_numpy_outputs_match_pinned_digests(case):
     )
     got = {
         key: hashlib.sha256(out[key].tobytes()).hexdigest()
-        for key in ("x_tau", "tau", "exited", "accumulator")
+        for key in ("x_tau", "tau", "exited", "accumulator", "stream_ids")
         if out[key] is not None
     }
     assert got == DENSE_DIGESTS[case]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("run", [K.run_paths_dense_numpy], ids=["numpy"])
 class TestDensePathKernel:
-    def test_identity_covariance_invariants(self, backend):
-        fn = K.run_paths_dense_numba if backend == "numba" else K.run_paths_dense_numpy
+    def test_identity_covariance_invariants(self, run):
         eps = 0.05
-        out = fn(
+        out = run(
             master_seed=1,
             n_samples=300,
             sig_sqrt=np.eye(3),
@@ -324,8 +302,7 @@ class TestDensePathKernel:
         assert np.abs(out["x_tau"]).max() <= 0.5 + 1e-15
         assert out["tau"].max() <= eps
 
-    def test_bridge_detects_more_exits_at_coarse_dt(self, backend):
-        fn = K.run_paths_dense_numba if backend == "numba" else K.run_paths_dense_numpy
+    def test_bridge_detects_more_exits_at_coarse_dt(self, run):
         eps = 0.25
         kw = dict(
             master_seed=2,
@@ -336,17 +313,16 @@ class TestDensePathKernel:
             epsilon=eps,
             store=False,
         )
-        p_plain = fn(bridge=False, **kw)["exited"].mean()
-        p_bridge = fn(bridge=True, **kw)["exited"].mean()
+        p_plain = run(bridge=False, **kw)["exited"].mean()
+        p_bridge = run(bridge=True, **kw)["exited"].mean()
         # crossing within a coarse step is likely but invisible to the
         # endpoint test; the bridge test must recover a visible share
         assert p_bridge > p_plain + 0.02
 
-    def test_generator_accumulator_constant_oracle(self, backend):
-        fn = K.run_paths_dense_numba if backend == "numba" else K.run_paths_dense_numpy
+    def test_generator_accumulator_constant_oracle(self, run):
         gen = np.zeros(2**2)
         gen[0] = -0.9
-        out = fn(
+        out = run(
             master_seed=3,
             n_samples=50,
             sig_sqrt=np.eye(2),
@@ -358,42 +334,3 @@ class TestDensePathKernel:
         )
         npt.assert_allclose(out["accumulator"], -0.9 * out["tau"], rtol=1e-12)
 
-
-class TestBackendAgreement:
-    @pytest.mark.skipif(not K.NUMBA_AVAILABLE, reason="numba not importable")
-    def test_mean_tau_statistically_equal_across_backends(self):
-        eps = 1.0 / (8 * np.log(8))
-        kw = dict(n_samples=4000, n=4, dt=eps / 128, epsilon=eps, store=False)
-        a = K.run_paths_structured_numba(master_seed=10, **kw)["tau"]
-        b = K.run_paths_structured_numpy(master_seed=10, **kw)["tau"]
-        se = np.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
-        assert abs(a.mean() - b.mean()) < 4 * se
-
-    def test_disable_flag_selects_numpy_backend(self):
-        env = dict(os.environ, FORRLAB_DISABLE_NUMBA="1")
-        code = (
-            "from forrlab import _kernels as K;"
-            "assert not K.NUMBA_ENABLED;"
-            "assert K.run_paths_structured is K.run_paths_structured_numpy;"
-            "r = K.run_paths_structured(1, 10, 2, 0.001, 0.01);"
-            "print(r['tau'].shape[0])"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "10"
-
-
-class TestWorkerThreads:
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            K.set_worker_threads(0)
-
-    def test_results_independent_of_worker_setting(self):
-        kw = dict(master_seed=8, n_samples=2048, n=2, dt=0.001, epsilon=0.01, store=False)
-        K.set_worker_threads(1)
-        a = K.run_paths_structured(**kw)
-        K.set_worker_threads(4)  # clamped to the machine limit
-        b = K.run_paths_structured(**kw)
-        npt.assert_array_equal(a["tau"], b["tau"])
