@@ -1,7 +1,8 @@
 """Print one sha256 per seeded forrlab output, for before/after diffs.
 
 Runs the CLI subcommands (sample with --dump-paths, verify-prop,
-verify-dynkin, verify-main, advantage --rounded, sweep) with a fixed seed
+verify-dynkin, verify-main on a dense and a structured covariance,
+advantage --rounded, sweep) with a fixed seed
 and --no-timestamp at small sizes, plus the early-exit report, which no
 subcommand reaches.  Each output file is hashed; the JSON reports carry
 no wall times, so a change that keeps every draw and every float
@@ -37,6 +38,7 @@ RUNS = [
     ("verify-dynkin-n1", ["verify-dynkin", "--n", "1", "--random-function", "--samples", "2000",
                           "--dt-div", "256", "--bridge"]),
     ("verify-main", ["verify-main", "--samples", "3000", "--dt-div", "256"]),
+    ("verify-main-n2", ["verify-main", "--n", "2", "--samples", "2000", "--dt-div", "256"]),
     ("advantage", ["advantage", "--n", "16", "--samples", "1500", "--dt-div", "256", "--rounded"]),
     ("sweep", ["sweep", "--n", "4..16", "--samples", "500", "--dt-div", "128"]),
 ]

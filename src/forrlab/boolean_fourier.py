@@ -430,7 +430,10 @@ def to_json_dict(f: BooleanFunction) -> dict:
 def from_json_dict(d: dict) -> BooleanFunction:
     if not isinstance(d, dict) or set(d) != {"n", "coeffs"}:
         raise ValueError('expected an object with exactly the keys "n" and "coeffs"')
-    return from_coeffs(int(d["n"]), d["coeffs"])
+    f = from_coeffs(int(d["n"]), d["coeffs"])
+    if not np.isfinite(f.coeffs).all():
+        raise ValueError("coefficients must be finite")
+    return f
 
 
 def load_function(path) -> BooleanFunction:

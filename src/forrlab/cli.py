@@ -334,11 +334,10 @@ def _cmd_sweep(args) -> int:
             continue
         cov = diff.build_sigma(row["n"])
         config = diff.SamplerConfig(
-            row["epsilon"], row["epsilon"] / args.dt_div, args.bridge, seed
+            row["epsilon"], row["epsilon"] / args.dt_div, args.bridge, seed + row["n"]
         )
         batch = diff.sample_stopped_paths(
-            cov, config, args.samples, store_paths=False, want_phi=True,
-            seed=seed + row["n"],
+            cov, config, args.samples, store_paths=False, want_phi=True
         )
         est = mean_estimate(batch.phi)
         row["mean_phi"] = est.value
@@ -562,8 +561,9 @@ def build_parser() -> _Parser:
         "advantage",
         help="end-to-end distinguisher demo against the uniform null",
         description=(
-            "Estimate mean phi on stopped-diffusion inputs and on uniform +-1 "
-            "inputs (analytically zero); the acceptance-probability gap between "
+            "Estimate mean phi on stopped-diffusion inputs (checked against "
+            "epsilon/4 and mean tau) and on uniform +-1 inputs (analytically "
+            "zero); the acceptance-probability gap between "
             "the two is half the phi gap.  --rounded also scores phi on "
             "independently rounded +-1 bits."
         ),
@@ -613,13 +613,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"forrlab {args.subcommand}: error: {exc}\n")
-        return EXIT_USAGE
-    except (ValueError, CapacityError) as exc:
-        sys.stderr.write(f"forrlab {args.subcommand}: error: {exc}\n")
-        return EXIT_USAGE
-    except OSError as exc:
+    except (_UsageError, ValueError, CapacityError, OSError) as exc:
         sys.stderr.write(f"forrlab {args.subcommand}: error: {exc}\n")
         return EXIT_USAGE
 

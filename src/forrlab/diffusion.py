@@ -40,8 +40,13 @@ DENSE_DIM_LIMIT = 4096
 
 # stored stopped points take samples x dim doubles; 1 GiB is ten times the
 # largest batch the acceptance criteria store (1e5 paths at dim 128).  The
-# same limit caps the state of one stream block, STREAM_BLOCK x dim doubles
-# (16 MB at n = 1024), which the sampler holds even without storage.
+# same limit caps the working set of one stream block, which the sampler
+# holds even without storage: its STREAM_BLOCK x dim state plus per-step
+# temporaries of that shape (normal draws, transform scratch, and with the
+# bridge test the previous state, masks and crossing probabilities).
+# tracemalloc on 1024 unstored paths at n = 1024 put the peak at 2.55x the
+# state without the bridge test and 7.38x with it, so the state counts 4x
+# or 8x against the limit.
 STORED_PATHS_BYTE_LIMIT = 2**30
 
 
@@ -225,12 +230,6 @@ class StoppedBatch:
     def __len__(self) -> int:
         return int(self.tau.size)
 
-    def sample(self, i: int) -> StoppedSample:
-        if self.x_tau is None:
-            raise ValueError("batch was sampled without path storage")
-        acc = None if self.accumulator is None else float(self.accumulator[i])
-        return StoppedSample(self.x_tau[i].copy(), float(self.tau[i]), bool(self.exited[i]), acc)
-
 
 def _bridge_crossing(rng, prev: float, new: float, step_var: float) -> int:
     # crossing probability of barrier a over one step with endpoint values
@@ -309,17 +308,16 @@ def sample_stopped_paths(
     store_paths: bool = True,
     want_phi: bool = False,
     gen_coeffs=None,
-    seed: int | None = None,
 ) -> StoppedBatch:
     """Sample a batch of stopped paths with the batch kernels.
 
-    The master seed (config.seed unless overridden) is split into one
-    independent stream per block of 1024 paths, so results are reproducible
-    for a fixed seed and path count.  want_phi asks the structured sampler
-    to also return the correlation functional of the two halves of each
-    stopped point.  Storing more than STORED_PATHS_BYTE_LIMIT bytes of
-    stopped points, or a stream block whose state alone exceeds it, raises
-    CapacityError before anything is sampled.
+    The master seed config.seed is split into one independent stream per
+    block of 1024 paths, so results are reproducible for a fixed seed and
+    path count.  want_phi asks the structured sampler to also return the
+    correlation functional of the two halves of each stopped point.
+    Storing more than STORED_PATHS_BYTE_LIMIT bytes of stopped points, or a
+    stream block whose working set would exceed it, raises CapacityError
+    before anything is sampled.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -329,15 +327,15 @@ def sample_stopped_paths(
             f"{STORED_PATHS_BYTE_LIMIT} byte limit; sample without path storage or in smaller batches"
         )
     block = min(n_samples, _kernels.STREAM_BLOCK)
-    if block * cov.dim * 8 > STORED_PATHS_BYTE_LIMIT:
+    working_set = block * cov.dim * 8 * (8 if config.bridge_correction else 4)
+    if working_set > STORED_PATHS_BYTE_LIMIT:
         raise CapacityError(
-            f"the state of {block} paths of dim {cov.dim} exceeds the "
+            f"the working set of {block} paths of dim {cov.dim} exceeds the "
             f"{STORED_PATHS_BYTE_LIMIT} byte limit; sample fewer paths or a smaller dimension"
         )
-    master = config.seed if seed is None else seed
     if isinstance(cov, CovarianceSpec):
         raw = _kernels.run_paths_structured_numpy(
-            master,
+            config.seed,
             n_samples,
             cov.n,
             config.dt,
@@ -351,7 +349,7 @@ def sample_stopped_paths(
         if want_phi:
             raise ValueError("the half-correlation functional needs the structured covariance")
         raw = _kernels.run_paths_dense_numpy(
-            master,
+            config.seed,
             n_samples,
             cov.sqrt_matrix,
             np.diagonal(cov.matrix).copy(),
@@ -361,14 +359,7 @@ def sample_stopped_paths(
             gen_coeffs=gen_coeffs,
             store=store_paths,
         )
-    return StoppedBatch(
-        tau=raw["tau"],
-        exited=raw["exited"],
-        stream_ids=raw["stream_ids"],
-        x_tau=raw["x_tau"],
-        phi=raw["phi"],
-        accumulator=raw["accumulator"],
-    )
+    return StoppedBatch(**raw)
 
 
 def boolean_round(x, rng) -> np.ndarray:
@@ -404,7 +395,7 @@ def exit_probability_one_dim(barrier: float, horizon: float) -> float:
     return min(1.0, 2.0 * total)
 
 
-def exit_probability_report(cov, config: SamplerConfig, samples: int, seed=None) -> ExperimentReport:
+def exit_probability_report(cov, config: SamplerConfig, samples: int) -> ExperimentReport:
     """Estimate early-exit probabilities and compare against closed-form bounds.
 
     Estimates Pr[tau <= epsilon/2] on the full process and the per-coordinate
@@ -413,22 +404,20 @@ def exit_probability_report(cov, config: SamplerConfig, samples: int, seed=None)
     the full-process estimate against dim times that union bound.  When
     dim >= 4 and the horizon is at most the canonical 1/(8 ln dim), the
     full-process estimate is additionally checked against 1/2; for looser
-    horizons that inequality carries no guarantee and is only reported.
+    horizons that inequality carries no guarantee and is only reported.  The
+    single-coordinate run draws from its own seed, config.seed + 1.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    master = config.seed if seed is None else seed
     dim = cov.dim
     half = 0.5 * config.epsilon
 
-    batch = sample_stopped_paths(cov, config, samples, store_paths=False, seed=master)
+    batch = sample_stopped_paths(cov, config, samples, store_paths=False)
     early = int((batch.tau <= half * (1.0 + 1e-9)).sum())
     p_half = proportion_estimate(early, samples)
 
-    one_cfg = SamplerConfig(half, min(config.dt, half), config.bridge_correction, master)
-    one = sample_stopped_paths(
-        equicorrelated_covariance(1, 0.0), one_cfg, samples, store_paths=False, seed=master + 1
-    )
+    one_cfg = SamplerConfig(half, min(config.dt, half), config.bridge_correction, config.seed + 1)
+    one = sample_stopped_paths(equicorrelated_covariance(1, 0.0), one_cfg, samples, store_paths=False)
     p_one = proportion_estimate(int(one.exited.sum()), samples)
 
     bound_one = 2.0 * math.exp(-1.0 / (4.0 * config.epsilon))

@@ -184,49 +184,33 @@ def uniform_phi_null(n: int, samples: int, rng, chunk: int = 4096) -> Estimate:
     return Estimate(mean, math.sqrt(max(var, 0.0) / samples))
 
 
-def advantage_experiment(
-    cov: CovarianceSpec,
+def _advantage_chain(
+    name: str,
+    cov,
     config: SamplerConfig,
     samples: int,
-    include_rounded: bool = False,
-    paths: StoppedBatch | None = None,
-    seed: int | None = None,
+    paths: StoppedBatch | None,
+    store_paths: bool,
+    own_part,
 ) -> ExperimentReport:
-    """Estimate the distinguishing advantage of the acceptance statistic.
+    """The checks verify_advantage_bound and advantage_experiment share.
 
-    Draws stopped points, splits each into its two halves as an input pair,
-    and reports mean phi with its epsilon/4 lower bound (three-way verdict),
-    mean tau (whose equality with mean phi is reported), and the uniform-input
-    null estimate (checked against zero at 4 SE).  include_rounded also rounds
-    the halves to independent signs, which preserves mean phi.  A precomputed
-    batch carrying the phi functional can be supplied via paths, in which case
-    its length supersedes samples.
+    Takes the given batch, or samples one carrying phi (and the stopped
+    points when store_paths), and checks mean phi >= epsilon/4 (three-way)
+    and mean phi = mean tau (4 combined SE).  own_part(paths, payload) adds
+    the caller's payload entries and returns its further verdicts; the
+    report's verdict is the worst of all of them.
     """
     if not isinstance(cov, CovarianceSpec):
-        raise ValueError("the advantage experiment needs the structured covariance")
-    master = config.seed if seed is None else seed
+        raise ValueError("the advantage chain needs the structured covariance")
     if paths is None:
-        paths = sample_stopped_paths(
-            cov,
-            config,
-            samples,
-            store_paths=include_rounded,
-            want_phi=True,
-            seed=master,
-        )
+        paths = sample_stopped_paths(cov, config, samples, store_paths=store_paths, want_phi=True)
     if paths.phi is None:
         raise ValueError("paths batch must carry the phi functional")
-    samples = len(paths)
 
     est_phi = mean_estimate(paths.phi)
     est_tau = mean_estimate(paths.tau)
     bound = config.epsilon / 4.0
-    null = uniform_phi_null(cov.n, samples, np.random.default_rng([master, 1]))
-
-    verdict = combine_verdicts(
-        check_lower(est_phi, bound),
-        check_equal(null, Estimate(0.0, 0.0)),
-    )
     payload = {
         "n": cov.n,
         "N": cov.dim,
@@ -236,18 +220,54 @@ def advantage_experiment(
         "se_phi": est_phi.se,
         "mean_tau": est_tau.value,
         "se_tau": est_tau.se,
-        "mean_phi_uniform": null.value,
-        "se_phi_uniform": null.se,
         "bound_eps_over_4": bound,
-        "advantage_estimate": (est_phi.value - null.value) / 2.0,
     }
-    if include_rounded:
-        if paths.x_tau is None:
-            raise ValueError("rounding needs stored endpoints in the paths batch")
-        bits = boolean_round(paths.x_tau, np.random.default_rng([master, 2]))
-        rounded = phi_batch(bits[:, : cov.n].astype(np.float64), bits[:, cov.n :].astype(np.float64))
-        est_rounded = mean_estimate(rounded)
-        payload["mean_phi_rounded"] = est_rounded.value
-        payload["se_phi_rounded"] = est_rounded.se
+    verdict = combine_verdicts(
+        check_lower(est_phi, bound),
+        check_equal(est_phi, est_tau),
+        *own_part(paths, payload),
+    )
     payload["pass"] = verdict == PASS
-    return ExperimentReport("advantage", verdict, samples, payload)
+    return ExperimentReport(name, verdict, len(paths), payload)
+
+
+def advantage_experiment(
+    cov: CovarianceSpec,
+    config: SamplerConfig,
+    samples: int,
+    include_rounded: bool = False,
+    paths: StoppedBatch | None = None,
+) -> ExperimentReport:
+    """Estimate the distinguishing advantage of the acceptance statistic.
+
+    Draws stopped points, splits each into its two halves as an input pair,
+    and checks mean phi against its epsilon/4 lower bound (three-way
+    verdict) and against mean tau, and the uniform-input null estimate
+    against zero, each at 4 SE.  include_rounded also rounds the halves to
+    independent signs, which preserves mean phi.  A precomputed batch
+    carrying the phi functional can be supplied via paths, in which case
+    its length supersedes samples.
+    """
+
+    def null_and_rounding(paths, payload):
+        null = uniform_phi_null(cov.n, len(paths), np.random.default_rng([config.seed, 1]))
+        payload.update(
+            {
+                "mean_phi_uniform": null.value,
+                "se_phi_uniform": null.se,
+                "advantage_estimate": (payload["mean_phi"] - null.value) / 2.0,
+            }
+        )
+        if include_rounded:
+            if paths.x_tau is None:
+                raise ValueError("rounding needs stored endpoints in the paths batch")
+            bits = boolean_round(paths.x_tau, np.random.default_rng([config.seed, 2]))
+            xs, ys = bits[:, : cov.n].astype(np.float64), bits[:, cov.n :].astype(np.float64)
+            est_rounded = mean_estimate(phi_batch(xs, ys))
+            payload["mean_phi_rounded"] = est_rounded.value
+            payload["se_phi_rounded"] = est_rounded.se
+        return [check_equal(null, Estimate(0.0, 0.0))]
+
+    return _advantage_chain(
+        "advantage", cov, config, samples, paths, include_rounded, null_and_rounding
+    )

@@ -134,17 +134,3 @@ class ExperimentReport:
     def to_json(self, no_timing: bool = False) -> str:
         return json.dumps(self.to_json_dict(no_timing=no_timing), indent=2, sort_keys=False)
 
-
-def json_value(x):
-    """Coerce numpy scalars and arrays into plain JSON-friendly values."""
-    import numpy as np
-
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
-    if isinstance(x, np.ndarray):
-        return [json_value(v) for v in x.tolist()]
-    return x

@@ -34,7 +34,6 @@ from .boolean_fourier import (
     BooleanFunction,
     RestrictionDistribution,
     enumerate_restrictions,
-    eval_multilinear,
     max_restricted_level2_mass,
     partial_derivative,
     restrict,
@@ -42,14 +41,12 @@ from .boolean_fourier import (
 )
 from .diffusion import CovarianceSpec, SamplerConfig, StoppedBatch, sample_stopped_paths
 from .errors import CapacityError
+from .forrelation import _advantage_chain
 from .report import (
-    PASS,
     Estimate,
     ExperimentReport,
     check_equal,
-    check_lower,
     check_upper,
-    combine_verdicts,
     mean_estimate,
     proportion_estimate,
 )
@@ -105,32 +102,19 @@ def generator_table(f: BooleanFunction, sigma: np.ndarray) -> np.ndarray:
     return gen
 
 
-def _assert_multilinear(f: BooleanFunction) -> None:
-    # second difference in each single variable must vanish identically;
-    # probing one generic point suffices for a coefficient table
-    probe = np.full(f.n_vars, 0.31)
-    base = 2.0 * eval_multilinear(f, probe)
-    for i in range(f.n_vars):
-        e = np.zeros(f.n_vars)
-        e[i] = 1.0
-        second = eval_multilinear(f, probe + e) + eval_multilinear(f, probe - e) - base
-        if abs(second) > 1e-10:
-            raise ValueError("function is not multilinear in every variable")
-
-
 def verify_dynkin(
     f: BooleanFunction,
     cov,
     config: SamplerConfig,
     samples: int,
-    seed: int | None = None,
     dump_csv=None,
 ) -> ExperimentReport:
     """Monte Carlo check of E[f(X_tau)] - f(0) = E[int_0^tau Af(X_s) ds].
 
-    Runs the sampler twice, at dt and dt/2, accumulating the generator
-    integral by the trapezoid rule along each path.  The two-sided verdict
-    compares the dt-run estimates within 4 combined standard errors plus a
+    Runs the sampler twice, at dt and dt/2 (the second run independent, on
+    seed config.seed + 1), accumulating the generator integral by the
+    trapezoid rule along each path.  The two-sided verdict compares the
+    dt-run estimates within 4 combined standard errors plus a
     discretization allowance C*dt, with C estimated from the Richardson
     comparison of the (LHS - RHS) gap between the two runs.  dump_csv, when
     given, receives one row per path of the dt run: tau, f(X_tau),
@@ -140,24 +124,20 @@ def verify_dynkin(
         raise ValueError("function dimension must match the covariance")
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    _assert_multilinear(f)
     sigma = cov.dense_sigma() if isinstance(cov, CovarianceSpec) else cov.matrix
     gen = generator_table(f, sigma)
-    master = config.seed if seed is None else seed
     f_zero = f.coefficient(())
 
-    def run(cfg: SamplerConfig, run_seed: int):
-        batch = sample_stopped_paths(
-            cov, cfg, samples, store_paths=True, gen_coeffs=gen, seed=run_seed
-        )
+    def run(cfg: SamplerConfig):
+        batch = sample_stopped_paths(cov, cfg, samples, store_paths=True, gen_coeffs=gen)
         values = _kernels.eval_multilinear_batch_numpy(f.coeffs, batch.x_tau)
         lhs = mean_estimate(values - f_zero)
         rhs = mean_estimate(batch.accumulator)
         return batch, values, lhs, rhs
 
-    half = SamplerConfig(config.epsilon, config.dt / 2.0, config.bridge_correction, config.seed)
-    batch, values, lhs, rhs = run(config, master)
-    _, _, lhs_h, rhs_h = run(half, master + 1)
+    half = SamplerConfig(config.epsilon, config.dt / 2.0, config.bridge_correction, config.seed + 1)
+    batch, values, lhs, rhs = run(config)
+    _, _, lhs_h, rhs_h = run(half)
 
     gap = lhs.value - rhs.value
     gap_half = lhs_h.value - rhs_h.value
@@ -206,7 +186,6 @@ def verify_stopped_mean_bound(
     samples: int,
     t: float | None = None,
     paths: StoppedBatch | None = None,
-    seed: int | None = None,
 ) -> ExperimentReport:
     """Check |mean f(X_tau) - f(0)| <= 2 epsilon gamma t at 4 SE.
 
@@ -227,7 +206,7 @@ def verify_stopped_mean_bound(
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     if paths is None:
-        paths = sample_stopped_paths(cov, config, samples, store_paths=True, seed=seed)
+        paths = sample_stopped_paths(cov, config, samples, store_paths=True)
     if paths.x_tau is None:
         raise ValueError("paths batch must carry stored endpoints")
     samples = len(paths)
@@ -262,7 +241,6 @@ def verify_advantage_bound(
     config: SamplerConfig,
     samples: int,
     paths: StoppedBatch | None = None,
-    seed: int | None = None,
 ) -> ExperimentReport:
     """Check mean phi >= epsilon/4 with its supporting chain.
 
@@ -275,46 +253,23 @@ def verify_advantage_bound(
     Pr[tau <= epsilon/2].  At n = 64, dt = epsilon/1024 the observed value
     is about 0.002, well below 2/N = 0.0156.
     """
-    if not isinstance(cov, CovarianceSpec):
-        raise ValueError("the advantage bound needs the structured covariance")
-    if paths is None:
-        paths = sample_stopped_paths(
-            cov, config, samples, store_paths=False, want_phi=True, seed=seed
+
+    def early_exit(paths, payload):
+        half = 0.5 * config.epsilon
+        early = int((paths.tau <= half * (1.0 + 1e-9)).sum())
+        p_half = proportion_estimate(early, len(paths))
+        payload.update(
+            {
+                "p_exit_half": p_half.value,
+                "se_exit_half": p_half.se,
+                "bound_half": 0.5,
+                "ref_two_over_N": 2.0 / cov.dim,
+                "markov_lower_bound": half * (1.0 - p_half.value),
+            }
         )
-    if paths.phi is None:
-        raise ValueError("paths batch must carry the phi functional")
-    samples = len(paths)
+        return [check_upper(p_half, 0.5)]
 
-    est_phi = mean_estimate(paths.phi)
-    est_tau = mean_estimate(paths.tau)
-    half = 0.5 * config.epsilon
-    early = int((paths.tau <= half * (1.0 + 1e-9)).sum())
-    p_half = proportion_estimate(early, samples)
-    bound = config.epsilon / 4.0
-
-    verdict = combine_verdicts(
-        check_lower(est_phi, bound),
-        check_upper(p_half, 0.5),
-        check_equal(est_phi, est_tau),
-    )
-    payload = {
-        "n": cov.n,
-        "N": cov.dim,
-        "epsilon": config.epsilon,
-        "dt": config.dt,
-        "mean_phi": est_phi.value,
-        "se_phi": est_phi.se,
-        "mean_tau": est_tau.value,
-        "se_tau": est_tau.se,
-        "p_exit_half": p_half.value,
-        "se_exit_half": p_half.se,
-        "bound_eps_over_4": bound,
-        "bound_half": 0.5,
-        "ref_two_over_N": 2.0 / cov.dim,
-        "markov_lower_bound": half * (1.0 - p_half.value),
-        "pass": verdict == PASS,
-    }
-    return ExperimentReport("advantage_bound", verdict, samples, payload)
+    return _advantage_chain("advantage_bound", cov, config, samples, paths, False, early_exit)
 
 
 def ac0_level_mass_bound(ell: float, depth: int, n_inputs: int, c: float = 1.0, k: int = 1) -> float:

@@ -374,6 +374,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             bf.from_json_dict({"n": 2, "coeffs": [1, 0], "extra": 1})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            bf.from_json_dict({"n": 2, "coeffs": [0.0, 0.0, 0.0, bad]})
+
     def test_file_round_trip(self, tmp_path):
         f = bf.from_truth_table([1, -1, -1, 1])
         path = tmp_path / "parity.json"

@@ -103,6 +103,15 @@ class TestUsageErrors:
         assert proc.returncode == 64
         assert proc.stdout == ""
 
+    def test_non_finite_function_file(self, tmp_path):
+        # json.load reads a bare NaN; the function must not reach the sampler
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 2, "coeffs": [0, 0, 0, NaN]}\n')
+        proc = run_cli("verify-dynkin", "--function", str(path), "--samples", "10")
+        assert proc.returncode == 64
+        assert proc.stdout == ""
+        assert "finite" in proc.stderr
+
     def test_bad_seed_env(self):
         proc = run_cli(
             "verify-lemma", "--vars", "2", "--functions", "1", "--anchors", "1",

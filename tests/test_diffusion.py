@@ -1,5 +1,6 @@
 """Tests for covariance structure, stopped-path sampling, and exit bounds."""
 
+import dataclasses
 import io
 import json
 import math
@@ -231,7 +232,7 @@ class TestBatchSampling:
         cov = diff.build_sigma(2)
         cfg = diff.default_sampler_config(4, seed=9)
         a = diff.sample_stopped_paths(cov, cfg, 2000)
-        b = diff.sample_stopped_paths(cov, cfg, 2000, seed=10)
+        b = diff.sample_stopped_paths(cov, dataclasses.replace(cfg, seed=10), 2000)
         assert not np.array_equal(a.tau, b.tau)
 
     def test_reference_sampler_agrees_in_distribution(self):
@@ -274,6 +275,18 @@ class TestBatchSampling:
         monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", no_sampling)
         cov = diff.build_sigma(2**17)
         cfg = diff.default_sampler_config(cov.dim)
+        with pytest.raises(CapacityError):
+            diff.sample_stopped_paths(cov, cfg, 1024, store_paths=False)
+
+    def test_bridge_working_set_refused_before_sampling(self, monkeypatch):
+        # a 1024 x 2^15 state is 256 MiB, but with the bridge test a step's
+        # temporaries take the working set to about 7.4x that
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the kernel ran before the capacity check")
+
+        monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", no_sampling)
+        cov = diff.build_sigma(2**14)
+        cfg = diff.default_sampler_config(cov.dim, bridge_correction=True)
         with pytest.raises(CapacityError):
             diff.sample_stopped_paths(cov, cfg, 1024, store_paths=False)
 

@@ -88,9 +88,3 @@ class TestExperimentReport:
         b = self._report().to_json(no_timing=True)
         assert a == b
         assert json.loads(a)["verdict"] == "pass"
-
-    def test_json_value_coercion(self):
-        assert rep.json_value(np.float64(1.5)) == 1.5
-        assert rep.json_value(np.int32(3)) == 3
-        assert rep.json_value(np.bool_(True)) is True
-        assert rep.json_value(np.array([1.0, 2.0])) == [1.0, 2.0]
