@@ -4,6 +4,12 @@ Runs each kernel and prints its best per-call wall time.  Path kernels also
 report path-steps (one Euler step of one path) and nanoseconds per
 path-step.
 
+--cli also times the canonical end-to-end CLI runs once each, through
+forrlab.cli.main with default settings and --no-timestamp: verify-prop
+--n 64 --samples 100000, verify-dynkin, verify-main and advantage
+--rounded (several minutes in all).  Their wall times and exit codes go
+under "cli" in the --json record.
+
 --json PATH stores the run under --label in a JSON file (other labels
 already in the file are kept), so a before/after pair can share one file:
 
@@ -13,7 +19,7 @@ already in the file are kept), so a before/after pair can share one file:
         --json BENCH_<date>_<sha>.json --label after
 
 Usage:
-    python3 benchmarks/bench_kernels.py [--samples 2000] [--repeat 5] [--json PATH --label NAME]
+    python3 benchmarks/bench_kernels.py [--samples 2000] [--repeat 5] [--cli] [--json PATH --label NAME]
 """
 
 import argparse
@@ -23,11 +29,20 @@ import math
 import os
 import platform
 import sys
+import tempfile
 import time
 
 import numpy as np
 
-from forrlab import _kernels
+from forrlab import _kernels, cli
+
+# the canonical end-to-end runs, each with default settings otherwise
+CLI_RUNS = [
+    ("verify-prop --n 64 --samples 100000", ["verify-prop", "--n", "64", "--samples", "100000"]),
+    ("verify-dynkin", ["verify-dynkin"]),
+    ("verify-main", ["verify-main"]),
+    ("advantage --rounded", ["advantage", "--rounded"]),
+]
 
 
 def best_of(repeat, fn, *args, **kwargs):
@@ -124,7 +139,21 @@ def path_steps(out, dt):
     return int(np.ceil(out["tau"] / dt - 1e-9).sum())
 
 
-def store_json(path, label, args, rows):
+def bench_cli():
+    """Wall time and exit code of each canonical CLI run, one run each."""
+    rows = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        for name, argv in CLI_RUNS:
+            started = time.perf_counter()
+            code = cli.main(argv + ["--no-timestamp", "--out", out])
+            wall = time.perf_counter() - started
+            rows[name] = {"wall_s": wall, "exit_code": code}
+            print(f"cli {name}: {wall:.2f}s, exit code {code}", flush=True)
+    return rows
+
+
+def store_json(path, label, args, rows, cli_rows=None):
     record = {
         "date": datetime.date.today().isoformat(),
         "python": platform.python_version(),
@@ -137,6 +166,8 @@ def store_json(path, label, args, rows):
         "seed": args.seed,
         "kernels": rows,
     }
+    if cli_rows is not None:
+        record["cli"] = cli_rows
     data = {"runs": {}}
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
@@ -154,6 +185,7 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", metavar="PATH", help="store the timings in a JSON file")
     parser.add_argument("--label", default="run", help="key of this run inside the --json file")
+    parser.add_argument("--cli", action="store_true", help="also time the canonical CLI runs")
     args = parser.parse_args()
 
     benches = [bench_wht(args), bench_eval(args), bench_structured(args), bench_dense(args)]
@@ -174,8 +206,9 @@ def main():
             per_step = f"{row['ns_per_path_step']:>8.0f}"
         print(f"{name:<{width}}  {best:>9.4f}s  {per_step}")
         rows[name] = row
+    cli_rows = bench_cli() if args.cli else None
     if args.json:
-        store_json(args.json, args.label, args, rows)
+        store_json(args.json, args.label, args, rows, cli_rows)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,11 @@ Exit semantics: a path stops at the first grid time where any coordinate
 lies strictly outside [-1/2, 1/2], or where the bridge test (when enabled)
 reports a within-step crossing.  The reported point clamps direct offenders
 to the cube and places bridge-crossed coordinates on the barrier they
-crossed.  Paths that never stop report tau = epsilon exactly.
+crossed.  Paths that never stop report tau = epsilon exactly.  The grid
+endpoint before that clamp (``x_raw``, with the generator accumulator) and
+its ``|u|^2 / n`` (``phi_raw``, with phi) are returned too: identities that
+are martingales on the grid hold exactly there, so the clamp alone carries
+the discretization error.
 """
 
 from __future__ import annotations
@@ -219,15 +223,21 @@ def _paths_block_np(
     state in place.  ``diag`` (scalar or per coordinate) is the variance rate
     of each coordinate, so the bridge test uses step variance ``h * diag``.
     ``want_phi`` (structured family) adds the forrelation statistic of the
-    two halves of each stopped point.  Returns ``(x_tau, tau, exited, phi,
-    accumulator)``; an output that was not asked for is None.
+    two halves of each stopped point, and ``phi_raw = |u|^2 / n`` of the top
+    half u of the grid endpoint before the clamp.  A generator table adds
+    the trapezoid accumulator and ``x_raw``, the grid endpoint before the
+    clamp and before bridge-crossed coordinates are put on the barrier.
+    Returns ``(x_tau, tau, exited, phi, accumulator, x_raw, phi_raw)``; an
+    output that was not asked for is None.
     """
     want_acc = gen_coeffs.size > 0
     x_fin = np.empty((count, dim)) if store else None
     tau = np.full(count, epsilon)
     exited = np.zeros(count, dtype=bool)
     phi = np.empty(count) if want_phi else None
+    phi_raw = np.empty(count) if want_phi else None
     acc_fin = np.empty(count) if want_acc else None
+    x_raw = np.empty((count, dim)) if want_acc else None
 
     st = np.zeros((dim, count))
     alive = np.arange(count)
@@ -240,6 +250,11 @@ def _paths_block_np(
         # back to one C-ordered row per path: einsum over the transposed
         # layout would change phi in the last bit
         pt = np.ascontiguousarray(cols.T)
+        n = dim // 2
+        if want_acc:
+            x_raw[rows] = pt
+        if want_phi:
+            phi_raw[rows] = np.einsum("ij,ij->i", pt[:, :n], pt[:, :n]) * (1.0 / n)
         np.clip(pt, -_BARRIER, _BARRIER, out=pt)
         if up_mask is not None:
             pt[up_mask.T] = _BARRIER
@@ -247,7 +262,6 @@ def _paths_block_np(
         if store:
             x_fin[rows] = pt
         if want_phi:
-            n = dim // 2
             yw = pt[:, n:].copy()
             wht_inplace_np(yw)
             phi[rows] = np.einsum("ij,ij->i", pt[:, :n], yw) * (1.0 / np.sqrt(n) / n)
@@ -297,7 +311,7 @@ def _paths_block_np(
         finalize(alive, st)
         if want_acc:
             acc_fin[alive] = acc
-    return x_fin, tau, exited, phi, acc_fin
+    return x_fin, tau, exited, phi, acc_fin, x_raw, phi_raw
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +333,7 @@ def _run_blocks_np(master_seed, n_samples, step_block):
         for k, child in enumerate(children)
     ]
     cols = [None if col[0] is None else np.concatenate(col) for col in zip(*parts)]
-    out = dict(zip(("x_tau", "tau", "exited", "phi", "accumulator"), cols))
+    out = dict(zip(("x_tau", "tau", "exited", "phi", "accumulator", "x_raw", "phi_raw"), cols))
     out["stream_ids"] = np.repeat(np.arange(len(children)), STREAM_BLOCK)[:n_samples]
     return out
 

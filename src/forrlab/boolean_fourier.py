@@ -95,6 +95,8 @@ class BooleanFunction:
             raise ValueError(
                 f"coefficient table must have length 2^{self.n_vars}, got {coeffs.shape}"
             )
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
@@ -430,10 +432,7 @@ def to_json_dict(f: BooleanFunction) -> dict:
 def from_json_dict(d: dict) -> BooleanFunction:
     if not isinstance(d, dict) or set(d) != {"n", "coeffs"}:
         raise ValueError('expected an object with exactly the keys "n" and "coeffs"')
-    f = from_coeffs(int(d["n"]), d["coeffs"])
-    if not np.isfinite(f.coeffs).all():
-        raise ValueError("coefficients must be finite")
-    return f
+    return from_coeffs(int(d["n"]), d["coeffs"])
 
 
 def load_function(path) -> BooleanFunction:

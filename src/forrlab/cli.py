@@ -507,8 +507,9 @@ def build_parser() -> _Parser:
         help="Monte Carlo check of Dynkin's identity for the stopped diffusion",
         description=(
             "Check E[f(X_tau)] - f(0) = E[integral of Af over [0, tau]] with "
-            "Af = (1/2) sum_{i != j} Sigma_ij d_ij f, comparing runs at dt and "
-            "dt/2 for the discretization allowance.  Bare invocation uses the "
+            "Af = (1/2) sum_{i != j} Sigma_ij d_ij f, on one run: exactly on "
+            "the Euler grid before the clamp, and within the clamp term measured "
+            "on the same paths after it.  Bare invocation uses the "
             "dimension-2 closed-form instance (f = x0 x1, gamma 0.5, epsilon 0.05)."
         ),
     )
@@ -548,7 +549,8 @@ def build_parser() -> _Parser:
         description=(
             "Sample the structured process at half dimension n, split endpoints "
             "into the two halves (x, y), and check mean phi >= epsilon/4, "
-            "mean phi = mean tau, and Pr[tau <= epsilon/2] <= 1/2."
+            "mean phi = mean tau (exactly on the grid before the clamp), and "
+            "Pr[tau <= epsilon/2] against 1/2 and the union bound 2N exp(-1/(4 epsilon))."
         ),
     )
     p.add_argument("--n", type=int, default=64, help="half dimension (power of two, default 64)")

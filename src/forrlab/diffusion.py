@@ -216,8 +216,10 @@ class StoppedBatch:
     """Vectorized batch of stopped paths.
 
     x_tau has shape (samples, dim) or is None when storage was disabled;
-    phi and accumulator are None unless requested.  stream_ids records
-    which RNG stream produced each path.
+    phi and accumulator are None unless requested.  x_raw (with the
+    accumulator) is the grid endpoint before the clamp and the bridge
+    placement, and phi_raw (with phi) is |u|^2 / n of its top half.
+    stream_ids records which RNG stream produced each path.
     """
 
     tau: np.ndarray
@@ -226,6 +228,8 @@ class StoppedBatch:
     x_tau: np.ndarray | None = None
     phi: np.ndarray | None = None
     accumulator: np.ndarray | None = None
+    x_raw: np.ndarray | None = None
+    phi_raw: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(self.tau.size)
@@ -315,15 +319,17 @@ def sample_stopped_paths(
     block of 1024 paths, so results are reproducible for a fixed seed and
     path count.  want_phi asks the structured sampler to also return the
     correlation functional of the two halves of each stopped point.
-    Storing more than STORED_PATHS_BYTE_LIMIT bytes of stopped points, or a
-    stream block whose working set would exceed it, raises CapacityError
-    before anything is sampled.
+    gen_coeffs adds the generator accumulator and the pre-clamp endpoints
+    x_raw, which are stored like x_tau.  Storing more than
+    STORED_PATHS_BYTE_LIMIT bytes of points, or a stream block whose working
+    set would exceed it, raises CapacityError before anything is sampled.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if store_paths and n_samples * cov.dim * 8 > STORED_PATHS_BYTE_LIMIT:
+    stored = int(store_paths) + int(gen_coeffs is not None)
+    if n_samples * cov.dim * 8 * stored > STORED_PATHS_BYTE_LIMIT:
         raise CapacityError(
-            f"storing {n_samples} stopped points of dim {cov.dim} exceeds the "
+            f"storing {stored} x {n_samples} points of dim {cov.dim} exceeds the "
             f"{STORED_PATHS_BYTE_LIMIT} byte limit; sample without path storage or in smaller batches"
         )
     block = min(n_samples, _kernels.STREAM_BLOCK)

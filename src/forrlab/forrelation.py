@@ -197,19 +197,24 @@ def _advantage_chain(
 
     Takes the given batch, or samples one carrying phi (and the stopped
     points when store_paths), and checks mean phi >= epsilon/4 (three-way)
-    and mean phi = mean tau (4 combined SE).  own_part(paths, payload) adds
-    the caller's payload entries and returns its further verdicts; the
-    report's verdict is the worst of all of them.
+    and mean phi = mean tau (4 combined SE).  |u_k|^2/n - t_k is a
+    martingale on the grid, so mean(phi_raw - tau) = 0 is gated at 4 SE with
+    no allowance (``exact_gap``); the clamp term mean(phi - phi_raw) is
+    reported with its SE.  own_part(paths, payload) adds the caller's
+    payload entries and returns its further verdicts; the report's verdict
+    is the worst of all of them.
     """
     if not isinstance(cov, CovarianceSpec):
         raise ValueError("the advantage chain needs the structured covariance")
     if paths is None:
         paths = sample_stopped_paths(cov, config, samples, store_paths=store_paths, want_phi=True)
-    if paths.phi is None:
+    if paths.phi is None or paths.phi_raw is None:
         raise ValueError("paths batch must carry the phi functional")
 
     est_phi = mean_estimate(paths.phi)
     est_tau = mean_estimate(paths.tau)
+    exact = mean_estimate(paths.phi_raw - paths.tau)
+    clamp = mean_estimate(paths.phi - paths.phi_raw)
     bound = config.epsilon / 4.0
     payload = {
         "n": cov.n,
@@ -220,11 +225,16 @@ def _advantage_chain(
         "se_phi": est_phi.se,
         "mean_tau": est_tau.value,
         "se_tau": est_tau.se,
+        "exact_gap": exact.value,
+        "exact_se": exact.se,
+        "clamp_term": clamp.value,
+        "clamp_se": clamp.se,
         "bound_eps_over_4": bound,
     }
     verdict = combine_verdicts(
         check_lower(est_phi, bound),
         check_equal(est_phi, est_tau),
+        check_equal(exact, Estimate(0.0, 0.0)),
         *own_part(paths, payload),
     )
     payload["pass"] = verdict == PASS

@@ -11,12 +11,14 @@ The statements covered:
   anchored restriction family (exact enumeration);
 - Dynkin's identity E[f(X_tau)] - f(0) = E[integral of Af over [0, tau]]
   for the stopped diffusion, with Af = (1/2) sum_{i != j} Sigma_ij d_ij f
-  accumulated by the trapezoid rule along each path;
+  accumulated by the trapezoid rule along each path: exactly on the grid
+  before the clamp, and within the measured clamp term after it;
 - the stopped-mean bound |E[f(X_tau)] - f(0)| <= 2 epsilon gamma t, where
   t is the largest restricted level-2 coefficient mass of f;
 - the advantage bound: mean phi >= epsilon/4 on half-split stopped points,
-  the equality of mean phi and mean tau, and the early-exit probability
-  guard Pr[tau <= epsilon/2] <= 1/2;
+  the equality of mean phi and mean tau (exactly on the grid before the
+  clamp), and the early-exit probability guards Pr[tau <= epsilon/2] <= 1/2
+  and <= N * 2 exp(-1/(4 epsilon));
 - a purely arithmetic level-mass profile (c (ln N)^ell)^((d-1) k) used as a
   caller-supplied t for polylog-regime reports.
 """
@@ -47,6 +49,7 @@ from .report import (
     ExperimentReport,
     check_equal,
     check_upper,
+    combine_verdicts,
     mean_estimate,
     proportion_estimate,
 )
@@ -102,6 +105,42 @@ def generator_table(f: BooleanFunction, sigma: np.ndarray) -> np.ndarray:
     return gen
 
 
+def trapezoid_wick_allowance(f: BooleanFunction, sigma: np.ndarray, epsilon: float, dt: float) -> float:
+    """Bound on the drift the trapezoid accumulator leaves in Dynkin's identity.
+
+    On the Euler grid, E[f(X + dX) - f(X) | X] is the sum over even sets S
+    of h^k haf(Sigma_S) d_S f(X) with |S| = 2k (Isserlis), while the
+    trapezoid step (h/2)(Af(X) + Af(X + dX)) has expectation (k/2) h^k
+    haf(Sigma_S) d_S f(X) at every level 2k >= 4.  Levels 2 and 4 agree, so
+    f(X_k) - f(0) - acc_k is a martingale when deg f <= 5 and the bound is
+    exactly 0.  From level 6 on, the steps (total time at most epsilon) add
+    at most
+
+        epsilon sum_{k >= 3} (k/2 - 1) dt^(k-1) (2k-1)!! s^k
+                sum_{|S| = 2k} sum_{T >= S} |c_T| 2^-(|T| - |S|),
+
+    with s the largest off-diagonal |Sigma_ij| (|haf(Sigma_S)| <= (2k-1)!!
+    s^k) and the inner sum bounding |d_S f| on the cube.
+    """
+    nv = f.n_vars
+    masks = np.arange(2**nv)
+    size = np.zeros(2**nv, dtype=np.int64)
+    for i in range(nv):
+        size += (masks >> i) & 1
+    # level_mass[m] = sum of |c_T| over |T| = m
+    level_mass = np.bincount(size, weights=np.abs(f.coeffs), minlength=nv + 1)
+    off = np.abs(sigma - np.diag(np.diagonal(sigma)))
+    s = float(off.max())
+    total = 0.0
+    for k in range(3, nv // 2 + 1):
+        cube_sup = sum(
+            level_mass[m] * math.comb(m, 2 * k) * 0.5 ** (m - 2 * k) for m in range(2 * k, nv + 1)
+        )
+        double_fact = math.prod(range(1, 2 * k, 2))
+        total += (k / 2.0 - 1.0) * dt ** (k - 1) * double_fact * s**k * cube_sup
+    return epsilon * total
+
+
 def verify_dynkin(
     f: BooleanFunction,
     cov,
@@ -111,13 +150,16 @@ def verify_dynkin(
 ) -> ExperimentReport:
     """Monte Carlo check of E[f(X_tau)] - f(0) = E[int_0^tau Af(X_s) ds].
 
-    Runs the sampler twice, at dt and dt/2 (the second run independent, on
-    seed config.seed + 1), accumulating the generator integral by the
-    trapezoid rule along each path.  The two-sided verdict compares the
-    dt-run estimates within 4 combined standard errors plus a
-    discretization allowance C*dt, with C estimated from the Richardson
-    comparison of the (LHS - RHS) gap between the two runs.  dump_csv, when
-    given, receives one row per path of the dt run: tau, f(X_tau),
+    One sampler run accumulates the generator integral by the trapezoid
+    rule along each path and returns both the reported stopped point x_tau
+    and the grid endpoint x_raw before the clamp.  Euler increments are
+    exact in law, so f(x_raw) - f(0) - acc is a martingale on the grid: its
+    mean (``exact_gap``) is gated at 4 SE plus the deterministic bound of
+    trapezoid_wick_allowance (0 when deg f <= 5).  The clamp term
+    f(x_tau) - f(x_raw), measured on the same paths, carries all of the
+    discretization error, so the two-sided verdict on the reported estimates
+    compares them within 4 combined SE plus |clamp term| + 4 SE(clamp term).
+    dump_csv, when given, receives one row per path: tau, f(X_tau),
     accumulator.
     """
     if f.n_vars != cov.dim:
@@ -128,23 +170,20 @@ def verify_dynkin(
     gen = generator_table(f, sigma)
     f_zero = f.coefficient(())
 
-    def run(cfg: SamplerConfig):
-        batch = sample_stopped_paths(cov, cfg, samples, store_paths=True, gen_coeffs=gen)
-        values = _kernels.eval_multilinear_batch_numpy(f.coeffs, batch.x_tau)
-        lhs = mean_estimate(values - f_zero)
-        rhs = mean_estimate(batch.accumulator)
-        return batch, values, lhs, rhs
-
-    half = SamplerConfig(config.epsilon, config.dt / 2.0, config.bridge_correction, config.seed + 1)
-    batch, values, lhs, rhs = run(config)
-    _, _, lhs_h, rhs_h = run(half)
-
-    gap = lhs.value - rhs.value
-    gap_half = lhs_h.value - rhs_h.value
-    richardson_c = 2.0 * abs(gap - gap_half) / config.dt
-    allowance = richardson_c * config.dt
+    batch = sample_stopped_paths(cov, config, samples, store_paths=True, gen_coeffs=gen)
+    values = _kernels.eval_multilinear_batch_numpy(f.coeffs, batch.x_tau)
+    raw_values = _kernels.eval_multilinear_batch_numpy(f.coeffs, batch.x_raw)
+    lhs = mean_estimate(values - f_zero)
+    rhs = mean_estimate(batch.accumulator)
+    exact = mean_estimate(raw_values - f_zero - batch.accumulator)
+    clamp = mean_estimate(values - raw_values)
+    allowance = abs(clamp.value) + 4.0 * clamp.se
+    exact_allowance = trapezoid_wick_allowance(f, sigma, config.epsilon, config.dt)
     est_tau = mean_estimate(batch.tau)
-    verdict = check_equal(lhs, rhs, allowance)
+    verdict = combine_verdicts(
+        check_equal(lhs, rhs, allowance),
+        check_equal(exact, Estimate(0.0, 0.0), exact_allowance),
+    )
 
     if dump_csv is not None:
         _dump_triples(dump_csv, batch, values)
@@ -158,8 +197,11 @@ def verify_dynkin(
         "lhs_se": lhs.se,
         "rhs_mean": rhs.value,
         "rhs_se": rhs.se,
-        "lhs_mean_half_dt": lhs_h.value,
-        "rhs_mean_half_dt": rhs_h.value,
+        "exact_gap": exact.value,
+        "exact_se": exact.se,
+        "exact_allowance": exact_allowance,
+        "clamp_term": clamp.value,
+        "clamp_se": clamp.se,
         "allowance": allowance,
         "mean_tau": est_tau.value,
         "se_tau": est_tau.se,
@@ -245,29 +287,36 @@ def verify_advantage_bound(
     """Check mean phi >= epsilon/4 with its supporting chain.
 
     Reports mean phi (3-way verdict against epsilon/4), mean tau and its
-    equality with mean phi (4 combined SE), the early-exit probability
-    Pr[tau <= epsilon/2] against 1/2, and the pathwise Markov lower bound
-    (epsilon/2) Pr[tau > epsilon/2] on mean tau.
+    equality with mean phi (4 combined SE), the exact grid identity
+    mean |u|^2/n = mean tau before the clamp, the early-exit probability
+    Pr[tau <= epsilon/2] against 1/2 and against the union bound
+    N * 2 exp(-1/(4 epsilon)) (``bound_union``), each at 4 SE, and the
+    pathwise Markov lower bound (epsilon/2) Pr[tau > epsilon/2] on mean tau.
 
-    ``ref_two_over_N`` (2/N) is reported only; it is not a prediction of
-    Pr[tau <= epsilon/2].  At n = 64, dt = epsilon/1024 the observed value
-    is about 0.002, well below 2/N = 0.0156.
+    Each coordinate is a standard Brownian motion, so it leaves
+    [-1/2, 1/2] by epsilon/2 with probability at most 2 exp(-1/(4 epsilon)),
+    and the grid and bridge tests only miss exits.  At the canonical
+    epsilon = 1/(8 ln N) the union bound equals ``ref_two_over_N`` = 2/N;
+    at n = 64, dt = epsilon/1024 the observed value is about 0.002, against
+    2/N = 0.0156.
     """
 
     def early_exit(paths, payload):
         half = 0.5 * config.epsilon
         early = int((paths.tau <= half * (1.0 + 1e-9)).sum())
         p_half = proportion_estimate(early, len(paths))
+        bound_union = cov.dim * 2.0 * math.exp(-1.0 / (4.0 * config.epsilon))
         payload.update(
             {
                 "p_exit_half": p_half.value,
                 "se_exit_half": p_half.se,
                 "bound_half": 0.5,
+                "bound_union": bound_union,
                 "ref_two_over_N": 2.0 / cov.dim,
                 "markov_lower_bound": half * (1.0 - p_half.value),
             }
         )
-        return [check_upper(p_half, 0.5)]
+        return [check_upper(p_half, 0.5), check_upper(p_half, bound_union)]
 
     return _advantage_chain("advantage_bound", cov, config, samples, paths, False, early_exit)
 

@@ -379,6 +379,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="finite"):
             bf.from_json_dict({"n": 2, "coeffs": [0.0, 0.0, 0.0, bad]})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_from_coeffs_rejects_non_finite_coefficients(self, bad):
+        # every constructor goes through BooleanFunction, not only the file route
+        with pytest.raises(ValueError, match="finite"):
+            bf.from_coeffs(2, [0.0, 0.0, 0.0, bad])
+
     def test_file_round_trip(self, tmp_path):
         f = bf.from_truth_table([1, -1, -1, 1])
         path = tmp_path / "parity.json"

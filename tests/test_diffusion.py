@@ -267,6 +267,27 @@ class TestBatchSampling:
         # criterion 06 stores 1e5 points of dim 128; the limit leaves 10x room
         assert 10 * 100_000 * 128 * 8 <= diff.STORED_PATHS_BYTE_LIMIT
 
+    def test_pre_clamp_endpoints_count_against_storage(self, monkeypatch):
+        # 2^26 points of dim 2 fill the limit exactly; the generator
+        # accumulator's pre-clamp endpoints x_raw double the stored bytes
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(diff._kernels, "run_paths_dense_numpy", reached)
+        cov = diff.equicorrelated_covariance(2, 0.5)
+        cfg = diff.SamplerConfig(0.05, 0.05 / 64)
+        n = diff.STORED_PATHS_BYTE_LIMIT // (2 * 8)
+        gen = np.zeros(4)
+        with pytest.raises(Reached):
+            diff.sample_stopped_paths(cov, cfg, n, store_paths=True)
+        with pytest.raises(Reached):
+            diff.sample_stopped_paths(cov, cfg, n, store_paths=False, gen_coeffs=gen)
+        with pytest.raises(CapacityError):
+            diff.sample_stopped_paths(cov, cfg, n, store_paths=True, gen_coeffs=gen)
+
     def test_oversized_block_state_refused_before_sampling(self, monkeypatch):
         # without storage one stream block still holds 1024 x 2^18 doubles (2 GiB)
         def no_sampling(*args, **kwargs):

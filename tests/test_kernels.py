@@ -128,6 +128,22 @@ class TestStructuredPathKernel:
         )
         npt.assert_allclose(out["accumulator"], 1.7 * out["tau"], rtol=1e-12)
 
+    def test_phi_raw_is_pre_clamp_top_norm(self, run):
+        eps = 0.05
+        kw = dict(master_seed=3, n_samples=400, n=4, dt=eps / 16, epsilon=eps, store=True)
+        assert run(**kw)["phi_raw"] is None
+        gen = np.zeros(2**8)
+        gen[0b11] = 1.0
+        out = run(want_phi=True, gen_coeffs=gen, **kw)
+        x, raw = out["x_tau"], out["x_raw"]
+        npt.assert_allclose(out["phi_raw"], (raw[:, :4] ** 2).sum(axis=1) / 4.0, rtol=1e-12)
+        # the clamp pulls top coordinates in, so it lowers |u|^2 where it acts
+        top_norm = (x[:, :4] ** 2).sum(axis=1) / 4.0
+        clipped = (np.abs(raw[:, :4]) > 0.5).any(axis=1)
+        assert clipped.any() and (~clipped).any()
+        assert (out["phi_raw"][clipped] > top_norm[clipped]).all()
+        npt.assert_allclose(out["phi_raw"][~clipped], top_norm[~clipped], rtol=1e-12)
+
     def test_determinism_and_partial_blocks(self, run):
         kw = dict(master_seed=5, n_samples=1100, n=2, dt=0.001, epsilon=0.01, store=True)
         a = run(**kw)
@@ -333,4 +349,36 @@ class TestDensePathKernel:
             store=False,
         )
         npt.assert_allclose(out["accumulator"], -0.9 * out["tau"], rtol=1e-12)
+
+    @pytest.mark.parametrize("bridge", [False, True], ids=["grid", "bridge"])
+    def test_x_raw_is_the_pre_clamp_endpoint(self, run, bridge):
+        eps = 0.25
+        kw = dict(
+            master_seed=4,
+            n_samples=2000,
+            sig_sqrt=np.eye(2),
+            diag=np.ones(2),
+            dt=eps / 8,
+            epsilon=eps,
+            bridge=bridge,
+            store=True,
+        )
+        assert run(**kw)["x_raw"] is None
+        out = run(gen_coeffs=np.array([0.0, 0.0, 0.0, 1.0]), **kw)
+        x, raw = out["x_tau"], out["x_raw"]
+        # the draws do not depend on the accumulator
+        npt.assert_array_equal(x, run(**kw)["x_tau"])
+        # rows with no coordinate clipped or put on the barrier are unchanged
+        untouched = (np.abs(x) < 0.5).all(axis=1)
+        assert untouched.any() and (~untouched).any()
+        npt.assert_array_equal(raw[untouched], x[untouched])
+        outside = np.abs(raw) > 0.5
+        npt.assert_array_equal(x[outside], np.sign(raw[outside]) * 0.5)
+        if bridge:
+            # a bridge-crossed coordinate stays inside on the grid
+            placed = (np.abs(x) == 0.5) & ~outside
+            assert placed.any()
+            assert (np.abs(raw[placed]) < 0.5).all()
+        else:
+            npt.assert_array_equal(x, np.clip(raw, -0.5, 0.5))
 

@@ -17,7 +17,7 @@ import forrlab.boolean_fourier as bf
 import forrlab.diffusion as diff
 import forrlab.verifier as ver
 from forrlab.errors import CapacityError
-from forrlab.report import PASS
+from forrlab.report import FAIL, PASS
 
 from oracles import fd_derivative
 
@@ -207,6 +207,62 @@ class TestDynkin:
         assert a.payload == b.payload
         assert a.payload["lhs_mean"] != c.payload["lhs_mean"]
 
+    @pytest.mark.parametrize("divisor", [16, 1024])
+    @pytest.mark.parametrize("bridge", [False, True], ids=["grid", "bridge"])
+    def test_exact_gate_passes_with_zero_allowance(self, bridge, divisor):
+        f = bf.from_coeffs(2, [0.0, 0.0, 0.0, 1.0])
+        cov = diff.equicorrelated_covariance(2, 0.5)
+        config = diff.SamplerConfig(0.05, 0.05 / divisor, bridge, seed=7)
+        report = ver.verify_dynkin(f, cov, config, 20_000)
+        p = report.payload
+        assert report.verdict == PASS
+        assert p["exact_allowance"] == 0.0
+        assert abs(p["exact_gap"]) <= 4.0 * p["exact_se"]
+        assert p["allowance"] == abs(p["clamp_term"]) + 4.0 * p["clamp_se"]
+        # the reported gap splits into the exact part and the clamp term
+        gap = p["lhs_mean"] - p["rhs_mean"]
+        assert gap == pytest.approx(p["exact_gap"] + p["clamp_term"], abs=1e-12)
+
+    def test_exact_gate_sees_level_four_terms(self):
+        # a degree-4 table on a coarse grid: the trapezoid accumulator is the
+        # exact discrete compensator, while the clamp term is far from noise
+        coeffs = np.zeros(16)
+        coeffs[0b1111], coeffs[0b0011], coeffs[0b0111] = 1.0, 0.5, -0.7
+        f = bf.from_coeffs(4, coeffs)
+        cov = diff.equicorrelated_covariance(4, 0.9)
+        config = diff.SamplerConfig(0.25, 0.25 / 4, seed=11)
+        report = ver.verify_dynkin(f, cov, config, 20_000)
+        p = report.payload
+        assert report.verdict == PASS
+        assert abs(p["exact_gap"]) <= 4.0 * p["exact_se"]
+        assert abs(p["clamp_term"]) > 8.0 * p["clamp_se"]
+
+    def test_scaled_generator_fails_exact_gate(self, monkeypatch):
+        table = ver.generator_table
+        monkeypatch.setattr(ver, "generator_table", lambda f, sigma: 1.25 * table(f, sigma))
+        f = bf.from_coeffs(2, [0.0, 0.0, 0.0, 1.0])
+        cov = diff.equicorrelated_covariance(2, 0.5)
+        config = diff.SamplerConfig(0.05, 0.05 / 64, seed=7)
+        report = ver.verify_dynkin(f, cov, config, 20_000)
+        p = report.payload
+        assert report.verdict == FAIL
+        assert abs(p["exact_gap"]) > 4.0 * p["exact_se"]
+
+    def test_wick_allowance_vanishes_below_degree_six(self):
+        sigma = diff.equicorrelated_covariance(6, 0.5).matrix
+        eps, dt = 0.1, 0.1 / 8
+        deg4 = np.zeros(64)
+        deg4[0b001111] = 1.0
+        deg4[0b110000] = -2.0
+        assert ver.trapezoid_wick_allowance(bf.from_coeffs(6, deg4), sigma, eps, dt) == 0.0
+        deg6 = deg4.copy()
+        deg6[0b111111] = -3.0
+        # k = 3 only: eps (3/2 - 1) dt^2 5!! gamma^3 |c|
+        want = eps * 0.5 * dt**2 * 15 * 0.5**3 * 3.0
+        got = ver.trapezoid_wick_allowance(bf.from_coeffs(6, deg6), sigma, eps, dt)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got > 0.0
+
     def test_input_validation(self):
         f = bf.from_coeffs(3, np.zeros(8))
         cov = diff.equicorrelated_covariance(2, 0.5)
@@ -307,10 +363,15 @@ class TestAdvantageBound:
             "se_phi",
             "mean_tau",
             "se_tau",
+            "exact_gap",
+            "exact_se",
+            "clamp_term",
+            "clamp_se",
             "p_exit_half",
             "se_exit_half",
             "bound_eps_over_4",
             "bound_half",
+            "bound_union",
             "ref_two_over_N",
             "markov_lower_bound",
             "pass",
