@@ -2,7 +2,7 @@
 
 Runs the CLI subcommands (sample with --dump-paths, verify-prop,
 verify-dynkin, verify-main on a dense and a structured covariance,
-advantage --rounded, sweep) with a fixed seed
+advantage --rounded, sweep, and the exact verify-lemma) with a fixed seed
 and --no-timestamp at small sizes, plus the early-exit report, which no
 subcommand reaches.  Each output file is hashed; the JSON reports carry
 no wall times, so a change that keeps every draw and every float
@@ -41,6 +41,7 @@ RUNS = [
     ("verify-main-n2", ["verify-main", "--n", "2", "--samples", "2000", "--dt-div", "256"]),
     ("advantage", ["advantage", "--n", "16", "--samples", "1500", "--dt-div", "256", "--rounded"]),
     ("sweep", ["sweep", "--n", "4..16", "--samples", "500", "--dt-div", "128"]),
+    ("verify-lemma", ["verify-lemma", "--vars", "6", "--functions", "20", "--anchors", "10"]),
 ]
 
 

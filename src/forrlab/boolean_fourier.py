@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from forrlab._kernels import eval_multilinear_batch_numpy, wht_inplace_np
+from forrlab._kernels import _eval_multilinear_cols_np, eval_multilinear_batch_numpy, wht_inplace_np
 from forrlab.errors import CapacityError
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "sample_restriction",
     "enumerate_restrictions",
     "subset_index",
+    "subset_sizes",
     "random_sign_function",
     "to_json_dict",
     "from_json_dict",
@@ -75,6 +76,14 @@ def subset_index(subset: Iterable[int]) -> int:
     for i in subset:
         mask |= 1 << i
     return mask
+
+
+def subset_sizes(n_vars: int) -> np.ndarray:
+    """|S| for every subset bitmask S of n_vars variables, in index order.
+
+    The first 2^k entries are the table for k variables.
+    """
+    return np.bitwise_count(np.arange(2**n_vars, dtype=np.uint64))
 
 
 @dataclass(frozen=True)
@@ -175,6 +184,8 @@ class RestrictionDistribution:
         anchor = np.asarray(self.anchor, dtype=np.float64)
         if anchor.ndim != 1 or anchor.size < 1:
             raise ValueError("anchor must be a 1-D, non-empty vector")
+        if not np.isfinite(anchor).all():
+            raise ValueError("anchor must be finite")
         if np.abs(anchor).max() > 0.5 + 1e-12:
             raise ValueError("anchor must lie in [-1/2, 1/2]^N")
         anchor = anchor.copy()
@@ -260,11 +271,7 @@ def eval_multilinear(f: BooleanFunction, x: Sequence[float]) -> float:
         raise ValueError(f"expected a point of length {f.n_vars}, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("evaluation point must be finite")
-    c = f.coeffs
-    for i in range(f.n_vars):
-        pairs = c.reshape(-1, 2)
-        c = pairs[:, 0] + x[i] * pairs[:, 1]
-    return float(c[0])
+    return float(_eval_multilinear_cols_np(f.coeffs, x[:, None])[0])
 
 
 def eval_multilinear_many(f: BooleanFunction, points: np.ndarray) -> np.ndarray:
@@ -286,24 +293,12 @@ def restrict(f: BooleanFunction, rho: Restriction) -> BooleanFunction:
             f"restriction has {rho.n_vars} coordinates, function has {f.n_vars}"
         )
     c = f.coeffs.copy()
-    kept = 0  # free variables already retained occupy bits 0..kept-1
-    for i in range(f.n_vars):
-        v = int(rho.values[i])
-        if v == _FREE:
-            kept += 1
-            continue
-        width = 1 << kept
-        view = c.reshape(-1, 2 * width)
-        c = (view[:, :width] + v * view[:, width:]).ravel()
-    full = np.zeros(2**f.n_vars)
-    free_positions = rho.free
-    for packed in range(c.size):
-        mask = 0
-        for b, pos in enumerate(free_positions):
-            if packed >> b & 1:
-                mask |= 1 << pos
-        full[mask] = c[packed]
-    return BooleanFunction(f.n_vars, full)
+    for i, val in enumerate(rho.values):
+        if val != _FREE:
+            v = c.reshape(-1, 2, 1 << i)
+            v[:, 0] += int(val) * v[:, 1]
+            v[:, 1] = 0.0
+    return BooleanFunction(f.n_vars, c)
 
 
 def partial_derivative(f: BooleanFunction, subset: Iterable[int], x: Sequence[float]) -> float:
@@ -319,27 +314,19 @@ def partial_derivative(f: BooleanFunction, subset: Iterable[int], x: Sequence[fl
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (f.n_vars,):
         raise ValueError(f"expected a point of length {f.n_vars}")
-    c = f.coeffs
-    for i in range(f.n_vars):
-        pairs = c.reshape(-1, 2)
-        if i in s:
-            c = pairs[:, 1].copy()
-        else:
-            c = pairs[:, 0] + x[i] * pairs[:, 1]
-    return float(c[0])
+    mask = subset_index(s)
+    rest = [i for i in range(f.n_vars) if i not in s]
+    # the entries whose subset contains s, in index order, are the table of
+    # the derivative over the remaining variables
+    above = f.coeffs[(np.arange(f.coeffs.size) & mask) == mask]
+    return float(_eval_multilinear_cols_np(above, x[rest][:, None])[0])
 
 
 def level_mass(f: BooleanFunction, k: int) -> float:
     """Sum of |coefficient| over all subsets of size exactly k."""
     if not 0 <= k <= f.n_vars:
         raise ValueError(f"level k must be in [0, {f.n_vars}], got {k}")
-    sizes = np.bitwise_count(np.arange(f.coeffs.size, dtype=np.uint64))
-    return float(np.abs(f.coeffs[sizes == k]).sum())
-
-
-def _mass2(c: np.ndarray) -> float:
-    sizes = np.bitwise_count(np.arange(c.size, dtype=np.uint64))
-    return float(np.abs(c[sizes == 2]).sum())
+    return float(np.abs(f.coeffs[subset_sizes(f.n_vars) == k]).sum())
 
 
 def max_restricted_level2_mass(
@@ -371,9 +358,12 @@ def max_restricted_level2_mass(
             f"(got {f.n_vars}); use method='monte_carlo' for a lower bound"
         )
 
+    # a leaf's table over its kept variables is a prefix of the full one
+    pairs = subset_sizes(f.n_vars) == 2
+
     def rec(c: np.ndarray, remaining: int, kept: int) -> float:
         if remaining == 0:
-            return _mass2(c)
+            return float(np.abs(c[pairs[: c.size]]).sum())
         width = 1 << kept
         view = c.reshape(-1, 2 * width)
         lo = view[:, :width]

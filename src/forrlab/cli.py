@@ -61,6 +61,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def finite(text: str) -> float:
+    """argparse type for real-valued flags; nan and inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _env_seed() -> int:
     raw = os.environ.get("FORRLAB_SEED", "0")
     try:
@@ -124,7 +132,7 @@ def _build_config(args, cov, seed: int, epsilon: float | None = None) -> diff.Sa
     if epsilon is None:
         if cov.dim < 2:
             raise _UsageError("the default horizon 1/(8 ln N) needs dimension >= 2; give --epsilon")
-        epsilon = 1.0 / (8.0 * math.log(cov.dim))
+        epsilon = diff.canonical_epsilon(cov.dim)
     if epsilon <= 0.0:
         raise _UsageError("--epsilon must be positive")
     if args.dt_div < 1:
@@ -384,7 +392,7 @@ def _add_sampling_flags(p, default_samples: int) -> None:
         "--samples", type=int, default=default_samples, help="number of Monte Carlo paths"
     )
     p.add_argument(
-        "--epsilon", type=float, help="time horizon (default: 1/(8 ln N) for the process dimension N)"
+        "--epsilon", type=finite, help="time horizon (default: 1/(8 ln N) for the process dimension N)"
     )
     p.add_argument(
         "--dt-div", type=int, default=1024, help="grid steps per horizon; dt = epsilon/dt-div"
@@ -401,7 +409,7 @@ def _add_model_flags(p, n_help: str) -> None:
     p.add_argument(
         "--dim", type=int, help="dimension of a dense equicorrelated covariance (alternative to --n)"
     )
-    p.add_argument("--gamma", type=float, help="off-diagonal correlation used with --dim")
+    p.add_argument("--gamma", type=finite, help="off-diagonal correlation used with --dim")
 
 
 def _add_function_flags(p) -> None:
@@ -497,7 +505,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vars", type=int, default=4, help="number of variables N (default 4)")
     p.add_argument("--functions", type=int, default=100, help="random functions to test")
     p.add_argument("--anchors", type=int, default=25, help="random anchors per function")
-    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
+    p.add_argument("--tol", type=finite, default=1e-9, help="residual tolerance")
     _add_seed_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_verify_lemma)
@@ -537,7 +545,7 @@ def build_parser() -> _Parser:
     )
     _add_model_flags(p, "half dimension of the structured covariance (power of two, N = 2n)")
     _add_function_flags(p)
-    p.add_argument("--t", type=float, help="override the level-2 mass bound t")
+    p.add_argument("--t", type=finite, help="override the level-2 mass bound t")
     _add_sampling_flags(p, default_samples=100_000)
     _add_seed_flag(p)
     _add_output_flags(p)
@@ -599,9 +607,9 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=20_000, help="paths per size; 0 skips sampling")
     p.add_argument("--dt-div", type=int, default=1024, help="grid steps per horizon")
     p.add_argument("--bridge", action="store_true", help="bridge-corrected exit detection")
-    p.add_argument("--ell", type=float, default=1.0, help="log exponent of the level-mass profile")
+    p.add_argument("--ell", type=finite, default=1.0, help="log exponent of the level-mass profile")
     p.add_argument("--depth", type=int, default=2, help="depth parameter of the level-mass profile")
-    p.add_argument("--c", type=float, default=1.0, help="constant of the level-mass profile")
+    p.add_argument("--c", type=finite, default=1.0, help="constant of the level-mass profile")
     p.add_argument("--k", type=int, default=1, help="level exponent of the level-mass profile")
     _add_seed_flag(p)
     _add_output_flags(p)

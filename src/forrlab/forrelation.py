@@ -73,7 +73,7 @@ def phi_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     if n < 1 or n & (n - 1):
         raise ValueError("row length must be a power of two")
     # the batched transform runs in place; keep the caller's array intact
-    hy = _kernels.wht_batch_numpy(np.array(ys, dtype=np.float64, order="C"))
+    hy = _kernels.wht_inplace_np(np.array(ys, dtype=np.float64, order="C"))
     return np.einsum("ij,ij->i", xs, hy) / (n * math.sqrt(n))
 
 

@@ -40,8 +40,10 @@ from .boolean_fourier import (
     partial_derivative,
     restrict,
     subset_index,
+    subset_sizes,
 )
 from .diffusion import CovarianceSpec, SamplerConfig, StoppedBatch, sample_stopped_paths
+from .diffusion import canonical_epsilon, early_exit_estimate
 from .errors import CapacityError
 from .forrelation import _advantage_chain
 from .report import (
@@ -51,7 +53,6 @@ from .report import (
     check_upper,
     combine_verdicts,
     mean_estimate,
-    proportion_estimate,
 )
 
 
@@ -60,7 +61,8 @@ def verify_restriction_identity(f: BooleanFunction, x) -> float:
 
     The expectation runs over the full ternary restriction family anchored
     at x (3^N terms), so this is exact up to floating point; callers should
-    see residuals below 1e-9.  Anchors must lie in [-1/2, 1/2]^N.
+    see residuals below 1e-9.  Anchors must be finite and lie in
+    [-1/2, 1/2]^N.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (f.n_vars,):
@@ -68,18 +70,14 @@ def verify_restriction_identity(f: BooleanFunction, x) -> float:
     if (np.abs(x) > 0.5).any():
         raise ValueError("anchor must lie in [-1/2, 1/2] per coordinate")
     dist = RestrictionDistribution(x)
-    nv = f.n_vars
-    pairs = list(itertools.combinations(range(nv), 2))
     # d_ij f_rho(0) is the {i,j} coefficient of the restricted function
-    rhs = {pair: 0.0 for pair in pairs}
+    expected = np.zeros(f.coeffs.size)
     for rho, p in enumerate_restrictions(dist):
-        coeffs = restrict(f, rho).coeffs
-        for pair in pairs:
-            rhs[pair] += p * coeffs[subset_index(pair)]
+        expected += p * restrict(f, rho).coeffs
     worst = 0.0
-    for pair in pairs:
+    for pair in itertools.combinations(range(f.n_vars), 2):
         lhs = partial_derivative(f, pair, x)
-        worst = max(worst, abs(lhs - 4.0 * rhs[pair]))
+        worst = max(worst, abs(lhs - 4.0 * expected[subset_index(pair)]))
     return worst
 
 
@@ -123,12 +121,8 @@ def trapezoid_wick_allowance(f: BooleanFunction, sigma: np.ndarray, epsilon: flo
     s^k) and the inner sum bounding |d_S f| on the cube.
     """
     nv = f.n_vars
-    masks = np.arange(2**nv)
-    size = np.zeros(2**nv, dtype=np.int64)
-    for i in range(nv):
-        size += (masks >> i) & 1
     # level_mass[m] = sum of |c_T| over |T| = m
-    level_mass = np.bincount(size, weights=np.abs(f.coeffs), minlength=nv + 1)
+    level_mass = np.bincount(subset_sizes(nv), weights=np.abs(f.coeffs), minlength=nv + 1)
     off = np.abs(sigma - np.diag(np.diagonal(sigma)))
     s = float(off.max())
     total = 0.0
@@ -292,20 +286,13 @@ def verify_advantage_bound(
     Pr[tau <= epsilon/2] against 1/2 and against the union bound
     N * 2 exp(-1/(4 epsilon)) (``bound_union``), each at 4 SE, and the
     pathwise Markov lower bound (epsilon/2) Pr[tau > epsilon/2] on mean tau.
-
-    Each coordinate is a standard Brownian motion, so it leaves
-    [-1/2, 1/2] by epsilon/2 with probability at most 2 exp(-1/(4 epsilon)),
-    and the grid and bridge tests only miss exits.  At the canonical
-    epsilon = 1/(8 ln N) the union bound equals ``ref_two_over_N`` = 2/N;
-    at n = 64, dt = epsilon/1024 the observed value is about 0.002, against
-    2/N = 0.0156.
+    At the canonical epsilon = 1/(8 ln N) the union bound (see
+    early_exit_estimate) equals ``ref_two_over_N`` = 2/N; at n = 64,
+    dt = epsilon/1024 the observed value is about 0.002, against 0.0156.
     """
 
     def early_exit(paths, payload):
-        half = 0.5 * config.epsilon
-        early = int((paths.tau <= half * (1.0 + 1e-9)).sum())
-        p_half = proportion_estimate(early, len(paths))
-        bound_union = cov.dim * 2.0 * math.exp(-1.0 / (4.0 * config.epsilon))
+        p_half, bound_union = early_exit_estimate(paths.tau, cov.dim, config.epsilon)
         payload.update(
             {
                 "p_exit_half": p_half.value,
@@ -313,7 +300,7 @@ def verify_advantage_bound(
                 "bound_half": 0.5,
                 "bound_union": bound_union,
                 "ref_two_over_N": 2.0 / cov.dim,
-                "markov_lower_bound": half * (1.0 - p_half.value),
+                "markov_lower_bound": 0.5 * config.epsilon * (1.0 - p_half.value),
             }
         )
         return [check_upper(p_half, 0.5), check_upper(p_half, bound_union)]
@@ -351,7 +338,7 @@ def stopped_bound_profile(
         if n < 1:
             raise ValueError("n values must be >= 1")
         big_n = 2 * n
-        epsilon = 1.0 / (8.0 * math.log(big_n))
+        epsilon = canonical_epsilon(big_n)
         gamma = 1.0 / math.sqrt(n)
         t = ac0_level_mass_bound(ell, depth, big_n, c, k)
         rows.append(

@@ -1,5 +1,6 @@
 """Tests for multilinear expansions, restrictions, and derivatives."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -284,6 +285,45 @@ class TestMaxRestrictedLevel2Mass:
             bf.max_restricted_level2_mass(f, method="monte_carlo")
 
 
+def _fold_outputs(routine, n_vars, rng):
+    """Outputs of one coefficient-table routine on a seeded random function."""
+    f = bf.from_coeffs(n_vars, rng.standard_normal(2**n_vars))
+    if routine == "restrict":
+        return [bf.restrict(f, bf.Restriction(rng.integers(-1, 2, n_vars))).coeffs for _ in range(20)]
+    if routine == "eval_multilinear":
+        return [bf.eval_multilinear(f, rng.uniform(-1, 1, n_vars)) for _ in range(20)]
+    if routine == "partial_derivative":
+        return [
+            bf.partial_derivative(
+                f, np.flatnonzero(rng.integers(0, 2, n_vars)), rng.uniform(-1, 1, n_vars)
+            )
+            for _ in range(20)
+        ]
+    return [bf.max_restricted_level2_mass(f)]
+
+
+# sha256 of each routine's outputs on seeded random real-coefficient
+# functions, N = 1..10.  Pinned from the routes that each folded the table
+# their own way (restrict repacked a packed table in a Python loop); the
+# shared fold keeps every operand and its order, so not a bit may move.
+FOLD_DIGESTS = {
+    "restrict": "b364dbd153e9c288e85ac869dab15dcc63ddf7dc541bd2d473a66786684b30b3",
+    "eval_multilinear": "cd9867a2687d975b3368cb61850af5bfb50571d33cce27da171bc7d0e3431dd3",
+    "partial_derivative": "548e23a97384f0cff3b4b856ec865a1ca6996e55be3798a2dfd20b0d653e71ab",
+    "max_restricted_level2_mass": "234b8ef634b35f7834824dd3b24da67d7756b01bc69e8a2e21ffe142ccf5df0c",
+}
+
+
+@pytest.mark.parametrize("routine", list(FOLD_DIGESTS))
+def test_fold_outputs_match_pinned_digests(routine):
+    h = hashlib.sha256()
+    for n_vars in range(1, 11):
+        rng = np.random.default_rng(n_vars)
+        for out in _fold_outputs(routine, n_vars, rng):
+            h.update(np.asarray(out, dtype=np.float64).tobytes())
+    assert h.hexdigest() == FOLD_DIGESTS[routine]
+
+
 class TestRestrictionDistribution:
     def test_centered_anchor_probabilities(self):
         dist = bf.RestrictionDistribution(np.zeros(3))
@@ -299,6 +339,11 @@ class TestRestrictionDistribution:
     def test_rejects_anchor_outside_cube(self):
         with pytest.raises(ValueError):
             bf.RestrictionDistribution([0.6, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_anchor(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            bf.RestrictionDistribution([bad, 0.0])
 
     def test_enumeration_probabilities_sum_to_one(self):
         dist = bf.RestrictionDistribution([0.25, -0.25, 0.1])

@@ -112,6 +112,25 @@ class TestUsageErrors:
         assert proc.stdout == ""
         assert "finite" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--n", "16", "--samples", "0", "--ell", "nan"),
+            ("sweep", "--n", "16", "--samples", "0", "--c=-inf"),
+            ("verify-lemma", "--vars", "2", "--functions", "1", "--anchors", "1", "--tol", "nan"),
+            ("verify-main", "--samples", "10", "--t", "nan"),
+            ("verify-main", "--samples", "10", "--t", "inf"),
+            ("sample", "--dim", "2", "--gamma", "nan", "--samples", "10"),
+            ("sample", "--n", "2", "--epsilon", "inf", "--samples", "10"),
+        ],
+        ids=["ell-nan", "c-neg-inf", "tol-nan", "t-nan", "t-inf", "gamma-nan", "epsilon-inf"],
+    )
+    def test_non_finite_float_flag(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 64
+        assert proc.stdout == ""
+        assert "finite" in proc.stderr
+
     def test_bad_seed_env(self):
         proc = run_cli(
             "verify-lemma", "--vars", "2", "--functions", "1", "--anchors", "1",

@@ -55,6 +55,51 @@ class TestWalshHadamardKernels:
             npt.assert_allclose(got[r], direct_wht_oracle(a[r]), atol=1e-12)
 
 
+# sha256 of wht_inplace_np on seeded data at every length 2^k, k = 0..11,
+# as a vector and as a (3, 2^k) batch of rows: odd and even level counts.
+# Pinned from the butterflies that copied one half per level; one scratch
+# buffer must not move a bit.
+WHT_DIGESTS = {
+    0: "83fa0c1fd8b7ce9144b664a15467c49e3f49e6fcb431e461c2300d54f179e7ad",
+    1: "b9db62a55537212982ec0144ffe07a539c6ac93b03e1f8ed66cd9adb212b0377",
+    2: "b65000c2acdec42bde19d9e09f83b2c05e9ed0a90ed637ace3d0fec7f5a592b6",
+    3: "d8f01135fb260440adad801a99b5803af7f9c8d96ddb76b4b6fc4dc71fef210f",
+    4: "e8b5f7ad38a821897ce5055d37387d113c337c652d5809260e41a5caa9236c63",
+    5: "6561c2d31c0aee0dbbe2e3c150a0473e2ca6f4121e656b07ac8e26e456afaf98",
+    6: "d4d9adf87e534cef2d1c0e9f6fd5c70375f335d3070b11b55f8fc7297681c711",
+    7: "d74856dd604f7f6262af2882728f7b19ebdcd5d9c0649b6eda9985c1bacd3a19",
+    8: "365c76f8a1e9d5a66f9305af69fbfe56f31a279477987549f3c519c2e052a9a3",
+    9: "4045b4a4f7d09aad53f2fa8819e3d808d6010279495e2824d0552ae6a55d277e",
+    10: "d325849c507050a8acb3134fd70d50bafafab555142a160483682583e856dd66",
+    11: "b8c9ea2422b3307b13ffe3ba1673183699fb5d0ee57dba69f25f672a6d6b8571",
+}
+
+
+@pytest.mark.parametrize("k", list(WHT_DIGESTS))
+def test_wht_outputs_match_pinned_digests(k):
+    rng = np.random.default_rng(1000 + k)
+    h = hashlib.sha256()
+    for shape in ((2**k,), (3, 2**k)):
+        a = rng.standard_normal(shape)
+        out = K.wht_inplace_np(a)
+        assert out is a
+        h.update(a.tobytes())
+    assert h.hexdigest() == WHT_DIGESTS[k]
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_structured_mixer_transform_matches_row_transform(k):
+    # the paths-minor butterflies inside the sampler give the row transform
+    # of the same data bit for bit
+    n = 2**k
+    mix = K._structured_mixer(n)
+    for seed, paths in ((k, 5), (k + 100, 3)):
+        st = np.zeros((2 * n, paths))
+        mix(np.random.default_rng(seed), st, 1.0)
+        want = K.wht_inplace_np(st[:n].T.copy()).T * (1.0 / np.sqrt(n))
+        npt.assert_array_equal(st[n:], want)
+
+
 class TestMultilinearEvalKernels:
     def test_matches_naive_sum(self):
         rng = np.random.default_rng(42)

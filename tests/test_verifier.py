@@ -71,6 +71,12 @@ class TestRestrictionIdentity:
         with pytest.raises(ValueError):
             ver.verify_restriction_identity(f, [0.0, 0.0, 0.0])
 
+    def test_nan_anchor_is_rejected(self):
+        # a NaN residual would otherwise vanish inside max() and read as 0
+        f = bf.random_sign_function(3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="finite"):
+            ver.verify_restriction_identity(f, [np.nan, 0.1, 0.2])
+
     def test_enumeration_capacity_guard(self):
         f = bf.from_coeffs(11, np.zeros(2**11))
         with pytest.raises(CapacityError):
