@@ -1,8 +1,9 @@
 """Benchmark the hot kernels of forrlab._kernels at fixed shapes.
 
 Runs each kernel and prints its best per-call wall time.  Path kernels also
-report path-steps (one Euler step of one path) and nanoseconds per
-path-step.
+report path-steps (one Euler step of one path), nanoseconds per path-step
+and, in the --json record, the tracemalloc peak of one call in MiB
+(``peak_traced_mb``).
 
 --cli also times the canonical end-to-end CLI runs once each, through
 forrlab.cli.main with default settings and --no-timestamp: verify-prop
@@ -31,6 +32,7 @@ import platform
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -201,7 +203,15 @@ def main():
         row = {"best_s": best}
         per_step = f"{'':>8}"
         if dt is not None:
-            row["path_steps"] = path_steps(run(), dt)
+            # one more, untimed call counts the path-steps and the peak of
+            # the memory numpy and Python report to tracemalloc
+            tracemalloc.start()
+            try:
+                out = run()
+                row["peak_traced_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+            row["path_steps"] = path_steps(out, dt)
             row["ns_per_path_step"] = 1e9 * best / row["path_steps"]
             per_step = f"{row['ns_per_path_step']:>8.0f}"
         print(f"{name:<{width}}  {best:>9.4f}s  {per_step}")

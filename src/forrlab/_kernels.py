@@ -18,7 +18,9 @@ product with the square root for a dense one).
 Randomness: batch kernels consume one independent RNG stream per block of
 ``STREAM_BLOCK`` paths.  Stream seeds are derived from the master seed via
 ``numpy.random.SeedSequence.spawn``, so results are reproducible for a
-fixed (seed, config) pair.
+fixed (seed, config) pair.  The batch's per-path record (one named array
+per output) is allocated once, and each block writes its own rows through
+views, so a stored batch is held once.
 
 Exit semantics: a path stops at the first grid time where any coordinate
 lies strictly outside [-1/2, 1/2], or where the bridge test (when enabled)
@@ -108,6 +110,13 @@ def wht_inplace_np(a: np.ndarray) -> np.ndarray:
 wht_batch_numpy = wht_inplace_np
 
 
+def _phi_rows(x, y):
+    """Row-wise (1/n) x^T H y for matched ``(m, n)`` arrays; y is copied, not changed."""
+    n = x.shape[1]
+    hy = wht_inplace_np(np.array(y, dtype=np.float64, order="C"))
+    return np.einsum("ij,ij->i", x, hy) * (1.0 / np.sqrt(n) / n)
+
+
 # ---------------------------------------------------------------------------
 # Batched multilinear evaluation
 # ---------------------------------------------------------------------------
@@ -195,6 +204,7 @@ def _structured_mixer(n):
         _wht_axis_np(top[None], bot[None], scratch[None])
         bot *= inv
 
+    mix.dim = 2 * n
     return mix
 
 
@@ -207,33 +217,26 @@ def _dense_mixer(sig_sqrt):
         inc *= np.sqrt(h)
         st += inc.T
 
+    mix.dim = dim
     return mix
 
 
-def _paths_block_np(
-    rng, count, dim, mix, diag, dt, epsilon, bridge, gen_coeffs, store, want_phi=False
-):
-    """Step ``count`` paths from the origin on one RNG stream.
+def _paths_block_np(rng, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
+    """Step one block of paths from the origin on one RNG stream.
 
-    ``mix(rng, st, h)`` adds one step's increment to the ``(dim, live)``
-    state in place.  ``diag`` (scalar or per coordinate) is the variance rate
-    of each coordinate, so the bridge test uses step variance ``h * diag``.
-    ``want_phi`` (structured family) adds the forrelation statistic of the
-    two halves of each stopped point, and ``phi_raw = |u|^2 / n`` of the top
-    half u of the grid endpoint before the clamp.  A generator table adds
-    the trapezoid accumulator and ``x_raw``, the grid endpoint before the
-    clamp and before bridge-crossed coordinates are put on the barrier.
-    Returns ``(x_tau, tau, exited, phi, accumulator, x_raw, phi_raw)``; an
-    output that was not asked for is None.
+    The block writes its results into ``out``, its rows of the batch record
+    (views; None for an output not asked for).  ``mix(rng, st, h)`` adds one
+    step's increment to the ``(mix.dim, live)`` state in place.  ``diag``
+    (scalar or per coordinate) is the variance rate of each coordinate, so
+    the bridge test uses step variance ``h * diag``.  ``phi_raw`` is
+    ``|u|^2 / n`` of the top half u of the grid endpoint before the clamp;
+    ``x_raw`` is that endpoint before the clamp and before bridge-crossed
+    coordinates are put on the barrier.
     """
-    want_acc = gen_coeffs.size > 0
-    x_fin = np.empty((count, dim)) if store else None
-    tau = np.full(count, epsilon)
-    exited = np.zeros(count, dtype=bool)
-    phi = np.empty(count) if want_phi else None
-    phi_raw = np.empty(count) if want_phi else None
-    acc_fin = np.empty(count) if want_acc else None
-    x_raw = np.empty((count, dim)) if want_acc else None
+    count, dim = out["tau"].size, mix.dim
+    store = out["x_tau"] is not None
+    want_phi = out["phi"] is not None
+    want_acc = gen_coeffs is not None
 
     st = np.zeros((dim, count))
     alive = np.arange(count)
@@ -248,19 +251,17 @@ def _paths_block_np(
         pt = np.ascontiguousarray(cols.T)
         n = dim // 2
         if want_acc:
-            x_raw[rows] = pt
+            out["x_raw"][rows] = pt
         if want_phi:
-            phi_raw[rows] = np.einsum("ij,ij->i", pt[:, :n], pt[:, :n]) * (1.0 / n)
+            out["phi_raw"][rows] = np.einsum("ij,ij->i", pt[:, :n], pt[:, :n]) * (1.0 / n)
         np.clip(pt, -_BARRIER, _BARRIER, out=pt)
         if up_mask is not None:
             pt[up_mask.T] = _BARRIER
             pt[dn_mask.T] = -_BARRIER
         if store:
-            x_fin[rows] = pt
+            out["x_tau"][rows] = pt
         if want_phi:
-            yw = pt[:, n:].copy()
-            wht_inplace_np(yw)
-            phi[rows] = np.einsum("ij,ij->i", pt[:, :n], yw) * (1.0 / np.sqrt(n) / n)
+            out["phi"][rows] = _phi_rows(pt[:, :n], pt[:, n:])
 
     while t < epsilon - tiny and alive.size:
         h = min(dt, epsilon - t)
@@ -272,7 +273,9 @@ def _paths_block_np(
         if bridge:
             outside = np.abs(st) > _BARRIER
             stop = outside.any(axis=0)
-            inside = ~outside & (np.abs(prev) <= _BARRIER)
+            # a live column passed the exit test at the previous grid time,
+            # so |prev| <= 1/2 everywhere and only the new endpoint decides
+            inside = ~outside
             # transposed views draw the uniforms in (path, coordinate) order
             up_t, dn_t = _bridge_masks_np(rng, prev.T, st.T, h * diag, inside.T)
             up_mask, dn_mask = up_t.T, dn_t.T
@@ -287,8 +290,8 @@ def _paths_block_np(
 
         if stop.any():
             rows = alive[stop]
-            tau[rows] = min(t, epsilon)
-            exited[rows] = True
+            out["tau"][rows] = min(t, epsilon)
+            out["exited"][rows] = True
             finalize(
                 rows,
                 st[:, stop],
@@ -297,7 +300,7 @@ def _paths_block_np(
             )
             keep = ~stop
             if want_acc:
-                acc_fin[rows] = acc[stop]
+                out["accumulator"][rows] = acc[stop]
                 acc = acc[keep]
                 af_prev = af_prev[keep]
             alive = alive[keep]
@@ -306,8 +309,7 @@ def _paths_block_np(
     if alive.size:
         finalize(alive, st)
         if want_acc:
-            acc_fin[alive] = acc
-    return x_fin, tau, exited, phi, acc_fin, x_raw, phi_raw
+            out["accumulator"][alive] = acc
 
 
 # ---------------------------------------------------------------------------
@@ -315,21 +317,25 @@ def _paths_block_np(
 # ---------------------------------------------------------------------------
 
 
-def _gen_arr(gen_coeffs):
-    if gen_coeffs is None:
-        return np.empty(0)
-    return np.ascontiguousarray(gen_coeffs, dtype=np.float64)
-
-
-def _run_blocks_np(master_seed, n_samples, step_block):
-    """Run ``step_block(rng, count)`` once per stream; gather its outputs by name."""
+def _run_blocks_np(master_seed, n_samples, mix, diag, dt, epsilon, bridge, gen_coeffs, store, want_phi):
+    """Allocate the per-path record once (None where not asked for); each block fills its rows."""
+    if gen_coeffs is not None:
+        gen_coeffs = np.ascontiguousarray(gen_coeffs, dtype=np.float64)
+    want_acc = gen_coeffs is not None
+    out = {
+        "tau": np.full(n_samples, epsilon),
+        "exited": np.zeros(n_samples, dtype=bool),
+        "x_tau": np.empty((n_samples, mix.dim)) if store else None,
+        "phi": np.empty(n_samples) if want_phi else None,
+        "phi_raw": np.empty(n_samples) if want_phi else None,
+        "accumulator": np.empty(n_samples) if want_acc else None,
+        "x_raw": np.empty((n_samples, mix.dim)) if want_acc else None,
+    }
     children = stream_seeds(master_seed, -(-n_samples // STREAM_BLOCK))
-    parts = [
-        step_block(np.random.default_rng(child), min(STREAM_BLOCK, n_samples - k * STREAM_BLOCK))
-        for k, child in enumerate(children)
-    ]
-    cols = [None if col[0] is None else np.concatenate(col) for col in zip(*parts)]
-    out = dict(zip(("x_tau", "tau", "exited", "phi", "accumulator", "x_raw", "phi_raw"), cols))
+    for k, child in enumerate(children):
+        rows = slice(k * STREAM_BLOCK, (k + 1) * STREAM_BLOCK)
+        block = {key: None if col is None else col[rows] for key, col in out.items()}
+        _paths_block_np(np.random.default_rng(child), block, mix, diag, dt, epsilon, bridge, gen_coeffs)
     out["stream_ids"] = np.repeat(np.arange(len(children)), STREAM_BLOCK)[:n_samples]
     return out
 
@@ -337,24 +343,14 @@ def _run_blocks_np(master_seed, n_samples, step_block):
 def run_paths_structured_numpy(
     master_seed, n_samples, n, dt, epsilon, bridge=False, gen_coeffs=None, store=True, want_phi=False
 ):
-    gen = _gen_arr(gen_coeffs)
     return _run_blocks_np(
-        master_seed,
-        n_samples,
-        lambda rng, count: _paths_block_np(
-            rng, count, 2 * n, _structured_mixer(n), 1.0, dt, epsilon, bridge, gen, store, want_phi
-        ),
+        master_seed, n_samples, _structured_mixer(n), 1.0, dt, epsilon, bridge, gen_coeffs, store, want_phi
     )
 
 
 def run_paths_dense_numpy(
     master_seed, n_samples, sig_sqrt, diag, dt, epsilon, bridge=False, gen_coeffs=None, store=True
 ):
-    gen = _gen_arr(gen_coeffs)
     return _run_blocks_np(
-        master_seed,
-        n_samples,
-        lambda rng, count: _paths_block_np(
-            rng, count, sig_sqrt.shape[0], _dense_mixer(sig_sqrt), diag, dt, epsilon, bridge, gen, store
-        ),
+        master_seed, n_samples, _dense_mixer(sig_sqrt), diag, dt, epsilon, bridge, gen_coeffs, store, False
     )

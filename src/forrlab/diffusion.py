@@ -40,6 +40,8 @@ DENSE_DIM_LIMIT = 4096
 
 # stored stopped points take samples x dim doubles; 1 GiB is ten times the
 # largest batch the acceptance criteria store (1e5 paths at dim 128).  The
+# stream blocks write their rows of the stored batch in place, so a stored
+# batch peaks at about its own size plus one block's working set.  The
 # same limit caps the working set of one stream block, which the sampler
 # holds even without storage: its STREAM_BLOCK x dim state plus per-step
 # temporaries of that shape (normal draws, transform scratch, and with the
@@ -116,6 +118,8 @@ class DenseCovariance:
             raise ValueError("covariance must be a square matrix")
         if m.shape[0] > DENSE_DIM_LIMIT:
             raise CapacityError(f"dense covariance capped at dim {DENSE_DIM_LIMIT}")
+        if not np.isfinite(m).all():
+            raise ValueError("covariance entries must be finite")
         if not np.allclose(m, m.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
         if not np.allclose(np.diagonal(m), 1.0, atol=1e-12):

@@ -53,14 +53,12 @@ def _require_signs(arr: np.ndarray, name: str) -> None:
 
 
 def phi(x, y) -> float:
-    """(1/n) x^T H y via one fast transform and a dot product."""
+    """(1/n) x^T H y via one fast transform: one row of phi_batch."""
     x = _as_instance_vector(x, "x")
     y = _as_instance_vector(y, "y")
     if x.size != y.size:
         raise ValueError("x and y must have the same length")
-    n = x.size
-    hy = _kernels.wht_inplace_np(y.copy()) / math.sqrt(n)
-    return float(x @ hy) / n
+    return float(_kernels._phi_rows(x[None], y[None])[0])
 
 
 def phi_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -72,9 +70,7 @@ def phi_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     n = xs.shape[1]
     if n < 1 or n & (n - 1):
         raise ValueError("row length must be a power of two")
-    # the batched transform runs in place; keep the caller's array intact
-    hy = _kernels.wht_inplace_np(np.array(ys, dtype=np.float64, order="C"))
-    return np.einsum("ij,ij->i", xs, hy) / (n * math.sqrt(n))
+    return _kernels._phi_rows(xs, ys)
 
 
 def accept_probability(x, y) -> float:

@@ -76,6 +76,14 @@ class TestDenseCovariance:
         with pytest.raises(ValueError):
             diff.DenseCovariance([[1.0, 0.3], [0.1, 1.0]])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        # allclose counts inf as equal to itself and a NaN eigenvalue passes
+        # the semidefinite test: an infinite entry would give an all-NaN
+        # square root whose paths never exit
+        with pytest.raises(ValueError, match="finite"):
+            diff.DenseCovariance([[1.0, bad], [bad, 1.0]])
+
 
 class TestApplySigmaSqrt:
     def test_zero_maps_to_zero(self):

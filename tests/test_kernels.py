@@ -1,6 +1,7 @@
 """Kernel-level tests: transform oracles, pinned digests, path invariants."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -427,3 +428,44 @@ class TestDensePathKernel:
         else:
             npt.assert_array_equal(x, np.clip(raw, -0.5, 0.5))
 
+
+
+def test_stored_batch_is_held_once():
+    # each stream block writes its rows of the batch record in place, so a
+    # stored batch peaks near its own size plus one block's working set
+    n = 64
+    eps = 1.0 / (8.0 * np.log(2 * n))
+    tracemalloc.start()
+    try:
+        out = K.run_paths_structured_numpy(3, 8192, n, eps / 16, eps, store=True, want_phi=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(v.nbytes for v in out.values() if v is not None)
+    assert peak <= 1.5 * held
+
+
+def test_generator_fills_a_partial_last_block():
+    # three streams over 2100 paths, the last serving 52; each block run on
+    # its own arrays with its own mixer must give the batch's rows
+    cov = equicorrelated_covariance(2, 0.5)
+    gen = np.array([0.1, -0.3, 0.2, 0.5])
+    eps = 0.25
+    step = (np.ones(2), eps / 64, eps, False, gen)
+    out = K.run_paths_dense_numpy(31, 2100, cov.sqrt_matrix, *step[:3], gen_coeffs=gen, store=True)
+    parts = []
+    for child, count in zip(K.stream_seeds(31, 3), (1024, 1024, 52)):
+        block = {
+            "tau": np.full(count, eps),
+            "exited": np.zeros(count, dtype=bool),
+            "x_tau": np.empty((count, 2)),
+            "phi": None,
+            "phi_raw": None,
+            "accumulator": np.empty(count),
+            "x_raw": np.empty((count, 2)),
+        }
+        K._paths_block_np(np.random.default_rng(child), block, K._dense_mixer(cov.sqrt_matrix), *step)
+        parts.append(block)
+    assert parts[-1]["exited"].any() and not parts[-1]["exited"].all()
+    for key in ("x_tau", "tau", "exited", "accumulator", "x_raw"):
+        npt.assert_array_equal(out[key], np.concatenate([p[key] for p in parts]))
