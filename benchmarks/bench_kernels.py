@@ -11,6 +11,10 @@ forrlab.cli.main with default settings and --no-timestamp: verify-prop
 --rounded (several minutes in all).  Their wall times and exit codes go
 under "cli" in the --json record.
 
+--perfbench WORKLOAD (repeatable) also runs that workload of the perfbench
+benchmark next to the imported forrlab's ``src/`` for its default 20 s and
+stores its end-to-end metrics under "perfbench" in the --json record.
+
 --json PATH stores the run under --label in a JSON file (other labels
 already in the file are kept), so a before/after pair can share one file:
 
@@ -20,7 +24,8 @@ already in the file are kept), so a before/after pair can share one file:
         --json BENCH_<date>_<sha>.json --label after
 
 Usage:
-    python3 benchmarks/bench_kernels.py [--samples 2000] [--repeat 5] [--cli] [--json PATH --label NAME]
+    python3 benchmarks/bench_kernels.py [--samples 2000] [--repeat 5] [--cli]
+        [--perfbench WORKLOAD ...] [--json PATH --label NAME]
 """
 
 import argparse
@@ -28,7 +33,9 @@ import datetime
 import json
 import math
 import os
+import pathlib
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -36,6 +43,7 @@ import tracemalloc
 
 import numpy as np
 
+import forrlab
 from forrlab import _kernels, cli
 
 # the canonical end-to-end runs, each with default settings otherwise
@@ -90,6 +98,20 @@ def bench_structured(args):
     return f"structured paths n=64, {args.samples} paths", run, dt
 
 
+def bench_structured_bridge(args):
+    # one stream block at n = 64 with the bridge test, dt = epsilon/1024
+    n = 64
+    epsilon = 1.0 / (8.0 * math.log(2 * n))
+    dt = epsilon / 1024
+
+    def run():
+        return _kernels.run_paths_structured_numpy(
+            args.seed, _kernels.STREAM_BLOCK, n, dt, epsilon, bridge=True, store=False
+        )
+
+    return f"structured bridge n=64, {_kernels.STREAM_BLOCK} paths", run, dt
+
+
 def bench_dense(args):
     dim = 4
     sigma = np.full((dim, dim), 0.2)
@@ -136,6 +158,26 @@ def bench_dense_bridge(args):
     return f"dense bridge dim=1, {args.samples} paths", run, dt
 
 
+def bench_perfbench(workload):
+    """End-to-end metrics of one perfbench workload on the imported forrlab's tree.
+
+    Runs ``perfbench/run.py --seed 1 --seconds 20 --trace 0`` next to the
+    ``src/`` that forrlab was imported from, in a fresh interpreter, and
+    returns the metric values of its last output line with its check counts.
+    """
+    root = pathlib.Path(forrlab.__file__).resolve().parents[2]
+    argv = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload]
+    done = subprocess.run(
+        argv + ["--seed", "1", "--seconds", "20", "--trace", "0"],
+        capture_output=True, text=True, check=False,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    row = {name: metric["value"] for name, metric in result["metrics"].items()}
+    row.update(failed=result["failed"], attempted=result["attempted"])
+    print(f"perfbench {workload}: wall_norm_s {row['wall_norm_s']:.4f}, failed {row['failed']}", flush=True)
+    return row
+
+
 def path_steps(out, dt):
     """Euler steps taken, summed over paths: ceil(tau / dt) per path."""
     return int(np.ceil(out["tau"] / dt - 1e-9).sum())
@@ -155,7 +197,7 @@ def bench_cli():
     return rows
 
 
-def store_json(path, label, args, rows, cli_rows=None):
+def store_json(path, label, args, rows, cli_rows=None, perf_rows=None):
     record = {
         "date": datetime.date.today().isoformat(),
         "python": platform.python_version(),
@@ -170,6 +212,8 @@ def store_json(path, label, args, rows, cli_rows=None):
     }
     if cli_rows is not None:
         record["cli"] = cli_rows
+    if perf_rows:
+        record["perfbench"] = perf_rows
     data = {"runs": {}}
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
@@ -188,10 +232,14 @@ def main():
     parser.add_argument("--json", metavar="PATH", help="store the timings in a JSON file")
     parser.add_argument("--label", default="run", help="key of this run inside the --json file")
     parser.add_argument("--cli", action="store_true", help="also time the canonical CLI runs")
+    parser.add_argument(
+        "--perfbench", metavar="WORKLOAD", action="append", default=[],
+        help="also run this perfbench workload end to end (repeatable)",
+    )
     args = parser.parse_args()
 
     benches = [bench_wht(args), bench_eval(args), bench_structured(args), bench_dense(args)]
-    benches += [bench_dense_dynkin(args), bench_dense_bridge(args)]
+    benches += [bench_dense_dynkin(args), bench_dense_bridge(args), bench_structured_bridge(args)]
 
     width = max(len(b[0]) for b in benches)
     header = f"{'kernel':<{width}}  {'best':>10}  {'ns/step':>8}"
@@ -217,8 +265,9 @@ def main():
         print(f"{name:<{width}}  {best:>9.4f}s  {per_step}")
         rows[name] = row
     cli_rows = bench_cli() if args.cli else None
+    perf_rows = {name: bench_perfbench(name) for name in args.perfbench}
     if args.json:
-        store_json(args.json, args.label, args, rows, cli_rows)
+        store_json(args.json, args.label, args, rows, cli_rows, perf_rows)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ Runs the CLI subcommands (sample with --dump-paths, verify-prop,
 verify-dynkin, verify-main on a dense and a structured covariance,
 advantage --rounded, sweep, and the exact verify-lemma) with a fixed seed
 and --no-timestamp at small sizes, plus the early-exit report, which no
-subcommand reaches.  Each output file is hashed; the JSON reports carry
-no wall times, so a change that keeps every draw and every float
-operation prints the same lines.
+subcommand reaches, at three shapes.  Each output file is hashed; the JSON
+reports carry no wall times, so a change that keeps every draw and every
+float operation prints the same lines.
 
 Usage:
     PYTHONPATH=src python3 benchmarks/seeded_outputs.py > before.txt
@@ -44,6 +44,14 @@ RUNS = [
     ("verify-lemma", ["verify-lemma", "--vars", "6", "--functions", "20", "--anchors", "10"]),
 ]
 
+# (name, dim, gamma, epsilon, bridge, samples) for exit_probability_report;
+# the last runs five dim-1 stream blocks, the last one partial, in one group
+EXIT_REPORTS = [
+    ("exit-report-dim1", 1, 0.0, 0.5, True, 2000),
+    ("exit-report-dim4", 4, 0.2, 1.0 / (8.0 * math.log(4)), False, 2000),
+    ("exit-report-dim1-blocks5", 1, 0.0, 1.0 / (8.0 * math.log(2)), True, 4500),
+]
+
 
 def digest(path):
     with open(path, "rb") as fh:
@@ -63,12 +71,12 @@ def main():
             if name.endswith(".csv"):
                 print(f"{name} {digest(os.path.join(tmp, name))}")
 
-    for dim, gamma, epsilon, bridge in [(1, 0.0, 0.5, True), (4, 0.2, 1.0 / (8.0 * math.log(4)), False)]:
+    for name, dim, gamma, epsilon, bridge, samples in EXIT_REPORTS:
         cov = diff.equicorrelated_covariance(dim, gamma)
         config = diff.SamplerConfig(epsilon, epsilon / 256, bridge, int(SEED))
-        report = diff.exit_probability_report(cov, config, 2000)
+        report = diff.exit_probability_report(cov, config, samples)
         text = report.to_json(no_timing=True).encode()
-        print(f"exit-report-dim{dim} {hashlib.sha256(text).hexdigest()}")
+        print(f"{name} {hashlib.sha256(text).hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -18,9 +18,13 @@ product with the square root for a dense one).
 Randomness: batch kernels consume one independent RNG stream per block of
 ``STREAM_BLOCK`` paths.  Stream seeds are derived from the master seed via
 ``numpy.random.SeedSequence.spawn``, so results are reproducible for a
-fixed (seed, config) pair.  The batch's per-path record (one named array
-per output) is allocated once, and each block writes its own rows through
-views, so a stored batch is held once.
+fixed (seed, config) pair.  The blocks are stepped in groups: while dim x
+live fits the n = 64 block's state, a group's blocks share one state and
+step in lockstep, each drawing from its own stream in the same (path,
+coordinate) order as when it ran alone, so the stream layout and every
+bit are those of one block at a time.  The batch's per-path record (one
+named array per output) is allocated once, and each group writes its own
+rows through views, so a stored batch is held once.
 
 Exit semantics: a path stops at the first grid time where any coordinate
 lies strictly outside [-1/2, 1/2], or where the bridge test (when enabled)
@@ -160,92 +164,138 @@ def _eval_multilinear_cols_np(coeffs, cols):
 # increment in place: the structured mixer turns n normals per path into
 # (u, Hu/sqrt(n)), the dense mixer multiplies dim normals by sig_sqrt.  The
 # exit and bridge tests, the trapezoid accumulator, compaction of exited
-# paths and finalize are shared.  Normals and bridge uniforms are drawn as
-# (live, k) arrays, i.e. in (path, coordinate) order.
+# paths and finalize are shared.  Each block of a group draws its normals
+# and bridge uniforms as (live, k) arrays into its rows of one buffer.
 #
 # For the block covariance [[I, H], [H, I]] with orthonormal symmetric H,
 # sigma B_t equals (u_t, H u_t) in distribution where u_t is a standard
 # n-dimensional Brownian motion, so only the top half is simulated (n
 # gaussians per step) and the bottom half is one WHT away.
 
+# a group keeps dim x live at or below the n = 64 block's state: the
+# structured n >= 64 route steps one block at a time
+_GROUP_ENTRIES = 128 * STREAM_BLOCK
 
-def _bridge_masks_np(rng, prev, new, hvar, inside):
-    """Vectorized bridge test; returns (crossed_up, crossed_down) masks.
 
-    ``inside`` marks coordinates whose endpoints are both in the cube.
-    Uniforms are drawn for the full array shape (vectorization); only the
-    ``inside`` entries take effect.
+def _rows(buf, m, k):
+    """The first m * k entries of a flat buffer as a C-contiguous (m, k) array."""
+    return buf[: m * k].reshape(m, k)
+
+
+def _bridge_crossings_np(r, prev, new, hvar, work):
+    """Bridge test on ``(dim, live)`` arrays; returns the crossed entries.
+
+    ``r`` holds the step's uniforms, ``hvar`` each coordinate's step
+    variance, and ``work`` is float scratch of the state's shape.
+    The result is (i, j, up): coordinate i of column j crossed, upwards
+    where ``up``.  A live path has ``|prev| <= 1/2``, so a coordinate can
+    cross only if ``|new| <= 1/2``.  exp is evaluated only at candidates:
+    such coordinates with max(|prev|, |new|) > 1/2 - sqrt(20 max(hvar)), and
+    any whose uniform is exactly 0.  Elsewhere both exponents are at most
+    -40, so p < 2 e^-40 < 2^-53, below every nonzero uniform, and the
+    result is that of the full-array formula.
     """
     a = _BARRIER
-    with np.errstate(over="ignore"):
-        p_up = np.exp(-2.0 * (a - prev) * (a - new) / hvar)
-        p_dn = np.exp(-2.0 * (a + prev) * (a + new) / hvar)
-    p = p_up + p_dn - p_up * p_dn
-    r = rng.random(prev.shape)
-    crossed = inside & (r < p)
-    up = crossed & (r < p_up)
-    return up, crossed & ~up
+    near = a - np.sqrt(20.0 * hvar.max())
+    cand = np.abs(prev, out=work) > near
+    inside = np.abs(new, out=work) <= a
+    cand |= work > near
+    if not r.all():
+        cand |= r == 0.0
+    cand &= inside
+    i, j = np.nonzero(cand)
+    pv, nv, rv, hv = prev[i, j], new[i, j], r[i, j], hvar[i]
+    p_up = np.exp(-2.0 * (a - pv) * (a - nv) / hv)
+    p_dn = np.exp(-2.0 * (a + pv) * (a + nv) / hv)
+    crossed = rv < p_up + p_dn - p_up * p_dn
+    return i[crossed], j[crossed], (rv < p_up)[crossed]
 
 
 def _structured_mixer(n):
-    """Mixer for [[I, H], [H, I]]: rows :n are u, rows n: are Hu / sqrt(n)."""
-    inv = 1.0 / np.sqrt(n)
-    scratch = np.empty((n, 0))
+    """Mixer for [[I, H], [H, I]]: rows :n are u, rows n: are Hu / sqrt(n).
 
-    def mix(rng, st, h):
-        nonlocal scratch
-        m = st.shape[1]
-        if scratch.shape[1] != m:
-            scratch = np.empty((n, m))
-        g = rng.standard_normal((m, n))
+    Once added, the normals ``g`` serve as the transform's scratch.
+    """
+    inv = 1.0 / np.sqrt(n)
+
+    def mix(g, st, h, solo=()):
         g *= np.sqrt(h)
         top, bot = st[:n], st[n:]
         top += g.T
-        _wht_axis_np(top[None], bot[None], scratch[None])
+        _wht_axis_np(top[None], bot[None], g.reshape(1, n, -1))
         bot *= inv
 
-    mix.dim = 2 * n
+    mix.dim, mix.width = 2 * n, n
     return mix
 
 
 def _dense_mixer(sig_sqrt):
-    """Mixer for an explicit square root: increments sig_sqrt @ g."""
-    dim = sig_sqrt.shape[0]
+    """Mixer for an explicit square root: increments sig_sqrt @ g.
 
-    def mix(rng, st, h):
-        inc = rng.standard_normal((st.shape[1], dim)) @ sig_sqrt.T
+    At dim 1 the product is one multiply, one rounding as in the matmul.  A
+    one-row matmul takes another BLAS route than a taller one, so rows alone
+    in their stream block (``solo``) are redone as one-row products.
+    """
+    dim = sig_sqrt.shape[0]
+    sig_t = sig_sqrt.T
+    buf = np.empty(0)
+
+    def mix(g, st, h, solo=()):
+        nonlocal buf
+        if dim == 1:
+            inc = np.multiply(g, sig_t[0, 0], out=g)
+        else:
+            if buf.size < g.size:
+                buf = np.empty(g.size)
+            inc = np.matmul(g, sig_t, out=_rows(buf, *g.shape))
+            for a in solo:
+                np.matmul(g[a : a + 1], sig_t, out=inc[a : a + 1])
         inc *= np.sqrt(h)
         st += inc.T
 
-    mix.dim = dim
+    mix.dim = mix.width = dim
     return mix
 
 
-def _paths_block_np(rng, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
-    """Step one block of paths from the origin on one RNG stream.
+def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
+    """Step a group of stream blocks from the origin, in lockstep.
 
-    The block writes its results into ``out``, its rows of the batch record
-    (views; None for an output not asked for).  ``mix(rng, st, h)`` adds one
-    step's increment to the ``(mix.dim, live)`` state in place.  ``diag``
-    (scalar or per coordinate) is the variance rate of each coordinate, so
-    the bridge test uses step variance ``h * diag``.  ``phi_raw`` is
-    ``|u|^2 / n`` of the top half u of the grid endpoint before the clamp;
-    ``x_raw`` is that endpoint before the clamp and before bridge-crossed
-    coordinates are put on the barrier.
+    Block k is rows k * STREAM_BLOCK onward of ``out``, the group's rows of
+    the batch record (views; None for an output not asked for), and draws
+    from ``rngs[k]``.  ``mix(g, st, h, solo)`` adds one step's increment to
+    the ``(mix.dim, live)`` state in place from the ``(live, mix.width)``
+    normals ``g``.  ``diag`` holds the variance rate of each coordinate, so
+    the bridge test uses step variances ``h * diag``.
+    ``phi_raw`` is ``|u|^2 / n`` of the top half u of the grid endpoint
+    before the clamp; ``x_raw`` is that endpoint before the clamp and before
+    bridge-crossed coordinates are put on the barrier.  State-sized arrays
+    live in buffers allocated once per group: the state, a spare that takes
+    the step's draws and then the compacted state (the two swap), and for
+    the bridge test the previous state and the test's scratch.
     """
-    count, dim = out["tau"].size, mix.dim
+    count, dim, width = out["tau"].size, mix.dim, mix.width
     store = out["x_tau"] is not None
     want_phi = out["phi"] is not None
     want_acc = gen_coeffs is not None
 
-    st = np.zeros((dim, count))
+    st_buf, spare = np.zeros(dim * count), np.empty(dim * count)
+    prev_buf, work_buf = (np.empty(dim * count) for _ in range(2)) if bridge else (None, None)
+    st = _rows(st_buf, dim, count)
     alive = np.arange(count)
     acc = np.zeros(count) if want_acc else None
     af_prev = np.full(count, gen_coeffs[0]) if want_acc else None
     t = 0.0
     tiny = 1e-12 * epsilon
 
-    def finalize(rows, cols, up_mask=None, dn_mask=None):
+    def spans():
+        # alive stays sorted, so each block's live columns are contiguous
+        edges = np.searchsorted(alive, np.arange(len(rngs) + 1) * STREAM_BLOCK).tolist()
+        blocks = list(zip(rngs, edges[:-1], edges[1:]))
+        return blocks, [a for _, a, b in blocks if b - a == 1]
+
+    blocks, solo = spans()
+
+    def finalize(rows, cols, crossed=None):
         # back to one C-ordered row per path: einsum over the transposed
         # layout would change phi in the last bit
         pt = np.ascontiguousarray(cols.T)
@@ -255,9 +305,10 @@ def _paths_block_np(rng, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
         if want_phi:
             out["phi_raw"][rows] = np.einsum("ij,ij->i", pt[:, :n], pt[:, :n]) * (1.0 / n)
         np.clip(pt, -_BARRIER, _BARRIER, out=pt)
-        if up_mask is not None:
-            pt[up_mask.T] = _BARRIER
-            pt[dn_mask.T] = -_BARRIER
+        if crossed is not None:
+            # (row in pt, coordinate, up) of each bridge crossing
+            k, i, up = crossed
+            pt[k, i] = np.where(up, _BARRIER, -_BARRIER)
         if store:
             out["x_tau"][rows] = pt
         if want_phi:
@@ -265,23 +316,24 @@ def _paths_block_np(rng, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
 
     while t < epsilon - tiny and alive.size:
         h = min(dt, epsilon - t)
-        prev = st.copy() if bridge else None
-        mix(rng, st, h)
+        live = alive.size
+        if bridge:
+            prev = _rows(prev_buf, dim, live)
+            np.copyto(prev, st)
+        g = _rows(spare, live, width)
+        for rng, a, b in blocks:
+            rng.standard_normal(out=g[a:b])
+        mix(g, st, h, solo)
         t += h
 
-        up_mask = dn_mask = None
+        stop = (st.max(axis=0) > _BARRIER) | (st.min(axis=0) < -_BARRIER)
         if bridge:
-            outside = np.abs(st) > _BARRIER
-            stop = outside.any(axis=0)
-            # a live column passed the exit test at the previous grid time,
-            # so |prev| <= 1/2 everywhere and only the new endpoint decides
-            inside = ~outside
-            # transposed views draw the uniforms in (path, coordinate) order
-            up_t, dn_t = _bridge_masks_np(rng, prev.T, st.T, h * diag, inside.T)
-            up_mask, dn_mask = up_t.T, dn_t.T
-            stop |= up_mask.any(axis=0) | dn_mask.any(axis=0)
-        else:
-            stop = (st.max(axis=0) > _BARRIER) | (st.min(axis=0) < -_BARRIER)
+            r = _rows(spare, live, dim)
+            for rng, a, b in blocks:
+                rng.random(out=r[a:b])
+            work = _rows(work_buf, dim, live)
+            ci, cj, up = _bridge_crossings_np(r.T, prev, st, h * diag, work)
+            stop[cj] = True
 
         if want_acc:
             af_new = _eval_multilinear_cols_np(gen_coeffs, st)
@@ -292,20 +344,23 @@ def _paths_block_np(rng, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
             rows = alive[stop]
             out["tau"][rows] = min(t, epsilon)
             out["exited"][rows] = True
-            finalize(
-                rows,
-                st[:, stop],
-                up_mask[:, stop] if bridge else None,
-                dn_mask[:, stop] if bridge else None,
-            )
+            crossed = (np.cumsum(stop)[cj] - 1, ci, up) if bridge else None
+            finalize(rows, st[:, stop], crossed)
             keep = ~stop
             if want_acc:
                 out["accumulator"][rows] = acc[stop]
                 acc = acc[keep]
                 af_prev = af_prev[keep]
             alive = alive[keep]
-            st = st.compress(keep, axis=1)
+            # compact into the spare buffer and swap; take's clip mode
+            # writes out= directly, where compress would copy it first
+            nxt = _rows(spare, dim, alive.size)
+            np.take(st, np.flatnonzero(keep), axis=1, out=nxt, mode="clip")
+            st_buf, spare, st = spare, st_buf, nxt
+            blocks, solo = spans()
 
+    # the last finalize copies every survivor; free the scratch for it
+    spare = prev_buf = work_buf = None
     if alive.size:
         finalize(alive, st)
         if want_acc:
@@ -318,7 +373,7 @@ def _paths_block_np(rng, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
 
 
 def _run_blocks_np(master_seed, n_samples, mix, diag, dt, epsilon, bridge, gen_coeffs, store, want_phi):
-    """Allocate the per-path record once (None where not asked for); each block fills its rows."""
+    """Allocate the per-path record once (None where not asked for); each group fills its rows."""
     if gen_coeffs is not None:
         gen_coeffs = np.ascontiguousarray(gen_coeffs, dtype=np.float64)
     want_acc = gen_coeffs is not None
@@ -331,11 +386,14 @@ def _run_blocks_np(master_seed, n_samples, mix, diag, dt, epsilon, bridge, gen_c
         "accumulator": np.empty(n_samples) if want_acc else None,
         "x_raw": np.empty((n_samples, mix.dim)) if want_acc else None,
     }
+    diag = np.broadcast_to(np.asarray(diag, dtype=np.float64), (mix.dim,))
     children = stream_seeds(master_seed, -(-n_samples // STREAM_BLOCK))
-    for k, child in enumerate(children):
-        rows = slice(k * STREAM_BLOCK, (k + 1) * STREAM_BLOCK)
-        block = {key: None if col is None else col[rows] for key, col in out.items()}
-        _paths_block_np(np.random.default_rng(child), block, mix, diag, dt, epsilon, bridge, gen_coeffs)
+    per_group = max(1, _GROUP_ENTRIES // (mix.dim * STREAM_BLOCK))
+    for first in range(0, len(children), per_group):
+        rows = slice(first * STREAM_BLOCK, (first + per_group) * STREAM_BLOCK)
+        group = {key: None if col is None else col[rows] for key, col in out.items()}
+        rngs = [np.random.default_rng(child) for child in children[first : first + per_group]]
+        _paths_block_np(rngs, group, mix, diag, dt, epsilon, bridge, gen_coeffs)
     out["stream_ids"] = np.repeat(np.arange(len(children)), STREAM_BLOCK)[:n_samples]
     return out
 

@@ -40,15 +40,16 @@ DENSE_DIM_LIMIT = 4096
 
 # stored stopped points take samples x dim doubles; 1 GiB is ten times the
 # largest batch the acceptance criteria store (1e5 paths at dim 128).  The
-# stream blocks write their rows of the stored batch in place, so a stored
-# batch peaks at about its own size plus one block's working set.  The
-# same limit caps the working set of one stream block, which the sampler
-# holds even without storage: its STREAM_BLOCK x dim state plus per-step
-# temporaries of that shape (normal draws, transform scratch, and with the
-# bridge test the previous state, masks and crossing probabilities).
-# tracemalloc on 1024 unstored paths at n = 1024 put the peak at 2.55x the
-# state without the bridge test and 7.38x with it, so the state counts 4x
-# or 8x against the limit.
+# groups of stream blocks write their rows of the stored batch in place, so
+# a stored batch peaks at about its own size plus one group's working set.
+# The same limit caps that working set, which the sampler holds even
+# without storage: the group's dim x live state (one STREAM_BLOCK block
+# above dim 128; several blocks share at most 128 x STREAM_BLOCK entries
+# below it) plus buffers of that shape (a spare for the draws and the
+# compacted state, and with the bridge test the previous state and the
+# test's scratch) and per-step temporaries.  tracemalloc on 1024 unstored
+# paths at n = 1024 put the peak at 2.13x the state without the bridge test
+# and 4.76x with it, so the state counts 4x or 8x against the limit.
 STORED_PATHS_BYTE_LIMIT = 2**30
 
 

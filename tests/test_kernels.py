@@ -96,7 +96,7 @@ def test_structured_mixer_transform_matches_row_transform(k):
     mix = K._structured_mixer(n)
     for seed, paths in ((k, 5), (k + 100, 3)):
         st = np.zeros((2 * n, paths))
-        mix(np.random.default_rng(seed), st, 1.0)
+        mix(np.random.default_rng(seed).standard_normal((paths, n)), st, 1.0)
         want = K.wht_inplace_np(st[:n].T.copy()).T * (1.0 / np.sqrt(n))
         npt.assert_array_equal(st[n:], want)
 
@@ -320,11 +320,29 @@ DENSE_DIGESTS = {
         "exited": "d1f417704425a83a1b753f9c8887110cc9206070fb9215fb26896f4585abbac6",
         "stream_ids": "d401efd75b6033854f05e9a7a85ef672934502223a9b290d6a9a60e7174bd2e0",
     },
+    # pinned from the loop that stepped one stream block at a time: three
+    # dim-1 blocks, the last serving 52 paths, now step as one group
+    ("d1-bridge-3streams", 26, 2100, 1, 0.0, 64, True, False): {
+        "x_tau": "f4e229298438b62739408f3b42d889e5bcf5744c0811ba63895a8ce311976cca",
+        "tau": "bb7bfd0f918000a6666e2152b043eb5d0c60af5900589c7c14f1dc364992b3f1",
+        "exited": "53757dfcf9db0a282613a87be814a7910b38439d780d4445cfaceaea1f37c4c8",
+        "stream_ids": "dda3c1cf4664cd1e106fcc51109f2048ae30e920792571bbb49532daa1083550",
+    },
+}
+
+# a dim-4 grid run over three blocks (the last partial), pinned from the
+# loop that stepped one block at a time; run with two blocks per group, so
+# that it spans two groups
+TWO_GROUP_CASE = ("d4-grid-two-groups", 27, 3000, 4, 0.2, 64, False, False)
+TWO_GROUP_DIGESTS = {
+    "x_tau": "0e824e1372ddd3d5b940a9f96ebfd1c351cbed7463e62c1fb4009ccd526fa5bd",
+    "tau": "29505f916f30ae195b149ff85ccb234903a4ce5569c6d347768acf47d05f9811",
+    "exited": "9595b1f2dadcfafa6fb0da3a62a0e0f4cd5e5715425af29df429bf139fa820d9",
+    "stream_ids": "73950e16f1ca9a550603600b81ad8906a825cc72d99169161627ba886a4d9644",
 }
 
 
-@pytest.mark.parametrize("case", list(DENSE_DIGESTS), ids=[c[0] for c in DENSE_DIGESTS])
-def test_dense_numpy_outputs_match_pinned_digests(case):
+def dense_digests(case):
     _, seed, paths, dim, gamma, divisor, bridge, generator = case
     cov = equicorrelated_covariance(dim, gamma)
     eps = 1.0 / (8.0 * np.log(2 * dim))
@@ -340,12 +358,21 @@ def test_dense_numpy_outputs_match_pinned_digests(case):
         gen_coeffs=gen,
         store=True,
     )
-    got = {
+    return {
         key: hashlib.sha256(out[key].tobytes()).hexdigest()
         for key in ("x_tau", "tau", "exited", "accumulator", "stream_ids")
         if out[key] is not None
     }
-    assert got == DENSE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", list(DENSE_DIGESTS), ids=[c[0] for c in DENSE_DIGESTS])
+def test_dense_numpy_outputs_match_pinned_digests(case):
+    assert dense_digests(case) == DENSE_DIGESTS[case]
+
+
+def test_dense_groups_match_pinned_digests(monkeypatch):
+    monkeypatch.setattr(K, "_GROUP_ENTRIES", 2 * 4 * K.STREAM_BLOCK)
+    assert dense_digests(TWO_GROUP_CASE) == TWO_GROUP_DIGESTS
 
 
 @pytest.mark.parametrize("run", [K.run_paths_dense_numpy], ids=["numpy"])
@@ -446,26 +473,81 @@ def test_stored_batch_is_held_once():
 
 
 def test_generator_fills_a_partial_last_block():
-    # three streams over 2100 paths, the last serving 52; each block run on
-    # its own arrays with its own mixer must give the batch's rows
+    # three streams stepped in lockstep as one group, the last serving 52
+    # paths or one (a one-row matmul takes another BLAS route); each block
+    # run alone, on its own arrays with its own mixer, must give the
+    # batch's rows
     cov = equicorrelated_covariance(2, 0.5)
     gen = np.array([0.1, -0.3, 0.2, 0.5])
     eps = 0.25
-    step = (np.ones(2), eps / 64, eps, False, gen)
-    out = K.run_paths_dense_numpy(31, 2100, cov.sqrt_matrix, *step[:3], gen_coeffs=gen, store=True)
-    parts = []
-    for child, count in zip(K.stream_seeds(31, 3), (1024, 1024, 52)):
-        block = {
-            "tau": np.full(count, eps),
-            "exited": np.zeros(count, dtype=bool),
-            "x_tau": np.empty((count, 2)),
-            "phi": None,
-            "phi_raw": None,
-            "accumulator": np.empty(count),
-            "x_raw": np.empty((count, 2)),
-        }
-        K._paths_block_np(np.random.default_rng(child), block, K._dense_mixer(cov.sqrt_matrix), *step)
-        parts.append(block)
-    assert parts[-1]["exited"].any() and not parts[-1]["exited"].all()
-    for key in ("x_tau", "tau", "exited", "accumulator", "x_raw"):
-        npt.assert_array_equal(out[key], np.concatenate([p[key] for p in parts]))
+    step = (np.ones(2), eps / 64, eps, True, gen)
+    for paths in (2100, 2049):
+        out = K.run_paths_dense_numpy(31, paths, cov.sqrt_matrix, *step[:3], bridge=True, gen_coeffs=gen)
+        parts = []
+        for child, count in zip(K.stream_seeds(31, 3), (1024, 1024, paths - 2048)):
+            block = {
+                "tau": np.full(count, eps),
+                "exited": np.zeros(count, dtype=bool),
+                "x_tau": np.empty((count, 2)),
+                "phi": None,
+                "phi_raw": None,
+                "accumulator": np.empty(count),
+                "x_raw": np.empty((count, 2)),
+            }
+            rngs = [np.random.default_rng(child)]
+            K._paths_block_np(rngs, block, K._dense_mixer(cov.sqrt_matrix), *step)
+            parts.append(block)
+        assert 0 < parts[0]["exited"].sum() < 1024
+        for key in ("x_tau", "tau", "exited", "accumulator", "x_raw"):
+            npt.assert_array_equal(out[key], np.concatenate([p[key] for p in parts]))
+
+
+def full_bridge_masks(r, prev, new, hvar):
+    """The bridge test with exp over every entry, as a reference."""
+    a = 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_up = np.exp(-2.0 * (a - prev) * (a - new) / hvar)
+        p_dn = np.exp(-2.0 * (a + prev) * (a + new) / hvar)
+        p = p_up + p_dn - p_up * p_dn
+    crossed = (np.abs(new) <= a) & (r < p)
+    up = crossed & (r < p_up)
+    return up, crossed & ~up
+
+
+@pytest.mark.parametrize("per_coordinate", [False, True], ids=["unit", "diag"])
+def test_bridge_candidates_give_the_full_array_masks(per_coordinate):
+    rng = np.random.default_rng(8)
+    dim, live, h = 6, 4000, 1e-3
+    diag = rng.uniform(0.2, 1.0, dim) if per_coordinate else np.ones(dim)
+    hvar = np.broadcast_to(h * np.reshape(diag, (-1, 1)), (dim, live))
+    near = 0.5 - np.sqrt(20.0 * h * np.max(diag))
+    prev = rng.uniform(-0.5, 0.5, (dim, live))
+    new = prev + np.sqrt(hvar) * rng.standard_normal((dim, live))
+    r = rng.random((dim, live))
+    # on the candidate threshold, on the barrier, far outside (where the
+    # full formula overflows), and uniforms of exactly 0 inside and out
+    prev[0, :40], new[0, :40] = near, -near
+    prev[1, :40], new[1, :40] = -0.5, 0.5
+    new[2, :40] = 30.0 * (-1.0) ** np.arange(40)
+    prev[2, :40] = 0.4 * np.sign(new[2, :40])
+    r[3, :80:2] = 0.0
+    new[3, 1:80:2] = 0.7
+    r[3, 1:80:2] = 0.0
+    prev[4, :40] = 0.0
+    new[4, :40] = 0.0
+    r[4, :40] = 0.0
+    # just inside the candidate band, with uniforms below their crossing
+    # probability: a narrower band would miss these crossings
+    prev[5, :40] = new[5, :40] = 0.5 - 0.95 * (0.5 - near)
+    r[5, :40] = 0.5 * np.exp(-2.0 * (0.5 - prev[5, :40]) ** 2 / hvar[5, :40])
+    with np.errstate(over="raise"):
+        i, j, up = K._bridge_crossings_np(r, prev, new, hvar[:, 0].copy(), np.empty_like(new))
+    got = np.zeros((2, dim, live), dtype=bool)
+    got[np.where(up, 0, 1), i, j] = True
+    want = full_bridge_masks(r, prev, new, hvar)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(-2.0 * (0.5 + prev[2]) * (0.5 + new[2]) / hvar[2])).any()
+    assert want[0].any() and want[1].any() and want[0][3].any() | want[1][3].any()
+    assert want[0][5, :40].all()
+    for g, w in zip(got, want):
+        npt.assert_array_equal(g, w)
