@@ -1,9 +1,9 @@
 """Benchmark the hot kernels of forrlab._kernels at fixed shapes.
 
 Runs each kernel and prints its best per-call wall time.  Path kernels also
-report path-steps (one Euler step of one path), nanoseconds per path-step
-and, in the --json record, the tracemalloc peak of one call in MiB
-(``peak_traced_mb``).
+report path-steps (one Euler step of one path) and nanoseconds per
+path-step.  The --json record holds, for every kernel, the tracemalloc peak
+of one call in MiB (``peak_traced_mb``).
 
 --cli also times the canonical end-to-end CLI runs once each, through
 forrlab.cli.main with default settings and --no-timestamp: verify-prop
@@ -44,7 +44,7 @@ import tracemalloc
 import numpy as np
 
 import forrlab
-from forrlab import _kernels, cli
+from forrlab import _kernels, boolean_fourier, cli
 
 # the canonical end-to-end runs, each with default settings otherwise
 CLI_RUNS = [
@@ -72,6 +72,27 @@ def bench_wht(args):
         _kernels.wht_batch_numpy(rows.copy())
 
     return "batched WHT 4096x128", run, None
+
+
+def bench_wht_rows(args):
+    # one chunk of the uniform phi null at n = 1024: a 32 MB batch of long
+    # rows.  In place: each call scales the rows by 1024, far from overflow.
+    rows = np.random.default_rng(args.seed).normal(size=(4096, 1024))
+
+    def run():
+        _kernels.wht_batch_numpy(rows)
+
+    return "wht_rows_4096x1024", run, None
+
+
+def bench_level2_scan(args):
+    # the exhaustive 3^11 restriction scan of perfbench's exact-routes
+    f = boolean_fourier.random_sign_function(11, np.random.default_rng(args.seed))
+
+    def run():
+        boolean_fourier.max_restricted_level2_mass(f)
+
+    return "level2_scan_n11", run, None
 
 
 def bench_eval(args):
@@ -240,6 +261,7 @@ def main():
 
     benches = [bench_wht(args), bench_eval(args), bench_structured(args), bench_dense(args)]
     benches += [bench_dense_dynkin(args), bench_dense_bridge(args), bench_structured_bridge(args)]
+    benches += [bench_wht_rows(args), bench_level2_scan(args)]
 
     width = max(len(b[0]) for b in benches)
     header = f"{'kernel':<{width}}  {'best':>10}  {'ns/step':>8}"
@@ -250,15 +272,15 @@ def main():
         best = best_of(args.repeat, run)
         row = {"best_s": best}
         per_step = f"{'':>8}"
+        # one more, untimed call gives the peak of the memory numpy and
+        # Python report to tracemalloc, and counts a path kernel's path-steps
+        tracemalloc.start()
+        try:
+            out = run()
+            row["peak_traced_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
         if dt is not None:
-            # one more, untimed call counts the path-steps and the peak of
-            # the memory numpy and Python report to tracemalloc
-            tracemalloc.start()
-            try:
-                out = run()
-                row["peak_traced_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
-            finally:
-                tracemalloc.stop()
             row["path_steps"] = path_steps(out, dt)
             row["ns_per_path_step"] = 1e9 * best / row["path_steps"]
             per_step = f"{row['ns_per_path_step']:>8.0f}"

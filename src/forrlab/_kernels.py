@@ -56,6 +56,7 @@ __all__ = [
 STREAM_BLOCK = 1024
 
 _BARRIER = 0.5
+_WHT_BLOCK = 1 << 15  # entries per row block of wht_inplace_np (256 KiB)
 
 
 def stream_seeds(master_seed: int, n_streams: int) -> list:
@@ -103,10 +104,16 @@ def wht_inplace_np(a: np.ndarray) -> np.ndarray:
 
     ``a`` is 1-D or 2-D (one transform per row); the last-axis length must
     be a power of two (not validated here).
-    Applying this twice multiplies the input by the axis length.
+    Applying this twice multiplies the input by the axis length.  Blocks of
+    rows (``_WHT_BLOCK`` entries, at least one row) run through one block of
+    scratch in cache; each row's adds are those of the row alone.
     """
     rows = a.reshape(-1, a.shape[-1], 1)
-    _wht_axis_np(rows, rows, np.empty_like(rows))
+    step = max(1, _WHT_BLOCK // rows.shape[1])
+    scratch = np.empty_like(rows[:step])
+    for i in range(0, len(rows), step):
+        block = rows[i : i + step]
+        _wht_axis_np(block, block, scratch[: len(block)])
     return a
 
 

@@ -62,6 +62,7 @@ __all__ = [
 
 EXHAUSTIVE_VAR_LIMIT = 12  # 3^N restriction scans are capped here
 ENUMERATION_VAR_LIMIT = 10
+_SCAN_TAIL_VARS = 7  # the exhaustive scan runs its last variables level by level
 
 
 def _require_power_of_two(m: int, what: str) -> int:
@@ -139,8 +140,11 @@ class Restriction:
             if isinstance(v, str) and v == "*" or v is None:
                 out.append(0)
                 continue
-            iv = int(v)
-            if iv != v or iv not in (-1, 0, 1):
+            try:
+                iv = int(v)
+            except (ValueError, OverflowError, TypeError):
+                iv = None  # inf, nan, "x", an arbitrary object: not an entry
+            if iv is None or iv != v or iv not in (-1, 0, 1):
                 raise ValueError(f"restriction entries must be -1, +1, or * (0); got {v!r}")
             out.append(iv)
         vals = np.array(out, dtype=np.int8)
@@ -338,7 +342,11 @@ def max_restricted_level2_mass(
     """Largest level-2 coefficient mass over all restrictions of f.
 
     ``method="exhaustive"`` scans all 3^N restrictions by sharing folds
-    along a ternary recursion (guarded at N <= 12).  ``method="monte_carlo"``
+    along a ternary recursion (guarded at N <= 12).  The last
+    ``_SCAN_TAIL_VARS`` variables run level by level: a level's nodes that
+    keep k variables are the rows of one array, folded by one add and one
+    subtract, with the adds and leaf sums of a per-node recursion, so the
+    value is the same bit for bit.  ``method="monte_carlo"``
     samples ``samples`` uniformly random restrictions and returns the best
     found, which is only a lower bound on the true maximum.
     """
@@ -361,9 +369,23 @@ def max_restricted_level2_mass(
     # a leaf's table over its kept variables is a prefix of the full one
     pairs = subset_sizes(f.n_vars) == 2
 
+    def tail(c: np.ndarray, remaining: int, kept: int) -> float:
+        # the nodes of one level with k kept variables are the rows of stacks[k]
+        stacks = {kept: c[None]}
+        for _ in range(remaining):
+            parts: dict[int, list] = {}
+            for k, s in stacks.items():
+                v = s.reshape(len(s), -1, 2, 1 << k)
+                parts.setdefault(k, []).extend((v[:, :, 0] + v[:, :, 1], v[:, :, 0] - v[:, :, 1]))
+                parts[k + 1] = [s]
+            stacks = {k: np.concatenate([p.reshape(len(p), -1) for p in ps]) for k, ps in parts.items()}
+        # compress keeps each row C-ordered, so it sums in the order of a leaf's 1-D sum
+        leaves = [np.abs(s.compress(pairs[: s.shape[1]], axis=1)).sum(axis=1) for s in stacks.values()]
+        return max(float(m.max()) for m in leaves)
+
     def rec(c: np.ndarray, remaining: int, kept: int) -> float:
-        if remaining == 0:
-            return float(np.abs(c[pairs[: c.size]]).sum())
+        if remaining <= _SCAN_TAIL_VARS:
+            return tail(c, remaining, kept)
         width = 1 << kept
         view = c.reshape(-1, 2 * width)
         lo = view[:, :width]

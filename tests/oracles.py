@@ -96,3 +96,28 @@ def dense_sqrt_oracle(mat):
     vals, vecs = np.linalg.eigh(mat)
     vals[vals < 1e-12] = 0.0
     return (vecs * np.sqrt(vals)) @ vecs.T
+
+
+def recursive_level2_scan(coeffs):
+    """Largest level-2 mass over all 3^N restrictions, one call per node.
+
+    A ternary recursion over the variables in index order: variable
+    ``kept`` is summed out with +1, with -1, or kept, and each leaf sums |c|
+    over the pairs of its kept variables, as a 1-D sum.  The library's scan
+    does the same folds and leaf sums, so the values agree exactly.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    pairs = np.array([bin(m).count("1") == 2 for m in range(coeffs.size)])
+
+    def rec(c, remaining, kept):
+        if remaining == 0:
+            return float(np.abs(c[pairs[: c.size]]).sum())
+        width = 1 << kept
+        view = c.reshape(-1, 2 * width)
+        lo = view[:, :width]
+        hi = view[:, width:]
+        best = rec((lo + hi).ravel(), remaining - 1, kept)
+        best = max(best, rec((lo - hi).ravel(), remaining - 1, kept))
+        return max(best, rec(c, remaining - 1, kept + 1))
+
+    return rec(coeffs.copy(), coeffs.size.bit_length() - 1, 0)

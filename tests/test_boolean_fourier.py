@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -15,6 +16,7 @@ from oracles import (
     fd_derivative,
     naive_multilinear,
     point_of_index,
+    recursive_level2_scan,
 )
 
 
@@ -285,6 +287,65 @@ class TestMaxRestrictedLevel2Mass:
             bf.max_restricted_level2_mass(f, method="monte_carlo")
 
 
+# the level-by-level tail of the scan against the one-call-per-node
+# recursion, beyond the N <= 10 of FOLD_DIGESTS and on each side of the
+# switch; the folds and leaf sums are the same, so the values are equal
+def _scan_function(n_vars, kind):
+    rng = np.random.default_rng(n_vars)
+    if kind == "sign":
+        return bf.random_sign_function(n_vars, rng)
+    if kind == "real":
+        return bf.from_coeffs(n_vars, rng.standard_normal(2**n_vars))
+    if kind == "zero":
+        return bf.from_coeffs(n_vars, np.zeros(2**n_vars))
+    return bf.from_truth_table([(-1.0) ** bin(j).count("1") for j in range(2**n_vars)])
+
+
+SWITCH = bf._SCAN_TAIL_VARS
+
+
+@pytest.mark.parametrize(
+    "n_vars, kind",
+    [(n, kind) for n in (11, 12) for kind in ("sign", "real")]
+    + [(n, kind) for n in (SWITCH - 1, SWITCH, SWITCH + 1) for kind in ("sign", "real", "zero", "parity")],
+)
+def test_scan_equals_recursive_oracle(n_vars, kind):
+    f = _scan_function(n_vars, kind)
+    want = recursive_level2_scan(f.coeffs)
+    assert bf.max_restricted_level2_mass(f) == want
+    if kind == "zero":
+        assert want == 0.0
+    if kind == "parity":
+        assert want == 1.0
+
+
+@pytest.mark.parametrize("n_vars", [SWITCH - 1, SWITCH, SWITCH + 1])
+def test_scan_sums_long_leaves_in_the_oracle_order(n_vars):
+    # the last variable times a level-2 function of the others: the maximum
+    # is one leaf of C(N-1, 2) pairs in a stack of 2(N-1) rows, and a row
+    # summed in another order than a 1-D leaf moves the last bit of about
+    # half of these draws
+    rng = np.random.default_rng(n_vars)
+    top = 1 << (n_vars - 1)
+    idx = [top | m for m in range(top) if bin(m).count("1") == 2]
+    for _ in range(10):
+        c = np.zeros(2**n_vars)
+        c[idx] = rng.uniform(0.5, 1.5, len(idx))
+        assert bf.max_restricted_level2_mass(bf.from_coeffs(n_vars, c)) == recursive_level2_scan(c)
+
+
+def test_scan_memory_at_the_cap():
+    # the level-by-level tail holds 2^7 times one node's table, not 3^N
+    f = _scan_function(bf.EXHAUSTIVE_VAR_LIMIT, "real")
+    tracemalloc.start()
+    try:
+        bf.max_restricted_level2_mass(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def _fold_outputs(routine, n_vars, rng):
     """Outputs of one coefficient-table routine on a seeded random function."""
     f = bf.from_coeffs(n_vars, rng.standard_normal(2**n_vars))
@@ -440,3 +501,16 @@ class TestSerialization:
     def test_restriction_rejects_fractional_values(self):
         with pytest.raises(ValueError):
             bf.Restriction([0.5, 1])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, "x", 2, 0.5, object()])
+    def test_restriction_rejects_every_bad_entry_with_value_error(self, bad):
+        with pytest.raises(ValueError, match=r"restriction entries must be -1, \+1, or \* \(0\)"):
+            bf.Restriction([bad, 1])
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [(["*", 1], [0, 1]), ([None, -1], [0, -1]), ([1.0, 0.0], [1, 0]),
+         (np.array([1, -1, 0], dtype=np.int8), [1, -1, 0])],
+    )
+    def test_restriction_accepts_stars_floats_and_int8(self, values, want):
+        npt.assert_array_equal(bf.Restriction(values).values, want)

@@ -88,6 +88,28 @@ def test_wht_outputs_match_pinned_digests(k):
     assert h.hexdigest() == WHT_DIGESTS[k]
 
 
+@pytest.mark.parametrize("n", [1, 2, 1024, 2**14])
+def test_blocked_rows_equal_each_row_alone(n):
+    # two full row blocks and a partial one; each row, alone as a 1-D
+    # vector, must come out bit for bit as inside the batch
+    step = max(1, K._WHT_BLOCK // n)
+    a = np.random.default_rng(n).standard_normal((2 * step + max(1, step // 2), n))
+    want = np.stack([K.wht_inplace_np(row.copy()) for row in a])
+    npt.assert_array_equal(K.wht_inplace_np(a), want)
+
+
+def test_blocked_transform_memory():
+    # one block of scratch, not a copy of the (4096, 1024) batch (32 MiB)
+    a = np.random.default_rng(0).standard_normal((4096, 1024))
+    tracemalloc.start()
+    try:
+        K.wht_inplace_np(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("k", range(12))
 def test_structured_mixer_transform_matches_row_transform(k):
     # the paths-minor butterflies inside the sampler give the row transform
