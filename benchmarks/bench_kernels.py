@@ -44,7 +44,7 @@ import tracemalloc
 import numpy as np
 
 import forrlab
-from forrlab import _kernels, boolean_fourier, cli
+from forrlab import _kernels, boolean_fourier, cli, verifier
 
 # the canonical end-to-end runs, each with default settings otherwise
 CLI_RUNS = [
@@ -93,6 +93,32 @@ def bench_level2_scan(args):
         boolean_fourier.max_restricted_level2_mass(f)
 
     return "level2_scan_n11", run, None
+
+
+def bench_restriction_identity_n4(args):
+    # perfbench exact-routes' identity calls: 10 N = 4 functions x 25 anchors
+    rng = np.random.default_rng(args.seed)
+    fs = [boolean_fourier.random_sign_function(4, rng) for _ in range(10)]
+    anchors = rng.uniform(-0.5, 0.5, size=(25, 4))
+
+    def run():
+        for f in fs:
+            for x in anchors:
+                verifier.verify_restriction_identity(f, x)
+
+    return "restriction_identity_n4x250", run, None
+
+
+def bench_restriction_identity_n8(args):
+    # one call over the 3^8 restrictions of an N = 8 function
+    rng = np.random.default_rng(args.seed)
+    f = boolean_fourier.random_sign_function(8, rng)
+    x = rng.uniform(-0.5, 0.5, size=8)
+
+    def run():
+        verifier.verify_restriction_identity(f, x)
+
+    return "restriction_identity_n8", run, None
 
 
 def bench_eval(args):
@@ -185,6 +211,9 @@ def bench_perfbench(workload):
     Runs ``perfbench/run.py --seed 1 --seconds 20 --trace 0`` next to the
     ``src/`` that forrlab was imported from, in a fresh interpreter, and
     returns the metric values of its last output line with its check counts.
+    The child's ``peak_rss_mb`` (``ru_maxrss``) starts from this process's
+    own high-water mark, so main runs the workloads before any kernel input
+    is allocated.
     """
     root = pathlib.Path(forrlab.__file__).resolve().parents[2]
     argv = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload]
@@ -259,9 +288,11 @@ def main():
     )
     args = parser.parse_args()
 
+    perf_rows = {name: bench_perfbench(name) for name in args.perfbench}
     benches = [bench_wht(args), bench_eval(args), bench_structured(args), bench_dense(args)]
     benches += [bench_dense_dynkin(args), bench_dense_bridge(args), bench_structured_bridge(args)]
     benches += [bench_wht_rows(args), bench_level2_scan(args)]
+    benches += [bench_restriction_identity_n4(args), bench_restriction_identity_n8(args)]
 
     width = max(len(b[0]) for b in benches)
     header = f"{'kernel':<{width}}  {'best':>10}  {'ns/step':>8}"
@@ -287,7 +318,6 @@ def main():
         print(f"{name:<{width}}  {best:>9.4f}s  {per_step}")
         rows[name] = row
     cli_rows = bench_cli() if args.cli else None
-    perf_rows = {name: bench_perfbench(name) for name in args.perfbench}
     if args.json:
         store_json(args.json, args.label, args, rows, cli_rows, perf_rows)
 

@@ -24,7 +24,6 @@ variable.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -51,6 +50,7 @@ __all__ = [
     "max_restricted_level2_mass",
     "sample_restriction",
     "enumerate_restrictions",
+    "restricted_mean",
     "subset_index",
     "subset_sizes",
     "random_sign_function",
@@ -296,13 +296,35 @@ def restrict(f: BooleanFunction, rho: Restriction) -> BooleanFunction:
         raise ValueError(
             f"restriction has {rho.n_vars} coordinates, function has {f.n_vars}"
         )
-    c = f.coeffs.copy()
-    for i, val in enumerate(rho.values):
-        if val != _FREE:
-            v = c.reshape(-1, 2, 1 << i)
-            v[:, 0] += int(val) * v[:, 1]
-            v[:, 1] = 0.0
-    return BooleanFunction(f.n_vars, c)
+    c = _restrict_rows(f.coeffs[None].copy(), rho.values[None])
+    return BooleanFunction(f.n_vars, c[0])
+
+
+def _restrict_rows(c: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Substitute restriction row r of ``values`` into table row r of ``c``, in place.
+
+    ``c`` is a C-contiguous ``(rows, 2^N)`` float array and ``values`` a
+    ``(rows, N)`` array over {-1, 0, 1}.  Variable i, on the rows that fix
+    it to s, pairs the entries without and with bit i as
+    ``c[lo] += s * c[hi]; c[hi] = 0``, variable by variable in index order,
+    so each row comes out as the substitution of its restriction alone.
+    """
+    for i in range(values.shape[1]):
+        col = values[:, i]
+        fixed = col != _FREE
+        if not fixed.any():
+            continue
+        v = c.reshape(len(c), -1, 2, 1 << i)
+        if fixed.all():
+            v[:, :, 0] += col[:, None, None] * v[:, :, 1]
+            v[:, :, 1] = 0.0
+            continue
+        rows = np.flatnonzero(fixed)
+        sub = v[rows]
+        sub[:, :, 0] += col[rows, None, None] * sub[:, :, 1]
+        sub[:, :, 1] = 0.0
+        v[rows] = sub
+    return c
 
 
 def partial_derivative(f: BooleanFunction, subset: Iterable[int], x: Sequence[float]) -> float:
@@ -411,24 +433,64 @@ def sample_restriction(dist: RestrictionDistribution, rng: np.random.Generator) 
     return Restriction(vals)
 
 
-def enumerate_restrictions(
-    dist: RestrictionDistribution,
-) -> list[tuple[Restriction, float]]:
-    """All 3^N restrictions with their probabilities (sum to 1)."""
-    if dist.n_vars > ENUMERATION_VAR_LIMIT:
+_ENTRY_ORDER = np.array((1, -1, 0), dtype=np.int8)  # one coordinate's entries, in enumeration order
+_RESTRICTION_BLOCK = 1 << 16  # table entries per row block of restricted_mean (512 KiB)
+
+
+def _restriction_table(dist: RestrictionDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """All 3^N restrictions of ``dist`` as arrays: values and probabilities.
+
+    Row r of the ``(3^N, N)`` int8 value array is the r-th tuple of
+    ``itertools.product((1, -1, 0), repeat=N)``, and entry r of the
+    probability vector multiplies that row's coordinate probabilities left
+    to right, as ``math.prod`` does.  Capped at ENUMERATION_VAR_LIMIT
+    variables, checked before anything is allocated.
+    """
+    n = dist.n_vars
+    if n > ENUMERATION_VAR_LIMIT:
         raise CapacityError(
             f"restriction enumeration is capped at {ENUMERATION_VAR_LIMIT} variables"
         )
-    per_coord = [
-        ((1, float(pp)), (-1, float(pm)), (0, float(ps)))
-        for pp, pm, ps in zip(dist.p_plus, dist.p_minus, dist.p_star)
-    ]
-    out = []
-    for combo in itertools.product(*per_coord):
-        vals = np.array([v for v, _ in combo], dtype=np.int8)
-        prob = math.prod(p for _, p in combo)
-        out.append((Restriction(vals), prob))
-    return out
+    # digits[i, r] is coordinate i's position in _ENTRY_ORDER at row r
+    digits = np.indices((3,) * n, dtype=np.int8).reshape(n, -1)
+    per_coord = np.stack([dist.p_plus, dist.p_minus, dist.p_star], axis=1)
+    probs = per_coord[0, digits[0]]
+    for i in range(1, n):
+        probs *= per_coord[i, digits[i]]
+    return _ENTRY_ORDER[digits.T], probs
+
+
+def enumerate_restrictions(
+    dist: RestrictionDistribution,
+) -> list[tuple[Restriction, float]]:
+    """All 3^N restrictions with their probabilities (sum to 1), in
+    ``_restriction_table`` order."""
+    values, probs = _restriction_table(dist)
+    return [(Restriction(v), p) for v, p in zip(values, probs.tolist())]
+
+
+def restricted_mean(f: BooleanFunction, dist: RestrictionDistribution) -> np.ndarray:
+    """E_rho[coefficient table of f_rho] over the 3^N restrictions of ``dist``.
+
+    The enumeration is folded ``_RESTRICTION_BLOCK`` table entries at a time,
+    and the sum adds p * table in enumeration order from a zero vector: each
+    block's reduce down its rows starts from the running sum as its first
+    row, so every add is that of a loop over the restrictions one by one.
+    """
+    values, probs = _restriction_table(dist)
+    size = f.coeffs.size
+    step = max(1, _RESTRICTION_BLOCK // size)
+    buf = np.empty((min(step, len(probs)) + 1, size))
+    acc = np.zeros(size)
+    for start in range(0, len(probs), step):
+        block = buf[: min(step, len(probs) - start) + 1]
+        block[0] = acc
+        tables = block[1:]
+        tables[...] = f.coeffs
+        _restrict_rows(tables, values[start : start + len(tables)])
+        tables *= probs[start : start + len(tables), None]
+        acc = np.add.reduce(block, axis=0)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ inputs give mean zero.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -53,7 +52,11 @@ def _require_signs(arr: np.ndarray, name: str) -> None:
 
 
 def phi(x, y) -> float:
-    """(1/n) x^T H y via one fast transform: one row of phi_batch."""
+    """(1/n) x^T H y via one fast transform: one row of phi_batch.
+
+    Computed as a one-row batch.  For n > 8192 the row's dot product alone
+    may differ in the last bit from the same row inside a taller phi_batch.
+    """
     x = _as_instance_vector(x, "x")
     y = _as_instance_vector(y, "y")
     if x.size != y.size:
@@ -133,31 +136,6 @@ def statevector_amplitude(x, y) -> float:
     state *= x
     state = transform_layer(state)
     return float(state[0])
-
-
-@dataclasses.dataclass(frozen=True)
-class ForrelationInstance:
-    """A paired input (x, y) of matching power-of-two length."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = _as_instance_vector(self.x, "x").copy()
-        y = _as_instance_vector(self.y, "y").copy()
-        if x.size != y.size:
-            raise ValueError("x and y must have the same length")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-    def phi(self) -> float:
-        return phi(self.x, self.y)
 
 
 def uniform_phi_null(n: int, samples: int, rng, chunk: int = 4096) -> Estimate:

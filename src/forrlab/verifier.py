@@ -35,10 +35,9 @@ from .boolean_fourier import (
     EXHAUSTIVE_VAR_LIMIT,
     BooleanFunction,
     RestrictionDistribution,
-    enumerate_restrictions,
     max_restricted_level2_mass,
     partial_derivative,
-    restrict,
+    restricted_mean,
     subset_index,
     subset_sizes,
 )
@@ -69,11 +68,8 @@ def verify_restriction_identity(f: BooleanFunction, x) -> float:
         raise ValueError(f"anchor must have length {f.n_vars}")
     if (np.abs(x) > 0.5).any():
         raise ValueError("anchor must lie in [-1/2, 1/2] per coordinate")
-    dist = RestrictionDistribution(x)
     # d_ij f_rho(0) is the {i,j} coefficient of the restricted function
-    expected = np.zeros(f.coeffs.size)
-    for rho, p in enumerate_restrictions(dist):
-        expected += p * restrict(f, rho).coeffs
+    expected = restricted_mean(f, RestrictionDistribution(x))
     worst = 0.0
     for pair in itertools.combinations(range(f.n_vars), 2):
         lhs = partial_derivative(f, pair, x)

@@ -5,6 +5,7 @@ library: direct summations, brute-force averages, finite differences,
 eigendecompositions, and series with a different parameterization.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -121,3 +122,36 @@ def recursive_level2_scan(coeffs):
         return max(best, rec(c, remaining - 1, kept + 1))
 
     return rec(coeffs.copy(), coeffs.size.bit_length() - 1, 0)
+
+
+def restrict_loop_oracle(coeffs, values):
+    """One restriction substituted into one coefficient table, in a Python loop.
+
+    Variable i fixed to s pairs the entries without and with bit i as
+    ``lo += s * hi; hi = 0``, variable by variable in index order.  The
+    library folds many tables at once with the same adds, so the tables
+    agree exactly.
+    """
+    c = np.array(coeffs, dtype=np.float64)
+    for i, val in enumerate(values):
+        if val != 0:
+            v = c.reshape(-1, 2, 1 << i)
+            v[:, 0] += int(val) * v[:, 1]
+            v[:, 1] = 0.0
+    return c
+
+
+def enumeration_oracle(p_plus, p_minus, p_star):
+    """Every (values, probability) of the anchored family, one tuple at a time.
+
+    Coordinates take +1, -1, * (0) in itertools.product order, and each
+    probability is math.prod of the coordinate probabilities.
+    """
+    per_coord = [
+        ((1, float(pp)), (-1, float(pm)), (0, float(ps)))
+        for pp, pm, ps in zip(p_plus, p_minus, p_star)
+    ]
+    return [
+        (tuple(v for v, _ in combo), math.prod(p for _, p in combo))
+        for combo in itertools.product(*per_coord)
+    ]

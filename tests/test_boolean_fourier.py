@@ -13,10 +13,12 @@ from forrlab.errors import CapacityError
 from oracles import (
     brute_force_coefficients,
     direct_wht_oracle,
+    enumeration_oracle,
     fd_derivative,
     naive_multilinear,
     point_of_index,
     recursive_level2_scan,
+    restrict_loop_oracle,
 )
 
 
@@ -179,6 +181,22 @@ class TestRestrict:
         f = bf.from_truth_table([1, -1, -1, 1])
         with pytest.raises(ValueError):
             bf.restrict(f, bf.Restriction([1, "*", -1]))
+
+    @pytest.mark.parametrize("n_vars", [1, 2, 3, 5, 7])
+    def test_row_fold_equals_each_restriction_alone(self, n_vars):
+        # the full enumeration and rows in random order, folded as one batch,
+        # against the loop oracle and against restrict one row at a time
+        rng = np.random.default_rng(40 + n_vars)
+        coeffs = rng.standard_normal(2**n_vars)
+        coeffs[::3] = -0.0  # a signed zero must keep its sign where nothing adds to it
+        table, _ = bf._restriction_table(bf.RestrictionDistribution(np.zeros(n_vars)))
+        f = bf.from_coeffs(n_vars, coeffs)
+        for values in (table, rng.integers(-1, 2, size=(50, n_vars))):
+            got = bf._restrict_rows(np.tile(coeffs, (len(values), 1)), values)
+            want = np.stack([restrict_loop_oracle(coeffs, v) for v in values])
+            assert got.tobytes() == want.tobytes()
+            alone = np.stack([bf.restrict(f, bf.Restriction(v)).coeffs for v in values])
+            assert alone.tobytes() == want.tobytes()
 
 
 class TestPartialDerivative:
@@ -416,6 +434,37 @@ class TestRestrictionDistribution:
         with pytest.raises(CapacityError):
             bf.enumerate_restrictions(bf.RestrictionDistribution(np.zeros(11)))
 
+    def test_enumeration_cap_is_checked_before_allocating(self):
+        dist = bf.RestrictionDistribution(np.zeros(11))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                bf._restriction_table(dist)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a 3^11 table would hold 1.7 MiB of values alone
+        assert peak < 64 * 2**10
+
+    @pytest.mark.parametrize(
+        "anchor",
+        [[0.3], [0.5, -0.5, 0.0], [0.1, -0.2, 0.5, -0.4, 0.25], np.linspace(-0.5, 0.5, 7)],
+    )
+    def test_table_is_the_product_enumeration(self, anchor):
+        # values, order and probabilities (math.prod, left to right) bit for
+        # bit, both as arrays and as the list of Restriction objects
+        dist = bf.RestrictionDistribution(anchor)
+        values, probs = bf._restriction_table(dist)
+        want = enumeration_oracle(dist.p_plus, dist.p_minus, dist.p_star)
+        want_probs = np.array([p for _, p in want]).tobytes()
+        assert values.dtype == np.int8 and values.shape == (len(want), dist.n_vars)
+        assert [tuple(row) for row in values.tolist()] == [v for v, _ in want]
+        assert probs.tobytes() == want_probs
+        listed = bf.enumerate_restrictions(dist)
+        assert [tuple(rho.values.tolist()) for rho, _ in listed] == [v for v, _ in want]
+        assert all(type(p) is float for _, p in listed)
+        assert np.array([p for _, p in listed]).tobytes() == want_probs
+
     def test_empirical_frequencies_match_enumeration(self):
         dist = bf.RestrictionDistribution([0.25, -0.25])
         rng = np.random.default_rng(42)
@@ -510,7 +559,26 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "values, want",
         [(["*", 1], [0, 1]), ([None, -1], [0, -1]), ([1.0, 0.0], [1, 0]),
-         (np.array([1, -1, 0], dtype=np.int8), [1, -1, 0])],
+         (np.array([1, -1, 0], dtype=np.int8), [1, -1, 0]),
+         (np.array([0, 0, -1], dtype=np.int8), [0, 0, -1]),
+         (np.array([-1, 1, 0, 1], dtype=np.int64), [-1, 1, 0, 1])],
     )
     def test_restriction_accepts_stars_floats_and_int8(self, values, want):
-        npt.assert_array_equal(bf.Restriction(values).values, want)
+        rho = bf.Restriction(values)
+        npt.assert_array_equal(rho.values, want)
+        assert rho.values.dtype == np.int8 and not rho.values.flags.writeable
+
+    @pytest.mark.parametrize(
+        "values, shown",
+        [(np.array([2], dtype=np.int64), "2"), (np.array([-2], dtype=np.int64), "-2"),
+         (np.array([1, -128], dtype=np.int8), "-128"), (np.array([0, 255], dtype=np.uint8), "255")],
+    )
+    def test_restriction_rejects_integer_vectors_outside_the_alphabet(self, values, shown):
+        with pytest.raises(ValueError, match=rf"restriction entries must be -1, \+1, or \* \(0\); got {shown}$"):
+            bf.Restriction(values)
+
+    def test_restriction_copies_an_integer_vector(self):
+        values = np.array([1, 0, -1], dtype=np.int8)
+        rho = bf.Restriction(values)
+        values[0] = 0
+        npt.assert_array_equal(rho.values, [1, 0, -1])

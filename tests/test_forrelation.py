@@ -1,5 +1,6 @@
 """Tests for the half-correlation statistic and the acceptance circuit."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -74,6 +75,32 @@ class TestPhi:
         npt.assert_allclose(got, want, atol=1e-13)
 
 
+# (m, n) shapes of the phi_batch digest: a lone long row, a few long rows
+# (5 of 2^14, 3 of 2^15), the sampler's short rows and one chunk of the
+# uniform null
+PHI_SHAPES = [(1, 2**14), (5, 2**14), (3, 2**15), (1024, 64), (4096, 1024)]
+
+# sha256 of phi_batch on seeded real and sign inputs at PHI_SHAPES, pinned
+# from the route that transforms a copy of the whole y batch and takes one
+# einsum over all rows.  A rewrite must not move a bit: a one-row einsum can
+# differ in the last bit from the same row in a taller one (n > 8192), so a
+# row-blocked route must never leave a block of one row
+PHI_BATCH_DIGEST = "580a765f60a0c078bf55b1bcc17303aeb885644b06e6f6aa9208a6f4887fe131"
+
+
+def test_phi_batch_matches_pinned_digest():
+    h = hashlib.sha256()
+    for m, n in PHI_SHAPES:
+        rng = np.random.default_rng([m, n])
+        for kind in ("real", "sign"):
+            if kind == "real":
+                xs, ys = rng.standard_normal((m, n)), rng.standard_normal((m, n))
+            else:
+                xs, ys = rng.choice((-1.0, 1.0), size=(m, n)), rng.choice((-1.0, 1.0), size=(m, n))
+            h.update(forr.phi_batch(xs, ys).tobytes())
+    assert h.hexdigest() == PHI_BATCH_DIGEST
+
+
 class TestAcceptProbability:
     def test_smallest_instance(self):
         assert forr.accept_probability([1.0], [1.0]) == 1.0
@@ -144,22 +171,6 @@ class TestStatevectorAmplitude:
     def test_rejects_non_sign_entries(self):
         with pytest.raises(ValueError):
             forr.statevector_amplitude([0.5, 1.0], [1.0, 1.0])
-
-
-class TestForrelationInstance:
-    def test_holds_read_only_copies(self):
-        x = np.ones(4)
-        inst = forr.ForrelationInstance(x, np.ones(4))
-        x[0] = -1.0
-        assert inst.x[0] == 1.0
-        with pytest.raises(ValueError):
-            inst.x[0] = 0.0
-        assert inst.n == 4
-        assert inst.phi() == pytest.approx(0.5, abs=1e-14)
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            forr.ForrelationInstance(np.ones(4), np.ones(2))
 
 
 class TestUniformNull:

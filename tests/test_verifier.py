@@ -7,8 +7,10 @@ then exactly gamma * tau on every path).
 """
 
 import dataclasses
+import hashlib
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ import forrlab.verifier as ver
 from forrlab.errors import CapacityError
 from forrlab.report import FAIL, PASS
 
-from oracles import fd_derivative
+from oracles import fd_derivative, restrict_loop_oracle
 
 
 def restriction_rhs_oracle(f, x, pair):
@@ -81,6 +83,86 @@ class TestRestrictionIdentity:
         f = bf.from_coeffs(11, np.zeros(2**11))
         with pytest.raises(CapacityError):
             ver.verify_restriction_identity(f, np.zeros(11))
+
+    def test_capacity_guard_allocates_nothing(self):
+        f = bf.from_coeffs(11, np.zeros(2**11))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                ver.verify_restriction_identity(f, np.zeros(11))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+    def test_largest_enumeration_memory(self):
+        # row blocks, not 3^10 restricted tables (484 MB) at once
+        rng = np.random.default_rng(10)
+        f = bf.random_sign_function(10, rng)
+        x = rng.uniform(-0.5, 0.5, size=10)
+        tracemalloc.start()
+        try:
+            residual = ver.verify_restriction_identity(f, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert residual < 1e-9
+        assert peak < 32 * 2**20
+
+
+def _identity_cases():
+    """Sign and real functions at N = 1..8, at a random anchor and at one
+    with +-1/2 entries, whose restrictions fixing those to -+1 have
+    probability 0."""
+    for n_vars in range(1, 9):
+        rng = np.random.default_rng(700 + n_vars)
+        edge = np.resize([0.5, -0.5, 0.0, 0.25], n_vars)
+        for kind in ("sign", "real"):
+            if kind == "sign":
+                f = bf.random_sign_function(n_vars, rng)
+            else:
+                f = bf.from_coeffs(n_vars, rng.standard_normal(2**n_vars))
+            for x in (rng.uniform(-0.5, 0.5, n_vars), edge):
+                yield f, x
+
+
+# sha256 over _identity_cases of the enumeration's values and probabilities,
+# of E_rho[f_rho] (``expected``) and of the identity's residual.  Pinned from
+# the loop that built one Restriction and one restricted function per term
+# and added p * table in enumeration order; the row-blocked fold keeps every
+# add, so not a bit may move.
+IDENTITY_DIGESTS = {
+    "enumeration": "7b839f3e8fb5608ec3d3497214887ca1c771f29dc5c143eabff2937dfec89e76",
+    "probabilities": "a57e5f4aeb559a51cb99ccd671443743bb1fd2d49853031b3986ce7a22c2918d",
+    "expected": "0eac79e01c203c4df3f90e41abc200b567e5dad87ec344e2f8eac77442e2a00a",
+    "residual": "8fbdecad7c2ecd20105e4129fa09af306c955e9226f7e5841ee77003a309dd8d",
+}
+
+
+def test_restriction_identity_matches_pinned_digests():
+    h = {key: hashlib.sha256() for key in IDENTITY_DIGESTS}
+    for f, x in _identity_cases():
+        dist = bf.RestrictionDistribution(x)
+        values, probs = bf._restriction_table(dist)
+        h["enumeration"].update(values.tobytes())
+        h["probabilities"].update(probs.tobytes())
+        h["expected"].update(bf.restricted_mean(f, dist).tobytes())
+        h["residual"].update(np.float64(ver.verify_restriction_identity(f, x)).tobytes())
+    assert {key: d.hexdigest() for key, d in h.items()} == IDENTITY_DIGESTS
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 81])
+def test_restricted_mean_is_independent_of_the_block(monkeypatch, rows):
+    # blocks of 1, 2 and 5 rows and the whole N = 4 enumeration in one
+    # block, against the loop over Restriction objects
+    rng = np.random.default_rng(rows)
+    f = bf.from_coeffs(4, rng.standard_normal(16))
+    dist = bf.RestrictionDistribution(np.array([0.5, -0.1, 0.3, -0.5]))
+    want = np.zeros(16)
+    for rho, p in bf.enumerate_restrictions(dist):
+        want += p * restrict_loop_oracle(f.coeffs, rho.values)
+    monkeypatch.setattr(bf, "_RESTRICTION_BLOCK", rows * 16)
+    assert bf.restricted_mean(f, dist).tobytes() == want.tobytes()
 
 
 def generator_loop_oracle(f, sigma):
