@@ -1,9 +1,10 @@
 """Benchmark the hot kernels of forrlab._kernels at fixed shapes.
 
-Runs each kernel and prints its best per-call wall time.  Path kernels also
-report path-steps (one Euler step of one path) and nanoseconds per
-path-step.  The --json record holds, for every kernel, the tracemalloc peak
-of one call in MiB (``peak_traced_mb``).
+Runs each kernel --repeat times and prints its best and median per-call
+wall time.  Path kernels also report path-steps (one Euler step of one
+path) and nanoseconds per path-step of the best call.  The --json record
+holds, for every kernel, the tracemalloc peak of one call in MiB
+(``peak_traced_mb``).
 
 --cli also times the canonical end-to-end CLI runs once each, through
 forrlab.cli.main with default settings and --no-timestamp: verify-prop
@@ -35,6 +36,7 @@ import math
 import os
 import pathlib
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -55,14 +57,14 @@ CLI_RUNS = [
 ]
 
 
-def best_of(repeat, fn, *args, **kwargs):
-    """Best wall time over ``repeat`` calls, in seconds."""
-    best = math.inf
+def wall_times(repeat, fn):
+    """Wall time of each of ``repeat`` calls, in seconds."""
+    times = []
     for _ in range(repeat):
         started = time.perf_counter()
-        fn(*args, **kwargs)
-        best = min(best, time.perf_counter() - started)
-    return best
+        fn()
+        times.append(time.perf_counter() - started)
+    return times
 
 
 def bench_wht(args):
@@ -143,6 +145,21 @@ def bench_structured(args):
         )
 
     return f"structured paths n=64, {args.samples} paths", run, dt
+
+
+def bench_structured_groups(args):
+    # four one-stream groups at n = 64, each drawing its normals ahead on a
+    # worker thread that starts and stops with the group: criterion 06's
+    # shape in miniature
+    n = 64
+    epsilon = 1.0 / (8.0 * math.log(2 * n))
+    dt = epsilon / 256
+    paths = 4 * _kernels.STREAM_BLOCK
+
+    def run():
+        return _kernels.run_paths_structured_numpy(args.seed, paths, n, dt, epsilon, store=False, want_phi=True)
+
+    return f"structured paths n=64, {paths} paths", run, dt
 
 
 def bench_structured_bridge(args):
@@ -277,7 +294,7 @@ def store_json(path, label, args, rows, cli_rows=None, perf_rows=None):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=2000, help="paths per sampling benchmark")
-    parser.add_argument("--repeat", type=int, default=5, help="repetitions; best time wins")
+    parser.add_argument("--repeat", type=int, default=5, help="timed calls per kernel")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", metavar="PATH", help="store the timings in a JSON file")
     parser.add_argument("--label", default="run", help="key of this run inside the --json file")
@@ -289,19 +306,21 @@ def main():
     args = parser.parse_args()
 
     perf_rows = {name: bench_perfbench(name) for name in args.perfbench}
-    benches = [bench_wht(args), bench_eval(args), bench_structured(args), bench_dense(args)]
+    benches = [bench_wht(args), bench_eval(args), bench_structured(args), bench_structured_groups(args)]
+    benches += [bench_dense(args)]
     benches += [bench_dense_dynkin(args), bench_dense_bridge(args), bench_structured_bridge(args)]
     benches += [bench_wht_rows(args), bench_level2_scan(args)]
     benches += [bench_restriction_identity_n4(args), bench_restriction_identity_n8(args)]
 
     width = max(len(b[0]) for b in benches)
-    header = f"{'kernel':<{width}}  {'best':>10}  {'ns/step':>8}"
+    header = f"{'kernel':<{width}}  {'best':>10}  {'median':>10}  {'ns/step':>8}"
     print(header)
     print("-" * len(header))
     rows = {}
     for name, run, dt in benches:
-        best = best_of(args.repeat, run)
-        row = {"best_s": best}
+        times = wall_times(args.repeat, run)
+        best = min(times)
+        row = {"best_s": best, "median_s": statistics.median(times)}
         per_step = f"{'':>8}"
         # one more, untimed call gives the peak of the memory numpy and
         # Python report to tracemalloc, and counts a path kernel's path-steps
@@ -315,7 +334,7 @@ def main():
             row["path_steps"] = path_steps(out, dt)
             row["ns_per_path_step"] = 1e9 * best / row["path_steps"]
             per_step = f"{row['ns_per_path_step']:>8.0f}"
-        print(f"{name:<{width}}  {best:>9.4f}s  {per_step}")
+        print(f"{name:<{width}}  {best:>9.4f}s  {row['median_s']:>9.4f}s  {per_step}")
         rows[name] = row
     cli_rows = bench_cli() if args.cli else None
     if args.json:

@@ -22,9 +22,18 @@ fixed (seed, config) pair.  The blocks are stepped in groups: while dim x
 live fits the n = 64 block's state, a group's blocks share one state and
 step in lockstep, each drawing from its own stream in the same (path,
 coordinate) order as when it ran alone, so the stream layout and every
-bit are those of one block at a time.  The batch's per-path record (one
-named array per output) is allocated once, and each group writes its own
-rows through views, so a stored batch is held once.
+bit are those of one block at a time.  A group of one stream under the
+grid test draws nothing but normals; from ``_AHEAD_MIN`` normals a step
+(a structured group of 128 or more paths at n >= 64) a worker thread
+draws them ahead, in whole buffers, while the step mixes and tests, and
+each step copies its next values of that flat sequence; a process
+allowed only one CPU draws inline.
+A Generator's normals carry no state from one call to the next, so any
+split of the sequence gives the same values; draws past the group's last
+step are dropped with its Generator.  The bridge test draws inline, since
+its uniforms share the stream with the normals.  The batch's per-path
+record (one named array per output) is allocated once, and each group
+writes its own rows through views, so a stored batch is held once.
 
 Exit semantics: a path stops at the first grid time where any coordinate
 lies strictly outside [-1/2, 1/2], or where the bridge test (when enabled)
@@ -38,6 +47,9 @@ the discretization error.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -184,9 +196,86 @@ def _eval_multilinear_cols_np(coeffs, cols):
 _GROUP_ENTRIES = 128 * STREAM_BLOCK
 
 
+# normals per step from which a one-stream group draws them ahead: below
+# this the handoffs to the worker cost more than the draws they overlap (a
+# 32-path n = 64 group and a 1024-path dense dim-2 group, 2048 normals a
+# step, ran 1.2-1.9x slower drawn ahead; 128 paths at n = 64, 8192, ran
+# about as fast; 512 paths, 32768, ran 20-40% faster)
+_AHEAD_MIN = 1 << 13
+
+
+def _cpus():
+    """CPUs this process may run on; the worker overlaps the step only on a second one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _rows(buf, m, k):
     """The first m * k entries of a flat buffer as a C-contiguous (m, k) array."""
     return buf[: m * k].reshape(m, k)
+
+
+class _NormalsAhead:
+    """One Generator's standard normals, drawn ahead on a worker thread.
+
+    The worker fills two buffers of ``size`` values in turn with
+    ``standard_normal(out=...)`` (numpy releases the GIL while it fills);
+    ``fill(out)`` copies the next ``out.size`` values of that flat sequence
+    into ``out``, crossing buffer boundaries.  A worker's exception is
+    raised in ``fill``.  ``close`` stops and joins the worker; it must run
+    on every exit, and nothing else may draw from the Generator until then.
+    """
+
+    def __init__(self, rng, size):
+        self._rng = rng
+        self._bufs = [np.empty(size), np.empty(size)]
+        self._free = threading.Semaphore(2)
+        self._full = threading.Semaphore(0)
+        self._stop = False
+        self._error = None
+        self._head, self._next, self._pos = None, 0, 0
+        self._thread = threading.Thread(target=self._work, daemon=True)
+        self._thread.start()
+
+    def _work(self):
+        i = 0
+        try:
+            while True:
+                self._free.acquire()
+                if self._stop:
+                    return
+                self._rng.standard_normal(out=self._bufs[i])
+                self._full.release()
+                i ^= 1
+        except BaseException as exc:  # raised again in the caller's fill
+            self._error = exc
+            self._full.release()
+
+    def fill(self, out):
+        """Copy the next ``out.size`` normals into the C-contiguous ``out``."""
+        flat = out.reshape(-1)
+        done = 0
+        while done < flat.size:
+            if self._head is None:
+                self._full.acquire()
+                if self._error is not None:
+                    raise self._error
+                self._head, self._pos = self._bufs[self._next], 0
+                self._next ^= 1
+            take = min(flat.size - done, self._head.size - self._pos)
+            flat[done : done + take] = self._head[self._pos : self._pos + take]
+            done += take
+            self._pos += take
+            if self._pos == self._head.size:
+                self._head = None
+                self._free.release()
+
+    def close(self):
+        self._stop = True
+        self._free.release()
+        self._thread.join()
 
 
 def _bridge_crossings_np(r, prev, new, hvar, work):
@@ -278,7 +367,8 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
     bridge-crossed coordinates are put on the barrier.  State-sized arrays
     live in buffers allocated once per group: the state, a spare that takes
     the step's draws and then the compacted state (the two swap), and for
-    the bridge test the previous state and the test's scratch.
+    the bridge test the previous state and the test's scratch.  Normals
+    drawn ahead fill two more buffers of one full step's draws.
     """
     count, dim, width = out["tau"].size, mix.dim, mix.width
     store = out["x_tau"] is not None
@@ -321,53 +411,66 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
         if want_phi:
             out["phi"][rows] = _phi_rows(pt[:, :n], pt[:, n:])
 
-    while t < epsilon - tiny and alive.size:
-        h = min(dt, epsilon - t)
-        live = alive.size
-        if bridge:
-            prev = _rows(prev_buf, dim, live)
-            np.copyto(prev, st)
-        g = _rows(spare, live, width)
-        for rng, a, b in blocks:
-            rng.standard_normal(out=g[a:b])
-        mix(g, st, h, solo)
-        t += h
+    # a one-stream group under the grid test draws only normals: they are
+    # drawn ahead on a worker thread while the step mixes and tests.  On one
+    # CPU the two only take turns (prop-n64 pinned to one CPU ran 4% slower)
+    ahead = None
+    if len(rngs) == 1 and not bridge and count * width >= _AHEAD_MIN and _cpus() > 1:
+        ahead = _NormalsAhead(rngs[0], count * width)
+    try:
+        while t < epsilon - tiny and alive.size:
+            h = min(dt, epsilon - t)
+            live = alive.size
+            if bridge:
+                prev = _rows(prev_buf, dim, live)
+                np.copyto(prev, st)
+            g = _rows(spare, live, width)
+            if ahead is None:
+                for rng, a, b in blocks:
+                    rng.standard_normal(out=g[a:b])
+            else:
+                ahead.fill(g)
+            mix(g, st, h, solo)
+            t += h
 
-        stop = (st.max(axis=0) > _BARRIER) | (st.min(axis=0) < -_BARRIER)
-        if bridge:
-            r = _rows(spare, live, dim)
-            for rng, a, b in blocks:
-                rng.random(out=r[a:b])
-            work = _rows(work_buf, dim, live)
-            ci, cj, up = _bridge_crossings_np(r.T, prev, st, h * diag, work)
-            stop[cj] = True
+            stop = (st.max(axis=0) > _BARRIER) | (st.min(axis=0) < -_BARRIER)
+            if bridge:
+                r = _rows(spare, live, dim)
+                for rng, a, b in blocks:
+                    rng.random(out=r[a:b])
+                work = _rows(work_buf, dim, live)
+                ci, cj, up = _bridge_crossings_np(r.T, prev, st, h * diag, work)
+                stop[cj] = True
 
-        if want_acc:
-            af_new = _eval_multilinear_cols_np(gen_coeffs, st)
-            acc += 0.5 * (af_prev + af_new) * h
-            af_prev = af_new
-
-        if stop.any():
-            rows = alive[stop]
-            out["tau"][rows] = min(t, epsilon)
-            out["exited"][rows] = True
-            crossed = (np.cumsum(stop)[cj] - 1, ci, up) if bridge else None
-            finalize(rows, st[:, stop], crossed)
-            keep = ~stop
             if want_acc:
-                out["accumulator"][rows] = acc[stop]
-                acc = acc[keep]
-                af_prev = af_prev[keep]
-            alive = alive[keep]
-            # compact into the spare buffer and swap; take's clip mode
-            # writes out= directly, where compress would copy it first
-            nxt = _rows(spare, dim, alive.size)
-            np.take(st, np.flatnonzero(keep), axis=1, out=nxt, mode="clip")
-            st_buf, spare, st = spare, st_buf, nxt
-            blocks, solo = spans()
+                af_new = _eval_multilinear_cols_np(gen_coeffs, st)
+                acc += 0.5 * (af_prev + af_new) * h
+                af_prev = af_new
+
+            if stop.any():
+                rows = alive[stop]
+                out["tau"][rows] = min(t, epsilon)
+                out["exited"][rows] = True
+                crossed = (np.cumsum(stop)[cj] - 1, ci, up) if bridge else None
+                finalize(rows, st[:, stop], crossed)
+                keep = ~stop
+                if want_acc:
+                    out["accumulator"][rows] = acc[stop]
+                    acc = acc[keep]
+                    af_prev = af_prev[keep]
+                alive = alive[keep]
+                # compact into the spare buffer and swap; take's clip mode
+                # writes out= directly, where compress would copy it first
+                nxt = _rows(spare, dim, alive.size)
+                np.take(st, np.flatnonzero(keep), axis=1, out=nxt, mode="clip")
+                st_buf, spare, st = spare, st_buf, nxt
+                blocks, solo = spans()
+    finally:
+        if ahead is not None:
+            ahead.close()
 
     # the last finalize copies every survivor; free the scratch for it
-    spare = prev_buf = work_buf = None
+    spare = prev_buf = work_buf = ahead = None
     if alive.size:
         finalize(alive, st)
         if want_acc:

@@ -47,9 +47,11 @@ DENSE_DIM_LIMIT = 4096
 # above dim 128; several blocks share at most 128 x STREAM_BLOCK entries
 # below it) plus buffers of that shape (a spare for the draws and the
 # compacted state, and with the bridge test the previous state and the
-# test's scratch) and per-step temporaries.  tracemalloc on 1024 unstored
-# paths at n = 1024 put the peak at 2.13x the state without the bridge test
-# and 4.76x with it, so the state counts 4x or 8x against the limit.
+# test's scratch) and per-step temporaries.  Without the bridge test a
+# one-stream group also holds two buffers of one step's normals, drawn
+# ahead, together one state's size.  tracemalloc on 1024 unstored paths at
+# n = 1024 (dt = eps/16) put the peak at 3.19x the state without the bridge
+# test and 4.38x with it, so the state counts 4x or 8x against the limit.
 STORED_PATHS_BYTE_LIMIT = 2**30
 
 

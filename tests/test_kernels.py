@@ -1,6 +1,8 @@
 """Kernel-level tests: transform oracles, pinned digests, path invariants."""
 
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -397,6 +399,180 @@ def test_dense_groups_match_pinned_digests(monkeypatch):
     assert dense_digests(TWO_GROUP_CASE) == TWO_GROUP_DIGESTS
 
 
+# ---------------------------------------------------------------------------
+# Normals drawn ahead on a worker thread
+# ---------------------------------------------------------------------------
+
+
+def recorded_ahead(monkeypatch, size=None):
+    """Record every _NormalsAhead the kernels make; with ``size``, every
+    one-stream grid group draws ahead, in buffers of ``size`` normals."""
+    made = []
+
+    class Ahead(K._NormalsAhead):
+        def __init__(self, rng, step):
+            super().__init__(rng, step if size is None else size)
+            made.append(self)
+
+    monkeypatch.setattr(K, "_NormalsAhead", Ahead)
+    monkeypatch.setattr(K, "_cpus", lambda: 2)
+    if size is not None:
+        monkeypatch.setattr(K, "_AHEAD_MIN", 1)
+    return made
+
+
+def assert_workers_ended(made):
+    for ahead in made:
+        ahead._thread.join(timeout=5)
+        assert not ahead._thread.is_alive()
+
+
+def run_bounded(fn, *args):
+    """fn(*args) on a daemon thread: a hang fails the test instead of stalling it."""
+    result = {}
+
+    def target():
+        try:
+            result["value"] = fn(*args)
+        except BaseException as exc:  # raised again below, in the test's thread
+            result["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive(), "the run did not end"
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
+
+
+def drawn_ahead(seed, size):
+    """Requests within a buffer, ending on a boundary, straddling one and
+    spanning several, the last two-dimensional, filled by a _NormalsAhead;
+    returns them as one flat array with the flat draw they must equal."""
+    requests = [1, 5, size, size + 1, 3 * size + 2, 4097, 2]
+    want = np.random.default_rng(seed).standard_normal(sum(requests) + 12)
+    ahead = K._NormalsAhead(np.random.default_rng(seed), size)
+    got = [np.empty(k) for k in requests] + [np.empty((3, 4))]
+    try:
+        for out in got:
+            ahead.fill(out)
+    finally:
+        ahead.close()
+    assert_workers_ended([ahead])
+    return np.concatenate([g.reshape(-1) for g in got]), want
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096 + 3])
+def test_normals_ahead_match_one_flat_draw(size):
+    got, want = run_bounded(drawn_ahead, 5, size)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_normals_ahead_under_fast_thread_switching():
+    # four consumers, each with its own worker (more threads than cores),
+    # switching every microsecond
+    results = [None] * 4
+
+    def consume(k):
+        results[k] = drawn_ahead(k, 7 + k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=consume, args=(k,), daemon=True) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in results:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [c for c in STRUCTURED_DIGESTS if not c[5]] + [c for c in DENSE_DIGESTS if not c[6]],
+    ids=lambda c: c[0],
+)
+def test_pinned_digests_hold_with_small_ahead_buffers(case, monkeypatch):
+    # buffers of an odd size put exits and step boundaries inside buffers
+    made = recorded_ahead(monkeypatch, size=1001)
+    if case in STRUCTURED_DIGESTS:
+        test_structured_numpy_outputs_match_pinned_digests(case)
+    else:
+        test_dense_numpy_outputs_match_pinned_digests(case)
+    # each case is one group; a group of two streams draws inline
+    assert len(made) == (case[2] <= K.STREAM_BLOCK)
+    assert_workers_ended(made)
+
+
+def test_two_group_digests_hold_with_small_ahead_buffers(monkeypatch):
+    # the second group holds one stream (952 paths) and draws ahead
+    made = recorded_ahead(monkeypatch, size=1001)
+    test_dense_groups_match_pinned_digests(monkeypatch)
+    assert len(made) == 1
+    assert_workers_ended(made)
+
+
+def structured_n64(paths=256):
+    eps = 1.0 / (8.0 * np.log(128))
+    return K.run_paths_structured_numpy(1, paths, 64, eps / 16, eps, store=False)
+
+
+def test_worker_ends_with_the_run(monkeypatch):
+    before = threading.active_count()
+    made = recorded_ahead(monkeypatch)
+    run_bounded(structured_n64, K.STREAM_BLOCK + 256)
+    assert len(made) == 2
+    assert_workers_ended(made)
+    assert threading.active_count() == before
+
+
+def test_one_cpu_draws_inline(monkeypatch):
+    made = recorded_ahead(monkeypatch)
+    monkeypatch.setattr(K, "_cpus", lambda: 1)
+    test_structured_numpy_outputs_match_pinned_digests(next(iter(STRUCTURED_DIGESTS)))
+    assert made == []
+
+
+def test_worker_ends_when_the_step_raises(monkeypatch):
+    before = threading.active_count()
+    made = recorded_ahead(monkeypatch)
+    calls = []
+    wht = K._wht_axis_np
+
+    def failing_wht(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise FloatingPointError("third transform")
+        return wht(*args)
+
+    monkeypatch.setattr(K, "_wht_axis_np", failing_wht)
+    with pytest.raises(FloatingPointError, match="third transform"):
+        run_bounded(structured_n64)
+    assert len(made) == 1
+    assert_workers_ended(made)
+    assert threading.active_count() == before
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    class FailingGenerator:
+        def standard_normal(self, out):
+            raise MemoryError("stub draw")
+
+    before = threading.active_count()
+    made = recorded_ahead(monkeypatch)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FailingGenerator())
+    with pytest.raises(MemoryError, match="stub draw"):
+        run_bounded(structured_n64)
+    assert len(made) == 1
+    assert_workers_ended(made)
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("run", [K.run_paths_dense_numpy], ids=["numpy"])
 class TestDensePathKernel:
     def test_identity_covariance_invariants(self, run):
@@ -492,6 +668,21 @@ def test_stored_batch_is_held_once():
         tracemalloc.stop()
     held = sum(v.nbytes for v in out.values() if v is not None)
     assert peak <= 1.5 * held
+
+
+def test_grid_working_set_fits_the_capacity_count(monkeypatch):
+    # the capacity check counts a grid block's working set as 4x its state;
+    # the two buffers of normals drawn ahead take one state's size of it
+    monkeypatch.setattr(K, "_cpus", lambda: 2)
+    n = 256
+    eps = 1.0 / (8.0 * np.log(2 * n))
+    tracemalloc.start()
+    try:
+        K.run_paths_structured_numpy(4, K.STREAM_BLOCK, n, eps / 4, eps, store=False, want_phi=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * K.STREAM_BLOCK * 2 * n * 8
 
 
 def test_generator_fills_a_partial_last_block():
