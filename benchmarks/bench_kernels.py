@@ -46,7 +46,7 @@ import tracemalloc
 import numpy as np
 
 import forrlab
-from forrlab import _kernels, boolean_fourier, cli, verifier
+from forrlab import _kernels, boolean_fourier, cli, forrelation, verifier
 
 # the canonical end-to-end runs, each with default settings otherwise
 CLI_RUNS = [
@@ -85,6 +85,26 @@ def bench_wht_rows(args):
         _kernels.wht_batch_numpy(rows)
 
     return "wht_rows_4096x1024", run, None
+
+
+def bench_wht_rows_short(args):
+    # the sampler's phi rows at n = 64 for one stream block; the copy keeps
+    # the input fixed
+    rows = np.random.default_rng(args.seed).normal(size=(1024, 64))
+
+    def run():
+        _kernels.wht_batch_numpy(rows.copy())
+
+    return "wht_rows_1024x64", run, None
+
+
+def bench_uniform_null(args):
+    # perfbench exact-routes' null: one whole call, its draws included
+
+    def run():
+        forrelation.uniform_phi_null(1024, 4096, np.random.default_rng(args.seed))
+
+    return "uniform_null_n1024x4096", run, None
 
 
 def bench_level2_scan(args):
@@ -309,7 +329,8 @@ def main():
     benches = [bench_wht(args), bench_eval(args), bench_structured(args), bench_structured_groups(args)]
     benches += [bench_dense(args)]
     benches += [bench_dense_dynkin(args), bench_dense_bridge(args), bench_structured_bridge(args)]
-    benches += [bench_wht_rows(args), bench_level2_scan(args)]
+    benches += [bench_wht_rows(args), bench_wht_rows_short(args), bench_uniform_null(args)]
+    benches += [bench_level2_scan(args)]
     benches += [bench_restriction_identity_n4(args), bench_restriction_identity_n8(args)]
 
     width = max(len(b[0]) for b in benches)

@@ -1,6 +1,7 @@
 """Print one sha256 per seeded forrlab output, for before/after diffs.
 
-Runs the CLI subcommands (sample with --dump-paths, verify-prop,
+Runs the CLI subcommands (sample with --dump-paths, sample at n = 64 on
+one stream block, whose normals are drawn ahead on a worker thread, verify-prop,
 verify-dynkin, verify-main on a dense and a structured covariance,
 advantage --rounded, sweep, and the exact verify-lemma) with a fixed seed
 and --no-timestamp at small sizes, plus the early-exit report, which no
@@ -30,6 +31,8 @@ SEED = "7"
 RUNS = [
     ("sample-n16", ["sample", "--n", "16", "--samples", "1500", "--dt-div", "256",
                     "--bits", "--dump-paths", "{dir}/sample-n16.csv"]),
+    # one stream, 65536 normals a step: drawn ahead on the worker thread
+    ("sample-n64-ahead", ["sample", "--n", "64", "--samples", "1024", "--dt-div", "16"]),
     ("sample-dense-bridge", ["sample", "--dim", "4", "--gamma", "0.2", "--samples", "1500",
                              "--dt-div", "256", "--bridge", "--dump-paths", "{dir}/sample-dense.csv"]),
     ("verify-prop", ["verify-prop", "--n", "16", "--samples", "1500", "--dt-div", "256"]),

@@ -3,7 +3,12 @@
 Two families of kernels live here:
 
 * one fast Walsh-Hadamard butterfly routine (unnormalized; callers
-  rescale) that serves both rows and the sampler's paths-minor columns, and
+  rescale) that serves both rows and the sampler's paths-minor columns;
+  its short levels (contiguous runs under ``_SHORT_RUN``, such as h = 1 to 8
+  on rows) iterate with the block index innermost.  Rows of +-1
+  entries take phi in float32, which is exact: every transform
+  intermediate is an integer of magnitude at most n <= 2^24 (float64
+  above); and
 * Euler-Maruyama path loops for the stopped diffusion dX_t = sigma dB_t
   on the solid cube [-1/2, 1/2]^N, with grid-time exit detection, an
   optional per-coordinate Brownian-bridge crossing test, and optional
@@ -69,6 +74,12 @@ STREAM_BLOCK = 1024
 
 _BARRIER = 0.5
 _WHT_BLOCK = 1 << 15  # entries per row block of wht_inplace_np (256 KiB)
+# butterfly levels whose contiguous run h * post is shorter than this run
+# with the block index innermost (runs of 16 to 128 timed alike)
+_SHORT_RUN = 16
+# the longest +-1 rows whose transform is exact in float32: every
+# intermediate is an integer of magnitude at most n
+_F32_EXACT = 1 << 24
 
 
 def stream_seeds(master_seed: int, n_streams: int) -> list:
@@ -90,8 +101,11 @@ def _wht_axis_np(src, dst, scratch):
     then goes to ``scratch``, and an odd level count ends with one copy back.
     Every output element sees the same adds in the same order at every
     layout, so rows (``post == 1``) and paths-minor columns (``pre == 1``)
-    give bit-identical transforms.  With ``post > 1`` each ``(n, post)``
-    plane must be C-contiguous, so that the per-level reshapes are views.
+    give bit-identical transforms.  A level whose contiguous run ``h * post``
+    is shorter than ``_SHORT_RUN`` iterates over transposed views in C order,
+    with the block index innermost; each element still gets its one add or
+    subtract.  With ``post > 1`` each ``(n, post)`` plane must be
+    C-contiguous, so that the per-level reshapes are views.
     """
     pre, n, post = src.shape
     levels = n.bit_length() - 1
@@ -103,8 +117,12 @@ def _wht_axis_np(src, dst, scratch):
         bufs.reverse()
         shape = (pre, n // (2 * h), 2, h * post)
         s, d = a.reshape(shape), b.reshape(shape)
-        np.add(s[:, :, 0], s[:, :, 1], out=d[:, :, 0])
-        np.subtract(s[:, :, 0], s[:, :, 1], out=d[:, :, 1])
+        order = "K"
+        if h * post < _SHORT_RUN:
+            # a short run makes a short inner loop: put the block index innermost
+            s, d, order = s.transpose(0, 3, 2, 1), d.transpose(0, 3, 2, 1), "C"
+        np.add(s[:, :, 0], s[:, :, 1], out=d[:, :, 0], order=order)
+        np.subtract(s[:, :, 0], s[:, :, 1], out=d[:, :, 1], order=order)
         a = b
         h *= 2
     if a is not dst:
@@ -138,6 +156,22 @@ def _phi_rows(x, y):
     n = x.shape[1]
     hy = wht_inplace_np(np.array(y, dtype=np.float64, order="C"))
     return np.einsum("ij,ij->i", x, hy) * (1.0 / np.sqrt(n) / n)
+
+
+def _phi_sign_rows(x, y):
+    """``_phi_rows`` to the bit for matched ``(m, n)`` rows of +-1 entries.
+
+    Both halves are built as float32 (float64 for n > ``_F32_EXACT``) and
+    y's build is transformed in place, so a C-ordered y of that dtype is
+    overwritten.  Exact: every transform intermediate is an integer of
+    magnitude at most n, and the float64 dot sums integers of magnitude at
+    most n^1.5, so every route and summation order gives the same value.
+    """
+    n = x.shape[1]
+    dtype = np.float32 if n <= _F32_EXACT else np.float64
+    hy = wht_inplace_np(np.asarray(y, dtype=dtype, order="C"))
+    dots = np.einsum("ij,ij->i", np.asarray(x, dtype=dtype), hy, dtype=np.float64)
+    return dots * (1.0 / np.sqrt(n) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -138,18 +138,33 @@ def statevector_amplitude(x, y) -> float:
     return float(state[0])
 
 
+def _uniform_signs(rng, m: int, n: int) -> np.ndarray:
+    """(m, n) uniform +-1 as float32, from the stream rng.choice((-1.0, 1.0)) consumes."""
+    signs = rng.integers(0, 2, size=(m, n)).astype(np.float32)
+    signs *= 2.0
+    signs -= 1.0
+    return signs
+
+
 def uniform_phi_null(n: int, samples: int, rng, chunk: int = 4096) -> Estimate:
-    """Mean phi over independent uniform sign pairs (analytically zero)."""
+    """Mean phi over independent uniform sign pairs (analytically zero).
+
+    Each chunk of rows draws x's signs, then y's, and takes phi on the exact
+    sign-row route.  Arguments are checked before any draw.
+    """
+    if n < 1 or n & (n - 1):
+        raise ValueError("n must be a power of two >= 1")
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
-        xs = rng.choice((-1.0, 1.0), size=(m, n))
-        ys = rng.choice((-1.0, 1.0), size=(m, n))
-        vals = phi_batch(xs, ys)
+        xs = _uniform_signs(rng, m, n)
+        vals = _kernels._phi_sign_rows(xs, _uniform_signs(rng, m, n))
         total += float(vals.sum())
         total_sq += float((vals**2).sum())
         done += m
@@ -246,8 +261,7 @@ def advantage_experiment(
             if paths.x_tau is None:
                 raise ValueError("rounding needs stored endpoints in the paths batch")
             bits = boolean_round(paths.x_tau, np.random.default_rng([config.seed, 2]))
-            xs, ys = bits[:, : cov.n].astype(np.float64), bits[:, cov.n :].astype(np.float64)
-            est_rounded = mean_estimate(phi_batch(xs, ys))
+            est_rounded = mean_estimate(_kernels._phi_sign_rows(bits[:, : cov.n], bits[:, cov.n :]))
             payload["mean_phi_rounded"] = est_rounded.value
             payload["se_phi_rounded"] = est_rounded.se
         return [check_equal(null, Estimate(0.0, 0.0))]

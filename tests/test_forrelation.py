@@ -9,6 +9,7 @@ import pytest
 
 import forrlab.diffusion as diff
 import forrlab.forrelation as forr
+from forrlab import _kernels
 from forrlab.errors import CapacityError
 from forrlab.report import PASS
 
@@ -101,6 +102,37 @@ def test_phi_batch_matches_pinned_digest():
     assert h.hexdigest() == PHI_BATCH_DIGEST
 
 
+def _sign_rows_cases():
+    # the sign inputs of the PHI_BATCH_DIGEST test, drawn after its real
+    # inputs, rows of length 1 and 2, and mostly-constant rows, whose
+    # transform intermediates come near n (uniform signs stay near sqrt(n))
+    for m, n in PHI_SHAPES:
+        rng = np.random.default_rng([m, n])
+        rng.standard_normal((2, m, n))
+        yield rng.choice((-1.0, 1.0), size=(m, n)), rng.choice((-1.0, 1.0), size=(m, n))
+    for n in (1, 2):
+        rng = np.random.default_rng(n)
+        yield rng.choice((-1.0, 1.0), size=(9, n)), rng.choice((-1.0, 1.0), size=(9, n))
+    rng = np.random.default_rng(2**14)
+    yield tuple(rng.choice((-1.0, 1.0), size=(4, 2**14), p=(0.05, 0.95)) for _ in range(2))
+
+
+def test_sign_rows_equal_phi_batch_bit_for_bit():
+    for xs, ys in _sign_rows_cases():
+        want = forr.phi_batch(xs, ys).tobytes()
+        assert _kernels._phi_sign_rows(xs, ys).tobytes() == want
+        assert _kernels._phi_sign_rows(xs.astype(np.int8), ys.astype(np.int8)).tobytes() == want
+
+
+def test_sign_rows_float64_route_equals_phi_batch(monkeypatch):
+    # rows longer than _F32_EXACT take float64; lower the cut to reach it
+    monkeypatch.setattr(_kernels, "_F32_EXACT", 1)
+    rng = np.random.default_rng(11)
+    xs, ys = rng.choice((-1.0, 1.0), size=(2, 33, 64))
+    want = forr.phi_batch(xs, ys).tobytes()
+    assert _kernels._phi_sign_rows(xs, ys.copy()).tobytes() == want
+
+
 class TestAcceptProbability:
     def test_smallest_instance(self):
         assert forr.accept_probability([1.0], [1.0]) == 1.0
@@ -182,6 +214,49 @@ class TestUniformNull:
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
             forr.uniform_phi_null(16, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "n, samples, chunk", [(16, 100, 0), (16, 100, -1), (12, 100, 4096), (0, 100, 4096), (-4, 100, 4096)]
+    )
+    def test_rejects_bad_arguments_before_drawing(self, n, samples, chunk):
+        # chunk = 0 once looped forever; a bad n was refused after a draw
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="must be"):
+            forr.uniform_phi_null(n, samples, rng, chunk=chunk)
+        assert rng.bit_generator.state == state
+
+    def test_choice_stream_is_integers_stream(self):
+        # the null draws rng.integers(0, 2) for the signs rng.choice((-1.0,
+        # 1.0)) gives; a numpy that changes choice's stream fails here
+        for size in ((1,), (7, 3), (64, 1024)):
+            a, b = np.random.default_rng(size), np.random.default_rng(size)
+            signs = a.choice((-1.0, 1.0), size=size)
+            npt.assert_array_equal(signs, 2 * b.integers(0, 2, size) - 1)
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+# (n, samples, chunk) of the uniform-null digest: one-entry and two-entry
+# rows, n = 64, many chunks with a partial last one, a chunk and one row at
+# n = 1024, and three long rows
+UNIFORM_NULL_CASES = [
+    (1, 50, 4096), (2, 100, 4096), (64, 1024, 4096), (16, 2000, 7), (1024, 4097, 4096), (2**14, 3, 4096)
+]
+
+# sha256 of each case's (value, se) and two draws after the call (so the
+# stream it consumed), pinned from the route that drew rng.choice((-1.0,
+# 1.0)) rows and took phi_batch in float64
+UNIFORM_NULL_DIGEST = "2cd5a40f2fcd30658955f082bfc3cb37d6373096c14350788da82c2af533a780"
+
+
+def test_uniform_null_matches_pinned_digest():
+    h = hashlib.sha256()
+    for n, samples, chunk in UNIFORM_NULL_CASES:
+        rng = np.random.default_rng([n, samples, chunk])
+        est = forr.uniform_phi_null(n, samples, rng, chunk=chunk)
+        h.update(np.array([est.value, est.se]).tobytes())
+        h.update(rng.integers(0, 2**63, size=2).tobytes())
+    assert h.hexdigest() == UNIFORM_NULL_DIGEST
 
 
 class TestAdvantageExperiment:

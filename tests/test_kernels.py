@@ -112,6 +112,21 @@ def test_blocked_transform_memory():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("post", [1, 2, 3, 5, 15])
+def test_paths_minor_short_runs_equal_row_transform(post):
+    # with post < _SHORT_RUN the first levels run with the block index
+    # innermost; each column must still come out as its row transform
+    for k in range(11):
+        n = 2**k
+        a = np.random.default_rng([k, post]).standard_normal((1, n, post))
+        want = K.wht_inplace_np(a[0].T.copy()).T
+        out, scratch = np.empty_like(a), np.empty_like(a)
+        K._wht_axis_np(a, out, scratch)
+        assert out[0].tobytes() == np.ascontiguousarray(want).tobytes()
+        K._wht_axis_np(a, a, scratch)
+        assert a.tobytes() == out.tobytes()
+
+
 @pytest.mark.parametrize("k", range(12))
 def test_structured_mixer_transform_matches_row_transform(k):
     # the paths-minor butterflies inside the sampler give the row transform
