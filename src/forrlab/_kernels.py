@@ -30,7 +30,8 @@ coordinate) order as when it ran alone, so the stream layout and every
 bit are those of one block at a time.  A group of one stream under the
 grid test draws nothing but normals; from ``_AHEAD_MIN`` normals a step
 (a structured group of 128 or more paths at n >= 64) a worker thread
-draws them ahead, in whole buffers, while the step mixes and tests, and
+draws them ahead while the step mixes and tests: two whole buffers pass
+between them on two queues, empty to the worker and filled back, and
 each step copies its next values of that flat sequence; a process
 allowed only one CPU draws inline.
 A Generator's normals carry no state from one call to the next, so any
@@ -54,6 +55,7 @@ the discretization error.
 from __future__ import annotations
 
 import os
+import queue
 import threading
 
 import numpy as np
@@ -179,19 +181,23 @@ def _phi_sign_rows(x, y):
 # ---------------------------------------------------------------------------
 
 
-def eval_multilinear_batch_numpy(
-    coeffs: np.ndarray, points: np.ndarray, chunk: int = 4096
-) -> np.ndarray:
+# rows per chunk of eval_multilinear_batch_numpy
+_EVAL_CHUNK = 4096
+
+
+def eval_multilinear_batch_numpy(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate sum_S c[S] prod_{i in S} x_i at each row of ``points``.
 
     ``coeffs`` has length 2^N with bit i of the index marking variable i.
-    Work is chunked over rows to cap the (2^N x rows) scratch table.
+    Work is chunked over ``_EVAL_CHUNK`` rows to cap the (2^N x rows)
+    scratch table.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
     out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], chunk):
-        out[start : start + chunk] = _eval_multilinear_cols_np(coeffs, points[start : start + chunk].T)
+    for start in range(0, points.shape[0], _EVAL_CHUNK):
+        rows = slice(start, start + _EVAL_CHUNK)
+        out[rows] = _eval_multilinear_cols_np(coeffs, points[rows].T)
     return out
 
 
@@ -254,38 +260,33 @@ def _rows(buf, m, k):
 class _NormalsAhead:
     """One Generator's standard normals, drawn ahead on a worker thread.
 
-    The worker fills two buffers of ``size`` values in turn with
-    ``standard_normal(out=...)`` (numpy releases the GIL while it fills);
-    ``fill(out)`` copies the next ``out.size`` values of that flat sequence
-    into ``out``, crossing buffer boundaries.  A worker's exception is
-    raised in ``fill``.  ``close`` stops and joins the worker; it must run
-    on every exit, and nothing else may draw from the Generator until then.
+    Two buffers of ``size`` values pass between the caller and the worker
+    on two queues, so each has one owner at a time.  The worker fills each
+    empty buffer from ``todo`` with ``standard_normal(out=...)`` (numpy
+    releases the GIL while it fills) and puts it on ``done``, or puts its
+    exception there instead, which ``fill`` raises.  ``fill(out)`` copies
+    the next ``out.size`` values of that flat sequence into ``out``,
+    crossing buffer boundaries, and puts each used-up buffer back on
+    ``todo``.  ``close`` puts None on ``todo`` to stop the worker and joins
+    it; it must run on every exit, and nothing else may draw from the
+    Generator until then.
     """
 
     def __init__(self, rng, size):
-        self._rng = rng
-        self._bufs = [np.empty(size), np.empty(size)]
-        self._free = threading.Semaphore(2)
-        self._full = threading.Semaphore(0)
-        self._stop = False
-        self._error = None
-        self._head, self._next, self._pos = None, 0, 0
-        self._thread = threading.Thread(target=self._work, daemon=True)
+        self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._todo.put(np.empty(size))
+        self._todo.put(np.empty(size))
+        self._head, self._pos = None, 0
+        self._thread = threading.Thread(target=self._work, args=(rng, self._todo, self._done), daemon=True)
         self._thread.start()
 
-    def _work(self):
-        i = 0
+    @staticmethod
+    def _work(rng, todo, done):
         try:
-            while True:
-                self._free.acquire()
-                if self._stop:
-                    return
-                self._rng.standard_normal(out=self._bufs[i])
-                self._full.release()
-                i ^= 1
+            while (buf := todo.get()) is not None:
+                done.put(rng.standard_normal(out=buf))
         except BaseException as exc:  # raised again in the caller's fill
-            self._error = exc
-            self._full.release()
+            done.put(exc)
 
     def fill(self, out):
         """Copy the next ``out.size`` normals into the C-contiguous ``out``."""
@@ -293,22 +294,20 @@ class _NormalsAhead:
         done = 0
         while done < flat.size:
             if self._head is None:
-                self._full.acquire()
-                if self._error is not None:
-                    raise self._error
-                self._head, self._pos = self._bufs[self._next], 0
-                self._next ^= 1
+                head = self._done.get()
+                if isinstance(head, BaseException):
+                    raise head
+                self._head, self._pos = head, 0
             take = min(flat.size - done, self._head.size - self._pos)
             flat[done : done + take] = self._head[self._pos : self._pos + take]
             done += take
             self._pos += take
             if self._pos == self._head.size:
+                self._todo.put(self._head)
                 self._head = None
-                self._free.release()
 
     def close(self):
-        self._stop = True
-        self._free.release()
+        self._todo.put(None)
         self._thread.join()
 
 

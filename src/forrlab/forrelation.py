@@ -140,7 +140,7 @@ def statevector_amplitude(x, y) -> float:
 
 def _uniform_signs(rng, m: int, n: int) -> np.ndarray:
     """(m, n) uniform +-1 as float32, from the stream rng.choice((-1.0, 1.0)) consumes."""
-    signs = rng.integers(0, 2, size=(m, n)).astype(np.float32)
+    signs = rng.integers(0, 2, size=(m, n), dtype=np.int32).astype(np.float32)
     signs *= 2.0
     signs -= 1.0
     return signs

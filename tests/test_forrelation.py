@@ -227,13 +227,15 @@ class TestUniformNull:
         assert rng.bit_generator.state == state
 
     def test_choice_stream_is_integers_stream(self):
-        # the null draws rng.integers(0, 2) for the signs rng.choice((-1.0,
-        # 1.0)) gives; a numpy that changes choice's stream fails here
-        for size in ((1,), (7, 3), (64, 1024)):
-            a, b = np.random.default_rng(size), np.random.default_rng(size)
-            signs = a.choice((-1.0, 1.0), size=size)
-            npt.assert_array_equal(signs, 2 * b.integers(0, 2, size) - 1)
-            assert a.bit_generator.state == b.bit_generator.state
+        # the null draws rng.integers(0, 2, dtype=np.int32) for the signs
+        # rng.choice((-1.0, 1.0)) gives; a numpy that changes choice's
+        # stream, or int32's against int64's, fails here
+        for dtype in (np.int64, np.int32):
+            for size in ((1,), (1, 1), (5,), (7, 3), (64, 1024)):
+                a, b = np.random.default_rng(size), np.random.default_rng(size)
+                signs = a.choice((-1.0, 1.0), size=size)
+                npt.assert_array_equal(signs, 2 * b.integers(0, 2, size, dtype=dtype) - 1)
+                assert a.bit_generator.state == b.bit_generator.state
 
 
 # (n, samples, chunk) of the uniform-null digest: one-entry and two-entry
