@@ -25,31 +25,26 @@ variable.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from forrlab._kernels import _eval_multilinear_cols_np, eval_multilinear_batch_numpy, wht_inplace_np
+from forrlab._kernels import _eval_multilinear_cols_np, wht_inplace_np
 from forrlab.errors import CapacityError
 
 __all__ = [
     "BooleanFunction",
     "Restriction",
     "RestrictionDistribution",
-    "wht",
     "from_truth_table",
     "from_coeffs",
     "truth_table",
     "eval_multilinear",
-    "eval_multilinear_many",
     "restrict",
     "partial_derivative",
     "level_mass",
     "max_restricted_level2_mass",
-    "sample_restriction",
-    "enumerate_restrictions",
     "restricted_mean",
     "subset_index",
     "subset_sizes",
@@ -63,12 +58,6 @@ __all__ = [
 EXHAUSTIVE_VAR_LIMIT = 12  # 3^N restriction scans are capped here
 ENUMERATION_VAR_LIMIT = 10
 _SCAN_TAIL_VARS = 7  # the exhaustive scan runs its last variables level by level
-
-
-def _require_power_of_two(m: int, what: str) -> int:
-    if m < 1 or m & (m - 1):
-        raise ValueError(f"{what} must be a power of two, got {m}")
-    return m.bit_length() - 1
 
 
 def subset_index(subset: Iterable[int]) -> int:
@@ -155,11 +144,6 @@ class Restriction:
     def n_vars(self) -> int:
         return self.values.size
 
-    @property
-    def free(self) -> tuple[int, ...]:
-        """Indices of the free (*) coordinates."""
-        return tuple(int(i) for i in np.flatnonzero(self.values == _FREE))
-
     def merge(self, x: Sequence[float]) -> np.ndarray:
         """The point with fixed coordinates from the restriction and the
         rest from ``x`` (read at the free positions)."""
@@ -214,23 +198,8 @@ class RestrictionDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Transforms and constructors
+# Constructors
 # ---------------------------------------------------------------------------
-
-
-def wht(values: Sequence[float]) -> np.ndarray:
-    """Orthonormal Walsh-Hadamard transform of a length-2^N vector.
-
-    out[i] = 2^{-N/2} sum_j (-1)^{popcount(i & j)} values[j].  The
-    transform is symmetric and self-inverse.
-    """
-    v = np.array(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-D vector")
-    _require_power_of_two(v.size, "vector length")
-    wht_inplace_np(v)
-    v /= math.sqrt(v.size)
-    return v
 
 
 def from_truth_table(table: Sequence[float]) -> BooleanFunction:
@@ -238,7 +207,9 @@ def from_truth_table(table: Sequence[float]) -> BooleanFunction:
     t = np.asarray(table, dtype=np.float64)
     if t.ndim != 1:
         raise ValueError("truth table must be a 1-D vector")
-    n_vars = _require_power_of_two(t.size, "truth table length")
+    if t.size < 1 or t.size & (t.size - 1):
+        raise ValueError(f"truth table length must be a power of two, got {t.size}")
+    n_vars = t.size.bit_length() - 1
     if n_vars == 0:
         raise ValueError("need at least one variable")
     if not ((t == 1.0) | (t == -1.0)).all():
@@ -276,14 +247,6 @@ def eval_multilinear(f: BooleanFunction, x: Sequence[float]) -> float:
     if not np.isfinite(x).all():
         raise ValueError("evaluation point must be finite")
     return float(_eval_multilinear_cols_np(f.coeffs, x[:, None])[0])
-
-
-def eval_multilinear_many(f: BooleanFunction, points: np.ndarray) -> np.ndarray:
-    """Evaluate f at each row of ``points`` with the batched kernel."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != f.n_vars:
-        raise ValueError(f"expected points of shape (m, {f.n_vars})")
-    return eval_multilinear_batch_numpy(f.coeffs, points)
 
 
 def restrict(f: BooleanFunction, rho: Restriction) -> BooleanFunction:
@@ -419,20 +382,6 @@ def max_restricted_level2_mass(
     return rec(f.coeffs.copy(), f.n_vars, 0)
 
 
-# ---------------------------------------------------------------------------
-# Random restrictions
-# ---------------------------------------------------------------------------
-
-
-def sample_restriction(dist: RestrictionDistribution, rng: np.random.Generator) -> Restriction:
-    """Draw one restriction, coordinates independent."""
-    u = rng.random(dist.n_vars)
-    vals = np.zeros(dist.n_vars, dtype=np.int8)
-    vals[u < dist.p_plus + dist.p_minus] = -1
-    vals[u < dist.p_plus] = 1
-    return Restriction(vals)
-
-
 _ENTRY_ORDER = np.array((1, -1, 0), dtype=np.int8)  # one coordinate's entries, in enumeration order
 _RESTRICTION_BLOCK = 1 << 16  # table entries per row block of restricted_mean (512 KiB)
 
@@ -458,15 +407,6 @@ def _restriction_table(dist: RestrictionDistribution) -> tuple[np.ndarray, np.nd
     for i in range(1, n):
         probs *= per_coord[i, digits[i]]
     return _ENTRY_ORDER[digits.T], probs
-
-
-def enumerate_restrictions(
-    dist: RestrictionDistribution,
-) -> list[tuple[Restriction, float]]:
-    """All 3^N restrictions with their probabilities (sum to 1), in
-    ``_restriction_table`` order."""
-    values, probs = _restriction_table(dist)
-    return [(Restriction(v), p) for v, p in zip(values, probs.tolist())]
 
 
 def restricted_mean(f: BooleanFunction, dist: RestrictionDistribution) -> np.ndarray:

@@ -221,21 +221,24 @@ def _cmd_sample(args) -> int:
     return _emit(args, ExperimentReport("sample", PASS, args.samples, payload), started)
 
 
-def _cmd_phi(args) -> int:
+def _parse_pair(args) -> tuple[np.ndarray, np.ndarray]:
+    """The --x and --y vectors, of length --n when it is given."""
     x = _parse_vector(args.x, "--x")
     y = _parse_vector(args.y, "--y")
     if args.n is not None and (x.size != args.n or y.size != args.n):
         raise _UsageError(f"--x and --y must have length --n = {args.n}")
+    return x, y
+
+
+def _cmd_phi(args) -> int:
+    x, y = _parse_pair(args)
     value = forr.phi(x, y)
     sys.stdout.write(json.dumps({"phi": value}) + "\n")
     return 0
 
 
 def _cmd_accept(args) -> int:
-    x = _parse_vector(args.x, "--x")
-    y = _parse_vector(args.y, "--y")
-    if args.n is not None and (x.size != args.n or y.size != args.n):
-        raise _UsageError(f"--x and --y must have length --n = {args.n}")
+    x, y = _parse_pair(args)
     out = {"phi": forr.phi(x, y), "accept_probability": forr.accept_probability(x, y)}
     if args.shots is not None:
         rng = np.random.default_rng(_master_seed(args))

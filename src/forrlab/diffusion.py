@@ -338,6 +338,8 @@ def sample_stopped_paths(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if gen_coeffs is not None and np.asarray(gen_coeffs).size != 2**cov.dim:
+        raise ValueError("generator table must have 2**dim entries")
     stored = int(store_paths) + int(gen_coeffs is not None)
     if n_samples * cov.dim * 8 * stored > STORED_PATHS_BYTE_LIMIT:
         raise CapacityError(

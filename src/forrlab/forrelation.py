@@ -36,6 +36,9 @@ from .report import (
 
 STATEVECTOR_QUBIT_LIMIT = 20
 
+# rows per chunk of uniform_phi_null
+_NULL_CHUNK = 4096
+
 
 def _as_instance_vector(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
@@ -146,23 +149,21 @@ def _uniform_signs(rng, m: int, n: int) -> np.ndarray:
     return signs
 
 
-def uniform_phi_null(n: int, samples: int, rng, chunk: int = 4096) -> Estimate:
+def uniform_phi_null(n: int, samples: int, rng) -> Estimate:
     """Mean phi over independent uniform sign pairs (analytically zero).
 
-    Each chunk of rows draws x's signs, then y's, and takes phi on the exact
-    sign-row route.  Arguments are checked before any draw.
+    Each chunk of ``_NULL_CHUNK`` rows draws x's signs, then y's, and takes
+    phi on the exact sign-row route.  Arguments are checked before any draw.
     """
     if n < 1 or n & (n - 1):
         raise ValueError("n must be a power of two >= 1")
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
-        m = min(chunk, samples - done)
+        m = min(_NULL_CHUNK, samples - done)
         xs = _uniform_signs(rng, m, n)
         vals = _kernels._phi_sign_rows(xs, _uniform_signs(rng, m, n))
         total += float(vals.sum())

@@ -296,6 +296,24 @@ class TestBatchSampling:
         with pytest.raises(CapacityError):
             diff.sample_stopped_paths(cov, cfg, n, store_paths=True, gen_coeffs=gen)
 
+    @pytest.mark.parametrize("size", [1, 3, 8, 16])
+    @pytest.mark.parametrize(
+        "cov", [diff.build_sigma(1), diff.equicorrelated_covariance(2, 0.5)], ids=["structured", "dense"]
+    )
+    def test_rejects_bad_generator_table_before_sampling(self, monkeypatch, cov, size):
+        # a table of any other size gives a wrong accumulator; the refusal
+        # comes before the capacity check and any draw
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the kernel ran before the table check")
+
+        monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", no_sampling)
+        monkeypatch.setattr(diff._kernels, "run_paths_dense_numpy", no_sampling)
+        cfg = diff.SamplerConfig(0.05, 0.05 / 64)
+        too_many = diff.STORED_PATHS_BYTE_LIMIT // (cov.dim * 8) + 1
+        for n in (100, too_many):
+            with pytest.raises(ValueError, match=r"generator table must have 2\*\*dim entries"):
+                diff.sample_stopped_paths(cov, cfg, n, gen_coeffs=np.zeros(size))
+
     def test_oversized_block_state_refused_before_sampling(self, monkeypatch):
         # without storage one stream block still holds 1024 x 2^18 doubles (2 GiB)
         def no_sampling(*args, **kwargs):

@@ -21,7 +21,7 @@ import forrlab.verifier as ver
 from forrlab.errors import CapacityError
 from forrlab.report import FAIL, PASS
 
-from oracles import fd_derivative, restrict_loop_oracle
+from oracles import enumeration_oracle, fd_derivative, restrict_loop_oracle
 
 
 def restriction_rhs_oracle(f, x, pair):
@@ -29,7 +29,8 @@ def restriction_rhs_oracle(f, x, pair):
     dist = bf.RestrictionDistribution(x)
     zero = np.zeros(f.n_vars)
     total = 0.0
-    for rho, p in bf.enumerate_restrictions(dist):
+    for values, p in enumeration_oracle(dist.p_plus, dist.p_minus, dist.p_star):
+        rho = bf.Restriction(values)
         total += p * fd_derivative(lambda z: f(rho.merge(z)), zero, pair, 1.0)
     return total
 
@@ -154,13 +155,13 @@ def test_restriction_identity_matches_pinned_digests():
 @pytest.mark.parametrize("rows", [1, 2, 5, 81])
 def test_restricted_mean_is_independent_of_the_block(monkeypatch, rows):
     # blocks of 1, 2 and 5 rows and the whole N = 4 enumeration in one
-    # block, against the loop over Restriction objects
+    # block, against the loop over the oracle's restrictions one by one
     rng = np.random.default_rng(rows)
     f = bf.from_coeffs(4, rng.standard_normal(16))
     dist = bf.RestrictionDistribution(np.array([0.5, -0.1, 0.3, -0.5]))
     want = np.zeros(16)
-    for rho, p in bf.enumerate_restrictions(dist):
-        want += p * restrict_loop_oracle(f.coeffs, rho.values)
+    for values, p in enumeration_oracle(dist.p_plus, dist.p_minus, dist.p_star):
+        want += p * restrict_loop_oracle(f.coeffs, values)
     monkeypatch.setattr(bf, "_RESTRICTION_BLOCK", rows * 16)
     assert bf.restricted_mean(f, dist).tobytes() == want.tobytes()
 
