@@ -62,6 +62,7 @@ import numpy as np
 
 __all__ = [
     "STREAM_BLOCK",
+    "group_streams",
     "stream_seeds",
     "wht_inplace_np",
     "wht_batch_numpy",
@@ -234,6 +235,11 @@ def _eval_multilinear_cols_np(coeffs, cols):
 # a group keeps dim x live at or below the n = 64 block's state: the
 # structured n >= 64 route steps one block at a time
 _GROUP_ENTRIES = 128 * STREAM_BLOCK
+
+
+def group_streams(dim):
+    """Stream blocks stepped in lockstep as one group at state dimension dim."""
+    return max(1, _GROUP_ENTRIES // (dim * STREAM_BLOCK))
 
 
 # normals per step from which a one-stream group draws them ahead: below
@@ -531,7 +537,7 @@ def _run_blocks_np(master_seed, n_samples, mix, diag, dt, epsilon, bridge, gen_c
     }
     diag = np.broadcast_to(np.asarray(diag, dtype=np.float64), (mix.dim,))
     children = stream_seeds(master_seed, -(-n_samples // STREAM_BLOCK))
-    per_group = max(1, _GROUP_ENTRIES // (mix.dim * STREAM_BLOCK))
+    per_group = group_streams(mix.dim)
     for first in range(0, len(children), per_group):
         rows = slice(first * STREAM_BLOCK, (first + per_group) * STREAM_BLOCK)
         group = {key: None if col is None else col[rows] for key, col in out.items()}

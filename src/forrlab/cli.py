@@ -1,7 +1,9 @@
 """Command line front end for sampling, verification, and the distinguisher demo.
 
-Every subcommand prints one JSON report (stdout or ``--out``) and exits with
-the verdict code: 0 pass, 1 fail, 2 inconclusive, 64 usage error.  Runs are
+Every subcommand but ``phi`` and ``accept`` prints one JSON report (stdout
+or ``--out``) and exits with the verdict code: 0 pass, 1 fail, 2
+inconclusive.  ``phi`` and ``accept`` print a plain JSON object to stdout
+and exit 0.  A usage error exits 64 from any subcommand.  Runs are
 reproducible: the master seed comes from ``--seed`` or the ``FORRLAB_SEED``
 environment variable, and ``--no-timestamp`` drops the timing fields so a
 rerun with the same arguments is byte-identical.
@@ -344,9 +346,7 @@ def _cmd_sweep(args) -> int:
         if args.samples == 0:
             continue
         cov = diff.build_sigma(row["n"])
-        config = diff.SamplerConfig(
-            row["epsilon"], row["epsilon"] / args.dt_div, args.bridge, seed + row["n"]
-        )
+        config = _build_config(args, cov, seed + row["n"], epsilon=row["epsilon"])
         batch = diff.sample_stopped_paths(
             cov, config, args.samples, store_paths=False, want_phi=True
         )

@@ -38,20 +38,12 @@ BARRIER = 0.5
 # dense covariance construction is quadratic in memory; keep it modest
 DENSE_DIM_LIMIT = 4096
 
-# stored stopped points take samples x dim doubles; 1 GiB is ten times the
-# largest batch the acceptance criteria store (1e5 paths at dim 128).  The
-# groups of stream blocks write their rows of the stored batch in place, so
-# a stored batch peaks at about its own size plus one group's working set.
-# The same limit caps that working set, which the sampler holds even
-# without storage: the group's dim x live state (one STREAM_BLOCK block
-# above dim 128; several blocks share at most 128 x STREAM_BLOCK entries
-# below it) plus buffers of that shape (a spare for the draws and the
-# compacted state, and with the bridge test the previous state and the
-# test's scratch) and per-step temporaries.  Without the bridge test a
-# one-stream group also holds two buffers of one step's normals, drawn
-# ahead, together one state's size.  tracemalloc on 1024 unstored paths at
-# n = 1024 (dt = eps/16) put the peak at 3.19x the state without the bridge
-# test and 4.38x with it, so the state counts 4x or 8x against the limit.
+# a sampling request is refused when the batch it returns or the working set
+# of one group of stream blocks would exceed 1 GiB, ten times the largest
+# batch the acceptance criteria store (1e5 paths at dim 128).  The working
+# set counts the group's dim x paths state 4x, or 8x with the bridge test
+# (tracemalloc on 1024 paths at n = 1024 put it at 3.19x and 4.38x), plus
+# the generator fold's 2^dim x paths table.
 STORED_PATHS_BYTE_LIMIT = 2**30
 
 
@@ -123,9 +115,9 @@ class DenseCovariance:
             raise CapacityError(f"dense covariance capped at dim {DENSE_DIM_LIMIT}")
         if not np.isfinite(m).all():
             raise ValueError("covariance entries must be finite")
-        if not np.allclose(m, m.T, atol=1e-10):
+        if not np.allclose(m, m.T, rtol=0.0, atol=1e-10):
             raise ValueError("covariance must be symmetric")
-        if not np.allclose(np.diagonal(m), 1.0, atol=1e-12):
+        if not np.allclose(np.diagonal(m), 1.0, rtol=0.0, atol=1e-12):
             raise ValueError("covariance must have unit diagonal")
         w, q = np.linalg.eigh(m)
         if w.min() < -1e-8:
@@ -260,6 +252,18 @@ def _bridge_crossing(rng, prev: float, new: float, step_var: float) -> int:
     return 0
 
 
+def _generator_table(gen_coeffs, dim: int) -> np.ndarray | None:
+    """The table as float64 (None stays None); refused unless it has 2**dim finite entries."""
+    if gen_coeffs is None:
+        return None
+    table = np.asarray(gen_coeffs, dtype=np.float64)
+    if table.size != 2**dim:
+        raise ValueError("generator table must have 2**dim entries")
+    if not np.isfinite(table).all():
+        raise ValueError("generator table entries must be finite")
+    return table
+
+
 def sample_stopped_path(cov, config: SamplerConfig, rng, gen_coeffs=None) -> StoppedSample:
     """Readable single-path reference sampler.
 
@@ -270,11 +274,8 @@ def sample_stopped_path(cov, config: SamplerConfig, rng, gen_coeffs=None) -> Sto
     """
     dim = cov.dim
     diag = np.diagonal(cov.matrix) if isinstance(cov, DenseCovariance) else np.ones(dim)
+    gen_coeffs = _generator_table(gen_coeffs, dim)
     want_acc = gen_coeffs is not None
-    if want_acc:
-        gen_coeffs = np.asarray(gen_coeffs, dtype=np.float64)
-        if gen_coeffs.size != 2**dim:
-            raise ValueError("generator table must have 2**dim entries")
 
     x = np.zeros(dim)
     direction = np.zeros(dim, dtype=np.int8)
@@ -332,26 +333,24 @@ def sample_stopped_paths(
     path count.  want_phi asks the structured sampler to also return the
     correlation functional of the two halves of each stopped point.
     gen_coeffs adds the generator accumulator and the pre-clamp endpoints
-    x_raw, which are stored like x_tau.  Storing more than
-    STORED_PATHS_BYTE_LIMIT bytes of points, or a stream block whose working
-    set would exceed it, raises CapacityError before anything is sampled.
+    x_raw, which are stored like x_tau.  A request whose returned batch or
+    whose working set would exceed STORED_PATHS_BYTE_LIMIT bytes raises
+    CapacityError before anything is sampled.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if gen_coeffs is not None and np.asarray(gen_coeffs).size != 2**cov.dim:
-        raise ValueError("generator table must have 2**dim entries")
-    stored = int(store_paths) + int(gen_coeffs is not None)
-    if n_samples * cov.dim * 8 * stored > STORED_PATHS_BYTE_LIMIT:
+    dim = cov.dim
+    gen_coeffs = _generator_table(gen_coeffs, dim)
+    want_acc = gen_coeffs is not None
+    # per path: tau, exited, stream id; phi, phi_raw; accumulator; x_tau, x_raw
+    batch = n_samples * (17 + 16 * bool(want_phi) + 8 * want_acc + 8 * dim * (bool(store_paths) + want_acc))
+    group = min(n_samples, _kernels.group_streams(dim) * _kernels.STREAM_BLOCK)
+    working = group * 8 * (dim * (8 if config.bridge_correction else 4) + (2**dim if want_acc else 0))
+    if max(batch, working) > STORED_PATHS_BYTE_LIMIT:
         raise CapacityError(
-            f"storing {stored} x {n_samples} points of dim {cov.dim} exceeds the "
-            f"{STORED_PATHS_BYTE_LIMIT} byte limit; sample without path storage or in smaller batches"
-        )
-    block = min(n_samples, _kernels.STREAM_BLOCK)
-    working_set = block * cov.dim * 8 * (8 if config.bridge_correction else 4)
-    if working_set > STORED_PATHS_BYTE_LIMIT:
-        raise CapacityError(
-            f"the working set of {block} paths of dim {cov.dim} exceeds the "
-            f"{STORED_PATHS_BYTE_LIMIT} byte limit; sample fewer paths or a smaller dimension"
+            f"{n_samples} paths of dim {dim} hold {batch} bytes of output and a {working} byte working set, "
+            f"over the {STORED_PATHS_BYTE_LIMIT} byte limit; sample without path storage, fewer paths or "
+            "a smaller dimension"
         )
     if isinstance(cov, CovarianceSpec):
         raw = _kernels.run_paths_structured_numpy(

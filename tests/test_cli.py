@@ -138,6 +138,13 @@ class TestUsageErrors:
         )
         assert proc.returncode == 64
 
+    def test_unstored_batch_past_the_limit_is_usage_error(self):
+        # 1e12 paths would hold 33 TB of tau, exit flags, stream ids and phi
+        proc = run_cli("verify-prop", "--n", "2", "--samples", "1000000000000")
+        assert proc.returncode == 64
+        assert "byte limit" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestVerifySubcommands:
     def test_verify_lemma_passes(self):
@@ -310,3 +317,34 @@ class TestSweep:
         assert proc.returncode == 64
         proc = run_cli("sweep", "--n", "16..4", "--samples", "0")
         assert proc.returncode == 64
+
+
+# the 17 lines benchmarks/seeded_outputs.py prints: a change that keeps every
+# draw and every float operation keeps them, and one that moves a seeded
+# output edits them here
+SEEDED_OUTPUTS = """\
+sample-n16.json c1345775ff0934dbebbf3f93e4dba7ee1cce79058dc2c7418b11a7fe587a2098
+sample-n64-ahead.json d889c616e9bace7140939788725b82260113fd3bfb44ddac78ad555fc05807d8
+sample-dense-bridge.json 65e75e932ec32236a9fd3b3e74e6a47a80db865e482c85ca500ad889e8418c8e
+verify-prop.json c9d01b0d22a931416f8c13faa80975e160f4e67e23883f871dd6662c255adb53
+verify-dynkin.json 21305669aa1bb74a20b2ed5aae34b97eb499b4d338f6d1bd8233142ab5baeb85
+verify-dynkin-n1.json a0b286bcf896a849ae1f6f827ebb9f86cb011fa8b92ee636da4ccab369462649
+verify-main.json 0718432577446c20aec178f4eb37e66413a10f599ec7c3f15ed2061aa7db3748
+verify-main-n2.json 315879b23d1ec1a41799af05cf14bc4d5a8b87cc31300fe965813b4f9003f478
+advantage.json 24062dfd259b3b48dfdb98c6a0ff6b7e34252efec888dc43cc70b251baec10ec
+sweep.json 28aa6c7629cb8a08c67f47ffb0d053ac90a0c3bb245eccabb6f6361e67461ae9
+verify-lemma.json bd8d276d8c45f9029c631d809e2b8b6a73a00137a68f8ae50d085679ac4e74f6
+dynkin-triples.csv 88da53b8bf78ca07e84d229934aa7d7069402bd74384992e24553a1f30ab250e
+sample-dense.csv 51ec56abc8ed138b428df3ae43c2e7852fc45d6c549151bd984690c89a464e9f
+sample-n16.csv 00954f26082cd1b0832b9442f9fb4c79b65dc09f144e9608e1c26633c00b916d
+exit-report-dim1 1308d0952378e835854aef97a4293991cbf272b98dd8ac7b00c0f86ad7cf31b6
+exit-report-dim4 42d4b461431752b8da9c5866467b86e9c49689b212363b16cfe812b6808617bb
+exit-report-dim1-blocks5 f9c4c97835ea38e9d812804d5da0372c0200eac40c705faa1f4f3dbabfa00e49
+"""
+
+
+def test_seeded_outputs_are_pinned():
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "seeded_outputs.py")
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == SEEDED_OUTPUTS

@@ -71,10 +71,17 @@ class TestDenseCovariance:
     def test_rejects_non_unit_diagonal(self):
         with pytest.raises(ValueError):
             diff.DenseCovariance([[2.0, 0.0], [0.0, 1.0]])
+        # the diagonal is checked absolutely, not within numpy's default rtol
+        with pytest.raises(ValueError, match="unit diagonal"):
+            diff.DenseCovariance([[1.000009, 0.5], [0.5, 1.0]])
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             diff.DenseCovariance([[1.0, 0.3], [0.1, 1.0]])
+        # eigh reads one triangle, so the square root would describe
+        # another matrix than the one kept for the generator table
+        with pytest.raises(ValueError, match="symmetric"):
+            diff.DenseCovariance([[1.0, 0.5 + 1e-6], [0.5, 1.0]])
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_entries(self, bad):
@@ -276,8 +283,9 @@ class TestBatchSampling:
         assert 10 * 100_000 * 128 * 8 <= diff.STORED_PATHS_BYTE_LIMIT
 
     def test_pre_clamp_endpoints_count_against_storage(self, monkeypatch):
-        # 2^26 points of dim 2 fill the limit exactly; the generator
-        # accumulator's pre-clamp endpoints x_raw double the stored bytes
+        # an unstored dim-2 path with a generator holds 41 bytes (tau,
+        # exited, stream id, the accumulator and the pre-clamp endpoint
+        # x_raw); storing x_tau as well takes it to 57
         class Reached(Exception):
             pass
 
@@ -287,7 +295,7 @@ class TestBatchSampling:
         monkeypatch.setattr(diff._kernels, "run_paths_dense_numpy", reached)
         cov = diff.equicorrelated_covariance(2, 0.5)
         cfg = diff.SamplerConfig(0.05, 0.05 / 64)
-        n = diff.STORED_PATHS_BYTE_LIMIT // (2 * 8)
+        n = diff.STORED_PATHS_BYTE_LIMIT // 41
         gen = np.zeros(4)
         with pytest.raises(Reached):
             diff.sample_stopped_paths(cov, cfg, n, store_paths=True)
@@ -295,6 +303,38 @@ class TestBatchSampling:
             diff.sample_stopped_paths(cov, cfg, n, store_paths=False, gen_coeffs=gen)
         with pytest.raises(CapacityError):
             diff.sample_stopped_paths(cov, cfg, n, store_paths=True, gen_coeffs=gen)
+
+    def test_unstored_outputs_count_against_the_limit(self, monkeypatch):
+        # tau, exited and the stream id take 17 bytes a path, phi and phi_raw
+        # 16 more: 2e5 unstored n = 1 paths with phi hold 6.6 MB, beyond the
+        # 4 MiB working set of their 65536-path group
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", reached)
+        monkeypatch.setattr(diff, "STORED_PATHS_BYTE_LIMIT", 200_000 * 33)
+        cov = diff.build_sigma(1)
+        cfg = diff.SamplerConfig(0.05, 0.05 / 64)
+        with pytest.raises(Reached):
+            diff.sample_stopped_paths(cov, cfg, 200_000, store_paths=False, want_phi=True)
+        with pytest.raises(CapacityError, match="6600033 bytes of output"):
+            diff.sample_stopped_paths(cov, cfg, 200_001, store_paths=False, want_phi=True)
+
+    def test_generator_fold_counts_against_the_working_set(self, monkeypatch):
+        # each step folds the 2^8-entry table against 8192 paths in one
+        # group: 16 MiB of temporaries beside the 2 MiB counted for the state
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the kernel ran before the capacity check")
+
+        monkeypatch.setattr(diff._kernels, "run_paths_dense_numpy", no_sampling)
+        monkeypatch.setattr(diff, "STORED_PATHS_BYTE_LIMIT", 4 * 2**20)
+        cov = diff.equicorrelated_covariance(8, 0.1)
+        cfg = diff.SamplerConfig(0.05, 0.05 / 64)
+        with pytest.raises(CapacityError, match="729088 bytes of output and a 18874368 byte working set"):
+            diff.sample_stopped_paths(cov, cfg, 8192, store_paths=False, gen_coeffs=np.zeros(256))
 
     @pytest.mark.parametrize("size", [1, 3, 8, 16])
     @pytest.mark.parametrize(
@@ -313,6 +353,28 @@ class TestBatchSampling:
         for n in (100, too_many):
             with pytest.raises(ValueError, match=r"generator table must have 2\*\*dim entries"):
                 diff.sample_stopped_paths(cov, cfg, n, gen_coeffs=np.zeros(size))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "cov", [diff.build_sigma(1), diff.equicorrelated_covariance(2, 0.5)], ids=["structured", "dense"]
+    )
+    def test_rejects_non_finite_generator_table_before_sampling(self, monkeypatch, cov, bad):
+        # a NaN or infinite entry would give a NaN accumulator on every path
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the kernel ran before the table check")
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError("the reference sampler drew before the table check")
+
+        monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", no_sampling)
+        monkeypatch.setattr(diff._kernels, "run_paths_dense_numpy", no_sampling)
+        cfg = diff.SamplerConfig(0.05, 0.05 / 64)
+        gen = np.array([bad, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="generator table entries must be finite"):
+            diff.sample_stopped_paths(cov, cfg, 100, store_paths=False, gen_coeffs=gen)
+        with pytest.raises(ValueError, match="generator table entries must be finite"):
+            diff.sample_stopped_path(cov, cfg, NoDraws(), gen_coeffs=gen)
 
     def test_oversized_block_state_refused_before_sampling(self, monkeypatch):
         # without storage one stream block still holds 1024 x 2^18 doubles (2 GiB)
