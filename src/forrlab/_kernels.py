@@ -27,16 +27,18 @@ fixed (seed, config) pair.  The blocks are stepped in groups: while dim x
 live fits the n = 64 block's state, a group's blocks share one state and
 step in lockstep, each drawing from its own stream in the same (path,
 coordinate) order as when it ran alone, so the stream layout and every
-bit are those of one block at a time.  A group of one stream under the
-grid test draws nothing but normals; from ``_AHEAD_MIN`` normals a step
-(a structured group of 128 or more paths at n >= 64) a worker thread
-draws them ahead while the step mixes and tests: two whole buffers pass
-between them on two queues, empty to the worker and filled back, and
-each step copies its next values of that flat sequence; a process
-allowed only one CPU draws inline.
+bit are those of one block at a time.  Under the grid test a group draws
+nothing but normals; from ``_AHEAD_MIN`` normals a step and
+``_AHEAD_TOTAL`` over its steps, one worker thread draws every stream's
+normals ahead while the step mixes and tests.  Each stream has two
+buffers of its own, of one step of its block or its share of 2^16 values
+when that is more; they pass between the step and the worker on queues,
+empty to the worker and filled back, and each step copies each block's
+next values of its stream's flat sequence.  A process allowed only one
+CPU draws inline.
 A Generator's normals carry no state from one call to the next, so any
 split of the sequence gives the same values; draws past the group's last
-step are dropped with its Generator.  The bridge test draws inline, since
+step are dropped with its Generators.  The bridge test draws inline, since
 its uniforms share the stream with the normals.  The batch's per-path
 record (one named array per output) is allocated once, and each group
 writes its own rows through views, so a stored batch is held once.
@@ -54,6 +56,7 @@ the discretization error.
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 import threading
@@ -63,6 +66,7 @@ import numpy as np
 __all__ = [
     "STREAM_BLOCK",
     "group_streams",
+    "working_set_bytes",
     "stream_seeds",
     "wht_inplace_np",
     "wht_batch_numpy",
@@ -242,12 +246,48 @@ def group_streams(dim):
     return max(1, _GROUP_ENTRIES // (dim * STREAM_BLOCK))
 
 
-# normals per step from which a one-stream group draws them ahead: below
-# this the handoffs to the worker cost more than the draws they overlap (a
-# 32-path n = 64 group and a 1024-path dense dim-2 group, 2048 normals a
-# step, ran 1.2-1.9x slower drawn ahead; 128 paths at n = 64, 8192, ran
-# about as fast; 512 paths, 32768, ran 20-40% faster)
-_AHEAD_MIN = 1 << 13
+# a group draws its normals ahead from _AHEAD_MIN normals a step and
+# _AHEAD_TOTAL over all its steps; below either the worker's start, join and
+# handoffs cost about as much as the draws they overlap (CHANGES.md has the
+# size table that set both)
+_AHEAD_MIN = 1 << 9
+_AHEAD_TOTAL = 1 << 19
+# values a round of draw-ahead buffers (one buffer per stream) holds at
+# least, so that each handoff overlaps about a millisecond of draws
+_AHEAD_ROUND = 1 << 16
+
+
+def _ahead_sizes(count, width, dt, epsilon, bridge):
+    """Values in each of the two draw-ahead buffers of each stream of a group.
+
+    The group holds count paths and draws width normals a path a step, for
+    at most ceil(epsilon / dt) steps of dt.  Each stream's buffer holds one
+    step of its block, or its share of ``_AHEAD_ROUND`` when that is more.
+    Empty when the group draws inline: under the bridge test, whose uniforms
+    share the stream, and below ``_AHEAD_MIN`` or ``_AHEAD_TOTAL``.
+    """
+    if bridge or count * width < _AHEAD_MIN or count * width * math.ceil(epsilon / dt) < _AHEAD_TOTAL:
+        return []
+    streams = -(-count // STREAM_BLOCK)
+    share = -(-_AHEAD_ROUND // streams)
+    return [max(min(STREAM_BLOCK, count - k * STREAM_BLOCK) * width, share) for k in range(streams)]
+
+
+def working_set_bytes(count, dim, width, dt, epsilon, bridge, fold=0):
+    """Bytes a group of count paths holds while it steps, for the capacity rule.
+
+    Per path: the state-sized arrays and the step's temporaries, 4 states (8
+    with the bridge test); width more values for a step's normals or a
+    dense mixer's product; with a generator table of ``fold`` entries, fold
+    values for its fold and 4 for the trapezoid accumulator.  Then the two
+    draw-ahead buffers of each stream.  Tracemalloc peaks, less the batch,
+    of dense dim 1-64 and structured n = 1-1024 groups, with and without the
+    bridge test and a generator, stayed within this count, but for a
+    one-step dense dim-64 bridge run (1.01x), where every coordinate is a
+    bridge candidate.
+    """
+    per_path = dim * (8 if bridge else 4) + width + (fold + 4 if fold else 0)
+    return 8 * (count * per_path + 2 * sum(_ahead_sizes(count, width, dt, epsilon, bridge)))
 
 
 def _cpus():
@@ -264,55 +304,71 @@ def _rows(buf, m, k):
 
 
 class _NormalsAhead:
-    """One Generator's standard normals, drawn ahead on a worker thread.
+    """A group's standard normals, drawn ahead on one worker thread.
 
-    Two buffers of ``size`` values pass between the caller and the worker
-    on two queues, so each has one owner at a time.  The worker fills each
-    empty buffer from ``todo`` with ``standard_normal(out=...)`` (numpy
-    releases the GIL while it fills) and puts it on ``done``, or puts its
-    exception there instead, which ``fill`` raises.  ``fill(out)`` copies
-    the next ``out.size`` values of that flat sequence into ``out``,
-    crossing buffer boundaries, and puts each used-up buffer back on
-    ``todo``.  ``close`` puts None on ``todo`` to stop the worker and joins
-    it; it must run on every exit, and nothing else may draw from the
-    Generator until then.
+    Stream k draws from ``rngs[k]`` into two buffers of ``sizes[k]`` values
+    of its own.  Every buffer passes between the caller and the worker on
+    queues, so each has one owner at a time: the worker takes ``(k, buffer)``
+    jobs from the one ``todo`` queue, fills the buffer with
+    ``standard_normal(out=...)`` (numpy releases the GIL while it fills) and
+    puts it on stream k's ``done`` queue.  Its exception goes to every
+    ``done`` queue instead, so ``fill`` raises it whichever stream waits.
+    ``fill(k, out)`` copies the next ``out.size`` values of stream k's flat
+    sequence into ``out``, crossing buffer boundaries, and puts each
+    used-up buffer back on ``todo``.  ``close`` drops the queued refills,
+    puts None on ``todo`` to stop the worker and joins it, so it waits only
+    for the fill in progress; it must run on every exit, and nothing else may
+    draw from the Generators until then.
     """
 
-    def __init__(self, rng, size):
-        self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-        self._todo.put(np.empty(size))
-        self._todo.put(np.empty(size))
-        self._head, self._pos = None, 0
-        self._thread = threading.Thread(target=self._work, args=(rng, self._todo, self._done), daemon=True)
+    def __init__(self, rngs, sizes):
+        self._todo = queue.SimpleQueue()
+        self._done = [queue.SimpleQueue() for _ in rngs]
+        # the first round serves every stream's first buffer before any second one
+        for _ in range(2):
+            for k, size in enumerate(sizes):
+                self._todo.put((k, np.empty(size)))
+        # per stream: the buffer being read and the next value's index in it
+        self._heads = [[None, 0] for _ in rngs]
+        self._thread = threading.Thread(target=self._work, args=(rngs, self._todo, self._done), daemon=True)
         self._thread.start()
 
     @staticmethod
-    def _work(rng, todo, done):
+    def _work(rngs, todo, done):
         try:
-            while (buf := todo.get()) is not None:
-                done.put(rng.standard_normal(out=buf))
+            while (job := todo.get()) is not None:
+                k, buf = job
+                done[k].put(rngs[k].standard_normal(out=buf))
         except BaseException as exc:  # raised again in the caller's fill
-            done.put(exc)
+            for queue_k in done:
+                queue_k.put(exc)
 
-    def fill(self, out):
-        """Copy the next ``out.size`` normals into the C-contiguous ``out``."""
+    def fill(self, k, out):
+        """Copy stream k's next ``out.size`` normals into the C-contiguous ``out``."""
         flat = out.reshape(-1)
+        head = self._heads[k]
         done = 0
         while done < flat.size:
-            if self._head is None:
-                head = self._done.get()
-                if isinstance(head, BaseException):
-                    raise head
-                self._head, self._pos = head, 0
-            take = min(flat.size - done, self._head.size - self._pos)
-            flat[done : done + take] = self._head[self._pos : self._pos + take]
+            if head[0] is None:
+                buf = self._done[k].get()
+                if isinstance(buf, BaseException):
+                    raise buf
+                head[:] = buf, 0
+            buf, pos = head
+            take = min(flat.size - done, buf.size - pos)
+            flat[done : done + take] = buf[pos : pos + take]
             done += take
-            self._pos += take
-            if self._pos == self._head.size:
-                self._todo.put(self._head)
-                self._head = None
+            head[1] = pos + take
+            if head[1] == buf.size:
+                self._todo.put((k, buf))
+                head[0] = None
 
     def close(self):
+        try:
+            while True:
+                self._todo.get_nowait()
+        except queue.Empty:
+            pass
         self._todo.put(None)
         self._thread.join()
 
@@ -407,7 +463,7 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
     live in buffers allocated once per group: the state, a spare that takes
     the step's draws and then the compacted state (the two swap), and for
     the bridge test the previous state and the test's scratch.  Normals
-    drawn ahead fill two more buffers of one full step's draws.
+    drawn ahead fill two more buffers a stream, sized by ``_ahead_sizes``.
     """
     count, dim, width = out["tau"].size, mix.dim, mix.width
     store = out["x_tau"] is not None
@@ -450,12 +506,13 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
         if want_phi:
             out["phi"][rows] = _phi_rows(pt[:, :n], pt[:, n:])
 
-    # a one-stream group under the grid test draws only normals: they are
-    # drawn ahead on a worker thread while the step mixes and tests.  On one
-    # CPU the two only take turns (prop-n64 pinned to one CPU ran 4% slower)
+    # under the grid test a group draws only normals: they are drawn ahead
+    # on a worker thread while the step mixes and tests.  On one CPU the two
+    # only take turns (prop-n64 pinned to one CPU ran 4% slower)
     ahead = None
-    if len(rngs) == 1 and not bridge and count * width >= _AHEAD_MIN and _cpus() > 1:
-        ahead = _NormalsAhead(rngs[0], count * width)
+    sizes = _ahead_sizes(count, width, dt, epsilon, bridge)
+    if sizes and _cpus() > 1:
+        ahead = _NormalsAhead(rngs, sizes)
     try:
         while t < epsilon - tiny and alive.size:
             h = min(dt, epsilon - t)
@@ -468,7 +525,8 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
                 for rng, a, b in blocks:
                     rng.standard_normal(out=g[a:b])
             else:
-                ahead.fill(g)
+                for k, (_, a, b) in enumerate(blocks):
+                    ahead.fill(k, g[a:b])
             mix(g, st, h, solo)
             t += h
 

@@ -41,9 +41,8 @@ DENSE_DIM_LIMIT = 4096
 # a sampling request is refused when the batch it returns or the working set
 # of one group of stream blocks would exceed 1 GiB, ten times the largest
 # batch the acceptance criteria store (1e5 paths at dim 128).  The working
-# set counts the group's dim x paths state 4x, or 8x with the bridge test
-# (tracemalloc on 1024 paths at n = 1024 put it at 3.19x and 4.38x), plus
-# the generator fold's 2^dim x paths table.
+# set is what _kernels.working_set_bytes counts for the first group: its
+# state-sized arrays, its draw-ahead buffers and the generator fold.
 STORED_PATHS_BYTE_LIMIT = 2**30
 
 
@@ -253,10 +252,12 @@ def _bridge_crossing(rng, prev: float, new: float, step_var: float) -> int:
 
 
 def _generator_table(gen_coeffs, dim: int) -> np.ndarray | None:
-    """The table as float64 (None stays None); refused unless it has 2**dim finite entries."""
+    """The table as float64 (None stays None); refused unless it is 1-D with 2**dim finite entries."""
     if gen_coeffs is None:
         return None
     table = np.asarray(gen_coeffs, dtype=np.float64)
+    if table.ndim != 1:
+        raise ValueError("generator table must be one-dimensional")
     if table.size != 2**dim:
         raise ValueError("generator table must have 2**dim entries")
     if not np.isfinite(table).all():
@@ -345,7 +346,10 @@ def sample_stopped_paths(
     # per path: tau, exited, stream id; phi, phi_raw; accumulator; x_tau, x_raw
     batch = n_samples * (17 + 16 * bool(want_phi) + 8 * want_acc + 8 * dim * (bool(store_paths) + want_acc))
     group = min(n_samples, _kernels.group_streams(dim) * _kernels.STREAM_BLOCK)
-    working = group * 8 * (dim * (8 if config.bridge_correction else 4) + (2**dim if want_acc else 0))
+    width = dim // 2 if isinstance(cov, CovarianceSpec) else dim
+    working = _kernels.working_set_bytes(
+        group, dim, width, config.dt, config.epsilon, config.bridge_correction, 2**dim if want_acc else 0
+    )
     if max(batch, working) > STORED_PATHS_BYTE_LIMIT:
         raise CapacityError(
             f"{n_samples} paths of dim {dim} hold {batch} bytes of output and a {working} byte working set, "

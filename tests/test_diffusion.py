@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -307,7 +308,7 @@ class TestBatchSampling:
     def test_unstored_outputs_count_against_the_limit(self, monkeypatch):
         # tau, exited and the stream id take 17 bytes a path, phi and phi_raw
         # 16 more: 2e5 unstored n = 1 paths with phi hold 6.6 MB, beyond the
-        # 4 MiB working set of their 65536-path group
+        # 5.5 MiB working set of their 65536-path group
         class Reached(Exception):
             pass
 
@@ -325,7 +326,8 @@ class TestBatchSampling:
 
     def test_generator_fold_counts_against_the_working_set(self, monkeypatch):
         # each step folds the 2^8-entry table against 8192 paths in one
-        # group: 16 MiB of temporaries beside the 2 MiB counted for the state
+        # group: 16 MiB of temporaries beside the 2.5 MiB counted for the
+        # state and the step's normals and the 1 MiB of draw-ahead buffers
         def no_sampling(*args, **kwargs):
             raise AssertionError("the kernel ran before the capacity check")
 
@@ -333,7 +335,7 @@ class TestBatchSampling:
         monkeypatch.setattr(diff, "STORED_PATHS_BYTE_LIMIT", 4 * 2**20)
         cov = diff.equicorrelated_covariance(8, 0.1)
         cfg = diff.SamplerConfig(0.05, 0.05 / 64)
-        with pytest.raises(CapacityError, match="729088 bytes of output and a 18874368 byte working set"):
+        with pytest.raises(CapacityError, match="729088 bytes of output and a 20709376 byte working set"):
             diff.sample_stopped_paths(cov, cfg, 8192, store_paths=False, gen_coeffs=np.zeros(256))
 
     @pytest.mark.parametrize("size", [1, 3, 8, 16])
@@ -353,6 +355,53 @@ class TestBatchSampling:
         for n in (100, too_many):
             with pytest.raises(ValueError, match=r"generator table must have 2\*\*dim entries"):
                 diff.sample_stopped_paths(cov, cfg, n, gen_coeffs=np.zeros(size))
+
+    @pytest.mark.parametrize(
+        "cov", [diff.build_sigma(1), diff.equicorrelated_covariance(2, 0.5)], ids=["structured", "dense"]
+    )
+    def test_rejects_two_dimensional_generator_table_before_sampling(self, monkeypatch, cov):
+        # a (2, 2) table has 2**dim entries, but the batch sampler fails
+        # after every step and the reference sampler on its first fold
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the kernel ran before the table check")
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError("the reference sampler drew before the table check")
+
+        monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", no_sampling)
+        monkeypatch.setattr(diff._kernels, "run_paths_dense_numpy", no_sampling)
+        monkeypatch.setattr(diff._kernels, "eval_multilinear_batch_numpy", no_sampling)
+        cfg = diff.SamplerConfig(0.05, 0.05 / 64)
+        gen = [[0.1, 0.2], [0.3, 0.4]]
+        with pytest.raises(ValueError, match="generator table must be one-dimensional"):
+            diff.sample_stopped_paths(cov, cfg, 5, store_paths=False, gen_coeffs=gen)
+        with pytest.raises(ValueError, match="generator table must be one-dimensional"):
+            diff.sample_stopped_path(cov, cfg, NoDraws(), gen_coeffs=gen)
+
+    def test_working_set_counts_the_draw_ahead_buffers(self, monkeypatch):
+        # a dense dim-4 group of 2048 paths draws ahead on a second CPU into
+        # four buffers of 32768 normals, 16x its state; the peak stays within
+        # the counted working set plus the batch, and the capacity rule
+        # refuses the run one byte below that count
+        monkeypatch.setattr(diff._kernels, "_cpus", lambda: 2)
+        cov = diff.equicorrelated_covariance(4, 0.2)
+        cfg = diff.default_sampler_config(cov.dim, dt_divisor=1024)
+        working = diff._kernels.working_set_bytes(2048, 4, 4, cfg.dt, cfg.epsilon, False)
+        assert diff._kernels._ahead_sizes(2048, 4, cfg.dt, cfg.epsilon, False) == [32768, 32768]
+        # a first run imports numpy.random's submodules; trace a second one
+        diff.sample_stopped_paths(cov, cfg, 2048, store_paths=False)
+        tracemalloc.start()
+        try:
+            batch = diff.sample_stopped_paths(cov, cfg, 2048, store_paths=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(v.nbytes for v in vars(batch).values() if isinstance(v, np.ndarray))
+        assert peak <= working + held
+        monkeypatch.setattr(diff, "STORED_PATHS_BYTE_LIMIT", working - 1)
+        with pytest.raises(CapacityError, match=f"a {working} byte working set"):
+            diff.sample_stopped_paths(cov, cfg, 2048, store_paths=False)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import hashlib
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -396,19 +397,20 @@ def test_dense_groups_match_pinned_digests(monkeypatch):
 
 
 def recorded_ahead(monkeypatch, size=None):
-    """Record every _NormalsAhead the kernels make; with ``size``, every
-    one-stream grid group draws ahead, in buffers of ``size`` normals."""
+    """Record every _NormalsAhead the kernels make; every grid group draws
+    ahead, with ``size``, in buffers of ``size`` normals a stream."""
     made = []
 
     class Ahead(K._NormalsAhead):
-        def __init__(self, rng, step):
-            super().__init__(rng, step if size is None else size)
+        def __init__(self, rngs, sizes):
+            super().__init__(rngs, sizes if size is None else [size] * len(sizes))
+            self.streams = len(rngs)
             made.append(self)
 
     monkeypatch.setattr(K, "_NormalsAhead", Ahead)
     monkeypatch.setattr(K, "_cpus", lambda: 2)
-    if size is not None:
-        monkeypatch.setattr(K, "_AHEAD_MIN", 1)
+    monkeypatch.setattr(K, "_AHEAD_MIN", 1)
+    monkeypatch.setattr(K, "_AHEAD_TOTAL", 1)
     return made
 
 
@@ -443,11 +445,11 @@ def drawn_ahead(seed, size):
     returns them as one flat array with the flat draw they must equal."""
     requests = [1, 5, size, size + 1, 3 * size + 2, 4097, 2]
     want = np.random.default_rng(seed).standard_normal(sum(requests) + 12)
-    ahead = K._NormalsAhead(np.random.default_rng(seed), size)
+    ahead = K._NormalsAhead([np.random.default_rng(seed)], [size])
     got = [np.empty(k) for k in requests] + [np.empty((3, 4))]
     try:
         for out in got:
-            ahead.fill(out)
+            ahead.fill(0, out)
     finally:
         ahead.close()
     assert_workers_ended([ahead])
@@ -495,16 +497,98 @@ def test_pinned_digests_hold_with_small_ahead_buffers(case, monkeypatch):
         test_structured_numpy_outputs_match_pinned_digests(case)
     else:
         test_dense_numpy_outputs_match_pinned_digests(case)
-    # each case is one group; a group of two streams draws inline
-    assert len(made) == (case[2] <= K.STREAM_BLOCK)
+    # each case is one group, which draws ahead through one worker
+    assert [ahead.streams for ahead in made] == [-(-case[2] // K.STREAM_BLOCK)]
     assert_workers_ended(made)
 
 
 def test_two_group_digests_hold_with_small_ahead_buffers(monkeypatch):
-    # the second group holds one stream (952 paths) and draws ahead
+    # the first group holds two streams and the second one (952 paths);
+    # each draws ahead through its own worker
     made = recorded_ahead(monkeypatch, size=1001)
     test_dense_groups_match_pinned_digests(monkeypatch)
-    assert len(made) == 1
+    assert [ahead.streams for ahead in made] == [2, 1]
+    assert_workers_ended(made)
+
+
+def test_small_runs_and_bridge_runs_draw_inline():
+    # the 64-path, 64-step dim-2 run, 2048 dim-2 paths of 16 steps and any
+    # bridge run draw inline
+    assert K._ahead_sizes(64, 2, 1 / 64, 1.0, False) == []
+    assert K._ahead_sizes(2048, 2, 1 / 16, 1.0, False) == []
+    assert K._ahead_sizes(2048, 2, 1 / 1024, 1.0, True) == []
+    # a round of buffers holds 2^16 values, or one step of every block
+    assert K._ahead_sizes(2048, 2, 1 / 1024, 1.0, False) == [32768, 32768]
+    assert K._ahead_sizes(1100, 2, 1 / 1024, 1.0, False) == [32768, 32768]
+    assert K._ahead_sizes(1024, 64, 1 / 1024, 1.0, False) == [65536]
+    assert K._ahead_sizes(32 * 1024, 4, 1 / 256, 1.0, False) == [4096] * 32
+
+
+def streams_drawn_ahead(seed):
+    """Three streams with buffers of different sizes, filled in block order
+    with some blocks empty, as after all of a block's paths have exited;
+    returns each stream's values with the flat draw they must equal."""
+    sizes = [7, 1001, 64]
+    requests = [(5, 3, 0), (5, 0, 1), (0, 0, 700), (9, 0, 1300), (3000, 0, 2)]
+    seeds = [[seed, k] for k in range(3)]
+    ahead = K._NormalsAhead([np.random.default_rng(s) for s in seeds], sizes)
+    got = [[], [], []]
+    try:
+        for step in requests:
+            for k, size in enumerate(step):
+                out = np.empty(size)
+                ahead.fill(k, out)
+                got[k].append(out)
+    finally:
+        ahead.close()
+    assert_workers_ended([ahead])
+    values = [np.concatenate(g) for g in got]
+    return values, [np.random.default_rng(s).standard_normal(v.size) for s, v in zip(seeds, values)]
+
+
+def test_streams_drawn_ahead_match_their_flat_draws():
+    # four consumers, each with a three-stream worker (more threads than
+    # cores), switching every microsecond
+    results = [None] * 4
+
+    def consume(k):
+        results[k] = streams_drawn_ahead(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=consume, args=(k,), daemon=True) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in results:
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_every_block_fills_in_order_each_step(monkeypatch):
+    # three dim-2 streams in one group, the last serving one path: once it
+    # exits, its block fills nothing each step but is still called, in order
+    made = recorded_ahead(monkeypatch)
+    calls = []
+    fill = K._NormalsAhead.fill
+
+    def recorded_fill(self, k, out):
+        calls.append((k, out.size))
+        fill(self, k, out)
+
+    monkeypatch.setattr(K._NormalsAhead, "fill", recorded_fill)
+    cov = equicorrelated_covariance(2, 0.5)
+    eps = 0.25
+    out = run_bounded(K.run_paths_dense_numpy, 31, 2049, cov.sqrt_matrix, np.ones(2), eps / 64, eps)
+    assert [ahead.streams for ahead in made] == [3]
+    assert [k for k, _ in calls] == [0, 1, 2] * (len(calls) // 3)
+    emptied = [size for k, size in calls if k == 2].index(0)
+    # the one path exited while the group ran on
+    assert out["exited"][2048] and emptied > 0 and calls[3 * emptied][1] > 0
     assert_workers_ended(made)
 
 
@@ -562,6 +646,93 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     assert len(made) == 1
     assert_workers_ended(made)
     assert threading.active_count() == before
+
+
+def dense_d2(paths=2100):
+    cov = equicorrelated_covariance(2, 0.5)
+    return K.run_paths_dense_numpy(6, paths, cov.sqrt_matrix, np.ones(2), 0.25 / 64, 0.25, store=False)
+
+
+def test_one_cpu_draws_a_two_stream_group_inline(monkeypatch):
+    made = recorded_ahead(monkeypatch)
+    monkeypatch.setattr(K, "_cpus", lambda: 1)
+    case = next(c for c in DENSE_DIGESTS if c[2] > K.STREAM_BLOCK and not c[6])
+    test_dense_numpy_outputs_match_pinned_digests(case)
+    assert made == []
+
+
+def test_worker_of_many_streams_ends_when_the_step_raises(monkeypatch):
+    before = threading.active_count()
+    made = recorded_ahead(monkeypatch)
+    mixer = K._dense_mixer
+
+    def failing_mixer(sig_sqrt):
+        mix = mixer(sig_sqrt)
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("third step")
+            return mix(*args)
+
+        failing.dim, failing.width = mix.dim, mix.width
+        return failing
+
+    monkeypatch.setattr(K, "_dense_mixer", failing_mixer)
+    with pytest.raises(FloatingPointError, match="third step"):
+        run_bounded(dense_d2)
+    assert [ahead.streams for ahead in made] == [3]
+    assert_workers_ended(made)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_worker_error_reaches_the_caller_from_any_stream(monkeypatch, failing):
+    class FailingGenerator:
+        def standard_normal(self, out):
+            raise MemoryError("stub draw")
+
+    before = threading.active_count()
+    made = recorded_ahead(monkeypatch)
+    default_rng = np.random.default_rng
+    streams = []
+
+    def rng(seed):
+        streams.append(seed)
+        return FailingGenerator() if len(streams) == failing + 1 else default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    with pytest.raises(MemoryError, match="stub draw"):
+        run_bounded(dense_d2)
+    assert [ahead.streams for ahead in made] == [3]
+    assert_workers_ended(made)
+    assert threading.active_count() == before
+
+
+def test_close_waits_only_for_the_fill_in_progress():
+    # 64 streams queue 127 refills behind the first; each fill takes 20 ms
+    class SlowGenerator:
+        def __init__(self):
+            self.fills = 0
+
+        def standard_normal(self, out):
+            self.fills += 1
+            time.sleep(0.02)
+            return out
+
+    rngs = [SlowGenerator() for _ in range(64)]
+
+    def fill_one_then_close():
+        ahead = K._NormalsAhead(rngs, [8] * 64)
+        try:
+            ahead.fill(0, np.empty(8))
+        finally:
+            ahead.close()
+        return ahead
+
+    assert_workers_ended([run_bounded(fill_one_then_close)])
+    assert sum(rng.fills for rng in rngs) <= 3
 
 
 @pytest.mark.parametrize("run", [K.run_paths_dense_numpy], ids=["numpy"])
