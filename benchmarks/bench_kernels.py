@@ -132,6 +132,16 @@ def bench_level2_scan(args):
     return "level2_scan_n11", run, None
 
 
+def bench_level2_scan_mc(args):
+    # the Monte Carlo scan of perfbench's exact-routes: 200 restrictions at N = 11
+    f = boolean_fourier.random_sign_function(11, np.random.default_rng(args.seed))
+
+    def run():
+        boolean_fourier.max_restricted_level2_mass(f, "monte_carlo", 200, np.random.default_rng(args.seed))
+
+    return "level2_scan_mc_n11x200", run, None
+
+
 def bench_restriction_identity_n4(args):
     # perfbench exact-routes' identity calls: 10 N = 4 functions x 25 anchors
     rng = np.random.default_rng(args.seed)
@@ -397,7 +407,8 @@ KERNEL_BENCHES = [
 ]
 # shapes that go through the library's other modules
 LIBRARY_BENCHES = [
-    bench_uniform_null, bench_level2_scan, bench_restriction_identity_n4, bench_restriction_identity_n8,
+    bench_uniform_null, bench_level2_scan, bench_level2_scan_mc, bench_restriction_identity_n4,
+    bench_restriction_identity_n8,
 ]
 
 

@@ -5,7 +5,9 @@ Two families of kernels live here:
 * one fast Walsh-Hadamard butterfly routine (unnormalized; callers
   rescale) that serves both rows and the sampler's paths-minor columns;
   its short levels (contiguous runs under ``_SHORT_RUN``, such as h = 1 to 8
-  on rows) iterate with the block index innermost.  Rows of +-1
+  on rows) iterate with the block index innermost.  A long row transform
+  shares its row blocks with one worker thread, which can run behind the
+  caller's other work.  Rows of +-1
   entries take phi in float32, which is exact: every transform
   intermediate is an integer of magnitude at most n <= 2^24 (float64
   above); and
@@ -56,6 +58,8 @@ the discretization error.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
 import os
 import queue
@@ -80,7 +84,16 @@ __all__ = [
 STREAM_BLOCK = 1024
 
 _BARRIER = 0.5
+# bridge candidates per block of the crossing probabilities, and state
+# entries per block of finalize's gather: each caps the temporaries of an
+# exit step whose every coordinate is a candidate or whose every path exits
+_CANDIDATE_BLOCK = 1 << 12
+_GATHER_BLOCK = 1 << 12
 _WHT_BLOCK = 1 << 15  # entries per row block of wht_inplace_np (256 KiB)
+# a transform shares its row blocks with a worker thread from this many
+# entries; below it the worker's start and join cost about as much as the
+# blocks it takes (CHANGES.md has the size table that set it)
+_SHARE_MIN = 1 << 18
 # butterfly levels whose contiguous run h * post is shorter than this run
 # with the block index innermost (runs of 16 to 128 timed alike)
 _SHORT_RUN = 16
@@ -136,21 +149,72 @@ def _wht_axis_np(src, dst, scratch):
         dst[...] = a
 
 
+def _take_blocks(rows, step, todo):
+    """Transform the row blocks whose starts this thread pops from ``todo``, until none is left."""
+    scratch = np.empty_like(rows[:step])
+    while True:
+        try:
+            i = todo.popleft()
+        except IndexError:
+            return
+        block = rows[i : i + step]
+        _wht_axis_np(block, block, scratch[: len(block)])
+
+
+@contextlib.contextmanager
+def _wht_behind(a):
+    """Run ``wht_inplace_np(a)`` behind the with body, on a worker thread.
+
+    The starts of a's row blocks wait on one deque, whose pops are
+    thread-safe.  From ``_SHARE_MIN`` entries and two blocks, on a second
+    CPU, a worker thread pops blocks while the body runs (numpy releases the
+    GIL inside each add); when the body returns, the caller pops the rest
+    and then joins the worker.  Each taker has a block of scratch of its own
+    and each row's adds are those of the row alone, so the taker of a block
+    changes no bit.  Otherwise the caller takes every block at the end of
+    the body.  The body must not touch ``a``.  When it raises, the blocks
+    not yet taken are dropped and the worker ends after the block in hand;
+    a worker's exception is raised at the join.
+    """
+    rows = a.reshape(-1, a.shape[-1], 1)
+    step = max(1, _WHT_BLOCK // rows.shape[1])
+    todo = collections.deque(range(0, len(rows), step))
+    errors = []
+
+    def work():
+        try:
+            _take_blocks(rows, step, todo)
+        except BaseException as exc:  # raised again in the caller at the join
+            errors.append(exc)
+
+    worker = None
+    if a.size >= _SHARE_MIN and len(todo) > 1 and _cpus() > 1:
+        worker = threading.Thread(target=work, daemon=True)
+        worker.start()
+    try:
+        yield a
+        _take_blocks(rows, step, todo)
+    finally:
+        todo.clear()
+        if worker is not None:
+            worker.join()
+    if errors:
+        raise errors[0]
+
+
 def wht_inplace_np(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard butterflies over the last axis, in place.
 
     ``a`` is 1-D or 2-D (one transform per row); the last-axis length must
     be a power of two (not validated here).
     Applying this twice multiplies the input by the axis length.  Blocks of
-    rows (``_WHT_BLOCK`` entries, at least one row) run through one block of
-    scratch in cache; each row's adds are those of the row alone.
+    rows (``_WHT_BLOCK`` entries, at least one row) run through a block of
+    scratch in cache; each row's adds are those of the row alone.  From
+    ``_SHARE_MIN`` entries a worker thread takes blocks next to the caller
+    (see ``_wht_behind``).
     """
-    rows = a.reshape(-1, a.shape[-1], 1)
-    step = max(1, _WHT_BLOCK // rows.shape[1])
-    scratch = np.empty_like(rows[:step])
-    for i in range(0, len(rows), step):
-        block = rows[i : i + step]
-        _wht_axis_np(block, block, scratch[: len(block)])
+    with _wht_behind(a):
+        pass
     return a
 
 
@@ -165,20 +229,35 @@ def _phi_rows(x, y):
     return np.einsum("ij,ij->i", x, hy) * (1.0 / np.sqrt(n) / n)
 
 
+def _sign_rows(x):
+    """Rows of +-1 entries in the dtype whose transform is exact, C-ordered.
+
+    float32 up to ``_F32_EXACT`` entries a row, float64 above; x itself when
+    it is already so.
+    """
+    return np.asarray(x, dtype=np.float32 if x.shape[-1] <= _F32_EXACT else np.float64, order="C")
+
+
+def _phi_transformed(hx, y):
+    """Row-wise phi from Hx, the transformed ``_sign_rows`` of x, and +-1 rows y.
+
+    Exact: every transform intermediate is an integer of magnitude at most
+    n, and the float64 dot sums integers whose partial sums are of magnitude
+    at most n^1.5, so every route and summation order gives the same value;
+    and since H is symmetric, (Hx) . y is x^T H y.
+    """
+    n = hx.shape[1]
+    dots = np.einsum("ij,ij->i", hx, np.asarray(y, dtype=hx.dtype), dtype=np.float64)
+    return dots * (1.0 / np.sqrt(n) / n)
+
+
 def _phi_sign_rows(x, y):
     """``_phi_rows`` to the bit for matched ``(m, n)`` rows of +-1 entries.
 
-    Both halves are built as float32 (float64 for n > ``_F32_EXACT``) and
-    y's build is transformed in place, so a C-ordered y of that dtype is
-    overwritten.  Exact: every transform intermediate is an integer of
-    magnitude at most n, and the float64 dot sums integers of magnitude at
-    most n^1.5, so every route and summation order gives the same value.
+    x's ``_sign_rows`` build is transformed in place, so a C-ordered x of
+    that dtype is overwritten; y is read as it is.
     """
-    n = x.shape[1]
-    dtype = np.float32 if n <= _F32_EXACT else np.float64
-    hy = wht_inplace_np(np.asarray(y, dtype=dtype, order="C"))
-    dots = np.einsum("ij,ij->i", np.asarray(x, dtype=dtype), hy, dtype=np.float64)
-    return dots * (1.0 / np.sqrt(n) / n)
+    return _phi_transformed(wht_inplace_np(_sign_rows(x)), y)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +361,9 @@ def working_set_bytes(count, dim, width, dt, epsilon, bridge, fold=0):
     values for its fold and 4 for the trapezoid accumulator.  Then the two
     draw-ahead buffers of each stream.  Tracemalloc peaks, less the batch,
     of dense dim 1-64 and structured n = 1-1024 groups, with and without the
-    bridge test and a generator, stayed within this count, but for a
-    one-step dense dim-64 bridge run (1.01x), where every coordinate is a
-    bridge candidate.
+    bridge test and a generator, stayed within this count; one-step dense
+    dim-64 runs of 2048 paths at dt 0.01 to 4, where most coordinates are
+    bridge candidates or every path exits, peaked at 0.63-0.96 of it.
     """
     per_path = dim * (8 if bridge else 4) + width + (fold + 4 if fold else 0)
     return 8 * (count * per_path + 2 * sum(_ahead_sizes(count, width, dt, epsilon, bridge)))
@@ -382,7 +461,8 @@ def _bridge_crossings_np(r, prev, new, hvar, work):
     where ``up``.  A live path has ``|prev| <= 1/2``, so a coordinate can
     cross only if ``|new| <= 1/2``.  exp is evaluated only at candidates:
     such coordinates with max(|prev|, |new|) > 1/2 - sqrt(20 max(hvar)), and
-    any whose uniform is exactly 0.  Elsewhere both exponents are at most
+    any whose uniform is exactly 0, ``_CANDIDATE_BLOCK`` candidates at a
+    time.  Elsewhere both exponents are at most
     -40, so p < 2 e^-40 < 2^-53, below every nonzero uniform, and the
     result is that of the full-array formula.
     """
@@ -395,11 +475,15 @@ def _bridge_crossings_np(r, prev, new, hvar, work):
         cand |= r == 0.0
     cand &= inside
     i, j = np.nonzero(cand)
-    pv, nv, rv, hv = prev[i, j], new[i, j], r[i, j], hvar[i]
-    p_up = np.exp(-2.0 * (a - pv) * (a - nv) / hv)
-    p_dn = np.exp(-2.0 * (a + pv) * (a + nv) / hv)
-    crossed = rv < p_up + p_dn - p_up * p_dn
-    return i[crossed], j[crossed], (rv < p_up)[crossed]
+    crossed, up = np.empty((2, i.size), dtype=bool)
+    for s in range(0, i.size, _CANDIDATE_BLOCK):
+        ci, cj = i[s : s + _CANDIDATE_BLOCK], j[s : s + _CANDIDATE_BLOCK]
+        pv, nv, rv, hv = prev[ci, cj], new[ci, cj], r[ci, cj], hvar[ci]
+        p_up = np.exp(-2.0 * (a - pv) * (a - nv) / hv)
+        p_dn = np.exp(-2.0 * (a + pv) * (a + nv) / hv)
+        np.less(rv, p_up + p_dn - p_up * p_dn, out=crossed[s : s + _CANDIDATE_BLOCK])
+        np.less(rv, p_up, out=up[s : s + _CANDIDATE_BLOCK])
+    return i[crossed], j[crossed], up[crossed]
 
 
 def _structured_mixer(n):
@@ -461,8 +545,9 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
     before the clamp; ``x_raw`` is that endpoint before the clamp and before
     bridge-crossed coordinates are put on the barrier.  State-sized arrays
     live in buffers allocated once per group: the state, a spare that takes
-    the step's draws and then the compacted state (the two swap), and for
-    the bridge test the previous state and the test's scratch.  Normals
+    the step's draws, then the rows of the step's exiting paths for
+    finalize, then the compacted state (the two swap), and for the bridge
+    test the previous state and the test's scratch.  Normals
     drawn ahead fill two more buffers a stream, sized by ``_ahead_sizes``.
     """
     count, dim, width = out["tau"].size, mix.dim, mix.width
@@ -487,10 +572,20 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
 
     blocks, solo = spans()
 
-    def finalize(rows, cols, crossed=None):
-        # back to one C-ordered row per path: einsum over the transposed
-        # layout would change phi in the last bit
-        pt = np.ascontiguousarray(cols.T)
+    gather = max(1, _GATHER_BLOCK // dim)
+
+    def exiting_rows(gone):
+        # columns gone of the state as one C-ordered row per path: einsum
+        # over the transposed layout would change phi in the last bit.  They
+        # are gathered into the spare buffer a block at a time, so no step
+        # holds a second state
+        pt = _rows(spare, gone.size, dim)
+        for a in range(0, gone.size, gather):
+            pt[a : a + gather] = st.T[gone[a : a + gather]]
+        return pt
+
+    def finalize(rows, pt, crossed=None):
+        # pt holds one C-ordered row per path, a copy that finalize overwrites
         n = dim // 2
         if want_acc:
             out["x_raw"][rows] = pt
@@ -545,21 +640,22 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
                 af_prev = af_new
 
             if stop.any():
-                rows = alive[stop]
+                # integer indices, found once: cheaper than each boolean index
+                gone, keep = stop.nonzero()[0], (~stop).nonzero()[0]
+                rows = alive[gone]
                 out["tau"][rows] = min(t, epsilon)
                 out["exited"][rows] = True
                 crossed = (np.cumsum(stop)[cj] - 1, ci, up) if bridge else None
-                finalize(rows, st[:, stop], crossed)
-                keep = ~stop
+                finalize(rows, exiting_rows(gone), crossed)
                 if want_acc:
-                    out["accumulator"][rows] = acc[stop]
+                    out["accumulator"][rows] = acc[gone]
                     acc = acc[keep]
                     af_prev = af_prev[keep]
                 alive = alive[keep]
                 # compact into the spare buffer and swap; take's clip mode
                 # writes out= directly, where compress would copy it first
                 nxt = _rows(spare, dim, alive.size)
-                np.take(st, np.flatnonzero(keep), axis=1, out=nxt, mode="clip")
+                np.take(st, keep, axis=1, out=nxt, mode="clip")
                 st_buf, spare, st = spare, st_buf, nxt
                 blocks, solo = spans()
     finally:
@@ -569,7 +665,7 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
     # the last finalize copies every survivor; free the scratch for it
     spare = prev_buf = work_buf = ahead = None
     if alive.size:
-        finalize(alive, st)
+        finalize(alive, np.ascontiguousarray(st.T))
         if want_acc:
             out["accumulator"][alive] = acc
 

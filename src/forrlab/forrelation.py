@@ -141,19 +141,30 @@ def statevector_amplitude(x, y) -> float:
     return float(state[0])
 
 
+# the bits of -1.0 in float32; with the sign bit flipped they are +1.0's
+_MINUS_ONE_BITS = np.float32(-1.0).view(np.uint32)
+
+
 def _uniform_signs(rng, m: int, n: int) -> np.ndarray:
-    """(m, n) uniform +-1 as float32, from the stream rng.choice((-1.0, 1.0)) consumes."""
-    signs = rng.integers(0, 2, size=(m, n), dtype=np.int32).astype(np.float32)
-    signs *= 2.0
-    signs -= 1.0
-    return signs
+    """(m, n) uniform +-1 as float32, from the stream rng.choice((-1.0, 1.0)) consumes.
+
+    Built in place from the int32 draw's own bits: b in {0, 1} shifted to
+    the sign bit, then xor -1.0's bits, gives 2b - 1.
+    """
+    bits = rng.integers(0, 2, size=(m, n), dtype=np.int32).view(np.uint32)
+    bits <<= 31
+    bits ^= _MINUS_ONE_BITS
+    return bits.view(np.float32)
 
 
 def uniform_phi_null(n: int, samples: int, rng) -> Estimate:
     """Mean phi over independent uniform sign pairs (analytically zero).
 
-    Each chunk of ``_NULL_CHUNK`` rows draws x's signs, then y's, and takes
-    phi on the exact sign-row route.  Arguments are checked before any draw.
+    Each chunk of ``_NULL_CHUNK`` rows draws x's signs, starts x's transform
+    on a worker thread behind the caller (``_kernels._wht_behind``, inline
+    below its size gate or on one CPU), draws y's signs meanwhile, joins,
+    and takes phi as the float64 dot of Hx with y, which is exact.
+    Arguments are checked before any draw.
     """
     if n < 1 or n & (n - 1):
         raise ValueError("n must be a power of two >= 1")
@@ -164,8 +175,10 @@ def uniform_phi_null(n: int, samples: int, rng) -> Estimate:
     done = 0
     while done < samples:
         m = min(_NULL_CHUNK, samples - done)
-        xs = _uniform_signs(rng, m, n)
-        vals = _kernels._phi_sign_rows(xs, _uniform_signs(rng, m, n))
+        hx = _kernels._sign_rows(_uniform_signs(rng, m, n))
+        with _kernels._wht_behind(hx):
+            ys = _uniform_signs(rng, m, n)
+        vals = _kernels._phi_transformed(hx, ys)
         total += float(vals.sum())
         total_sq += float((vals**2).sum())
         done += m

@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -281,6 +282,42 @@ class TestMaxRestrictedLevel2Mass:
         f = bf.from_truth_table([1, -1, -1, 1])
         with pytest.raises(ValueError):
             bf.max_restricted_level2_mass(f, method="monte_carlo")
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_monte_carlo_rejects_no_samples_before_drawing(self, samples):
+        f = bf.random_sign_function(4, np.random.default_rng(7))
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+            bf.max_restricted_level2_mass(f, "monte_carlo", samples, rng)
+        assert rng.bit_generator.state == state
+
+
+# sha256 of the Monte Carlo scan's value and its Generator's state after the
+# call, at N = 4, 8 and 11 and 1 to 1000 samples; pinned from the scan that
+# drew, restricted and summed one sample at a time
+MC_SCAN_DIGEST = "359c4e128b024e7baa6451d0abca437348ed4bfd107aa3afcaa93d5122b09389"
+
+
+def test_monte_carlo_scan_matches_pinned_digest():
+    h = hashlib.sha256()
+    for n_vars in (4, 8, 11):
+        f = bf.random_sign_function(n_vars, np.random.default_rng(n_vars))
+        for samples in (1, 50, 200, 1000):
+            rng = np.random.default_rng([n_vars, samples])
+            value = bf.max_restricted_level2_mass(f, "monte_carlo", samples, rng)
+            assert type(value) is float
+            h.update(np.float64(value).tobytes())
+            h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    assert h.hexdigest() == MC_SCAN_DIGEST
+
+
+def test_monte_carlo_scan_blocks_hold_the_digest(monkeypatch):
+    # one restriction per block, and 16 a block at N = 11
+    monkeypatch.setattr(bf, "_RESTRICTION_BLOCK", 1)
+    test_monte_carlo_scan_matches_pinned_digest()
+    monkeypatch.setattr(bf, "_RESTRICTION_BLOCK", 16 * 2**11)
+    test_monte_carlo_scan_matches_pinned_digest()
 
 
 # the level-by-level tail of the scan against the one-call-per-node

@@ -319,3 +319,36 @@ class TestAdvantageExperiment:
         batch = diff.sample_stopped_paths(cov, cfg, 100, store_paths=False)
         with pytest.raises(ValueError):
             forr.advantage_experiment(cov, cfg, 100, paths=batch)
+
+
+@pytest.mark.parametrize("m, n", [(7, 3), (64, 1024), (1, 1)])
+def test_uniform_signs_from_the_draws_bits(m, n):
+    # the float32 +-1 built from the int32 draw's bits against 2b - 1 in
+    # float arithmetic: the same bytes and the same stream
+    a, b = np.random.default_rng([m, n]), np.random.default_rng([m, n])
+    want = b.integers(0, 2, size=(m, n), dtype=np.int32).astype(np.float32)
+    want *= 2.0
+    want -= 1.0
+    got = forr._uniform_signs(a, m, n)
+    assert got.dtype == np.float32 and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def share_every_transform(monkeypatch):
+    """Every transform of two row blocks or more shares them with a worker."""
+    monkeypatch.setattr(_kernels, "_SHARE_MIN", 0)
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
+
+
+def test_digests_hold_with_every_transform_shared(monkeypatch):
+    share_every_transform(monkeypatch)
+    test_uniform_null_matches_pinned_digest(monkeypatch)
+    test_phi_batch_matches_pinned_digest()
+    test_sign_rows_equal_phi_batch_bit_for_bit()
+
+
+def test_uniform_null_is_inline_on_one_cpu(monkeypatch):
+    # the digest on the caller alone, even for the (4096, 1024) chunk
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 1)
+    test_uniform_null_matches_pinned_digest(monkeypatch)

@@ -735,6 +735,119 @@ def test_close_waits_only_for_the_fill_in_progress():
     assert sum(rng.fills for rng in rngs) <= 3
 
 
+# ---------------------------------------------------------------------------
+# Long-row transforms shared with a worker thread
+# ---------------------------------------------------------------------------
+
+
+def recorded_takers(monkeypatch, cpus=2, share_min=0):
+    """Record the thread of every _take_blocks call; every transform of two
+    blocks or more shares its blocks when ``cpus`` > 1."""
+    takers = []
+    take = K._take_blocks
+
+    def recorded(*args):
+        takers.append(threading.get_ident())
+        return take(*args)
+
+    monkeypatch.setattr(K, "_take_blocks", recorded)
+    monkeypatch.setattr(K, "_cpus", lambda: cpus)
+    monkeypatch.setattr(K, "_SHARE_MIN", share_min)
+    return takers
+
+
+def shared_shapes():
+    # one row, two full row blocks and a partial one, and a null chunk at
+    # n = 1024, in both dtypes
+    for dtype in (np.float32, np.float64):
+        for shape in ((1, 64), (2 * 512 + 100, 64), (4096, 1024)):
+            yield dtype, shape
+
+
+@pytest.mark.parametrize("dtype, shape", list(shared_shapes()), ids=lambda v: getattr(v, "__name__", str(v)))
+def test_shared_transform_equals_the_inline_one(monkeypatch, dtype, shape):
+    a = np.random.default_rng(list(shape)).choice((-1.0, 1.0), size=shape).astype(dtype)
+    a[:, 1::3] *= 3.0  # entries other than +-1 too
+    inline = K.wht_inplace_np(a.copy())
+    takers = recorded_takers(monkeypatch)
+    # the caller and the worker race for the blocks
+    assert run_bounded(K.wht_inplace_np, a.copy()).tobytes() == inline.tobytes()
+    # one taker for a single block; else the caller and a worker, at once
+    assert len(set(takers)) == len(takers) == (2 if shape[0] > 1 else 1)
+    # the worker takes the blocks while the body sleeps
+    takers.clear()
+    behind = a.copy()
+
+    def sleep_behind():
+        with K._wht_behind(behind):
+            time.sleep(0.05)
+
+    run_bounded(sleep_behind)
+    assert behind.tobytes() == inline.tobytes()
+    assert len(set(takers)) == len(takers) == (2 if shape[0] > 1 else 1)
+
+
+def test_one_cpu_transforms_inline(monkeypatch):
+    takers = recorded_takers(monkeypatch, cpus=1)
+    before = threading.active_count()
+    K.wht_inplace_np(np.ones((4096, 64)))
+    assert takers == [threading.get_ident()]
+    assert threading.active_count() == before
+
+
+def test_small_transforms_stay_inline(monkeypatch):
+    # prop-n64's null chunk, (1024, 64), is under the gate; the CLI's, (4096, 64), is not
+    takers = recorded_takers(monkeypatch, share_min=K._SHARE_MIN)
+    K.wht_inplace_np(np.ones((1024, 64), dtype=np.float32))
+    assert takers == [threading.get_ident()]
+    K.wht_inplace_np(np.ones((4096, 64), dtype=np.float32))
+    assert len(set(takers)) == 2
+
+
+def test_transform_worker_ends_on_return(monkeypatch):
+    takers = recorded_takers(monkeypatch)
+    before = threading.active_count()
+    a = np.ones((4096, 64))
+    with K._wht_behind(a):
+        pass
+    assert len(takers) == 2
+    assert threading.active_count() == before
+    npt.assert_array_equal(a[:, 0], 64.0)
+
+
+def test_transform_worker_ends_when_the_caller_raises(monkeypatch):
+    recorded_takers(monkeypatch)
+    before = threading.active_count()
+
+    def raise_behind():
+        with K._wht_behind(np.ones((4096, 1024))):
+            raise FloatingPointError("body")
+
+    with pytest.raises(FloatingPointError, match="body"):
+        run_bounded(raise_behind)
+    assert threading.active_count() == before
+
+
+def test_transform_worker_error_reaches_the_caller(monkeypatch):
+    recorded_takers(monkeypatch)
+    caller = threading.get_ident()
+    failed = threading.Event()
+    wht = K._wht_axis_np
+
+    def failing_wht(*args):
+        if threading.get_ident() != caller:
+            failed.set()
+            raise MemoryError("worker block")
+        return wht(*args)
+
+    monkeypatch.setattr(K, "_wht_axis_np", failing_wht)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="worker block"):
+        with K._wht_behind(np.ones((4096, 64))):
+            assert failed.wait(timeout=10)
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("run", [K.run_paths_dense_numpy], ids=["numpy"])
 class TestDensePathKernel:
     def test_identity_covariance_invariants(self, run):
@@ -847,6 +960,49 @@ def test_grid_working_set_fits_the_capacity_count(monkeypatch):
     assert peak <= 4 * K.STREAM_BLOCK * 2 * n * 8
 
 
+def one_step_dim64_peak(dt, bridge):
+    """Traced peak, in states, of one step of 2048 dense dim-64 paths, and
+    the run's record; the state is 64 x 2048 float64 (1 MiB)."""
+    dim, paths = 64, 2048
+    tracemalloc.start()
+    try:
+        out = K.run_paths_dense_numpy(3, paths, np.eye(dim), np.ones(dim), dt, dt, bridge=bridge, store=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * dim * paths), out
+
+
+@pytest.mark.parametrize("bridge, states", [(False, 3.2), (True, 7.2)], ids=["grid", "bridge"])
+def test_a_step_where_every_path_exits_holds_no_copy_of_the_exits(bridge, states):
+    # finalize gathers the exiting rows into the spare buffer and the bridge
+    # test takes its candidates in blocks: the grid run peaked at 4.11
+    # states and the bridge run at 9.25 with a fresh copy of the exiting
+    # rows and every candidate's temporaries at once; the state, the spare
+    # and the dense mixer's product alone are 3
+    peak, out = one_step_dim64_peak(1.0, bridge)
+    assert out["exited"].all()
+    assert peak <= states
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.03, 0.25])
+def test_one_step_bridge_runs_fit_the_capacity_count(dt):
+    # most coordinates are bridge candidates; the candidate temporaries once
+    # took these runs to 1.25-1.70x the working set the capacity rule counts
+    peak, _ = one_step_dim64_peak(dt, True)
+    assert peak * 8 * 64 * 2048 <= K.working_set_bytes(2048, 64, 64, dt, dt, True)
+
+
+def test_digests_hold_with_small_candidate_and_gather_blocks(monkeypatch):
+    # blocks of 3 bridge candidates and of one finalize row
+    monkeypatch.setattr(K, "_CANDIDATE_BLOCK", 3)
+    monkeypatch.setattr(K, "_GATHER_BLOCK", 1)
+    for case in STRUCTURED_DIGESTS:
+        test_structured_numpy_outputs_match_pinned_digests(case)
+    for case in DENSE_DIGESTS:
+        test_dense_numpy_outputs_match_pinned_digests(case)
+
+
 def test_generator_fills_a_partial_last_block():
     # three streams stepped in lockstep as one group, the last serving 52
     # paths or one (a one-row matmul takes another BLAS route); each block
@@ -926,3 +1082,9 @@ def test_bridge_candidates_give_the_full_array_masks(per_coordinate):
     assert want[0][5, :40].all()
     for g, w in zip(got, want):
         npt.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("per_coordinate", [False, True], ids=["unit", "diag"])
+def test_bridge_candidates_in_small_blocks_give_the_full_array_masks(monkeypatch, per_coordinate):
+    monkeypatch.setattr(K, "_CANDIDATE_BLOCK", 7)
+    test_bridge_candidates_give_the_full_array_masks(per_coordinate)
