@@ -333,11 +333,11 @@ def max_restricted_level2_mass(
     subtract, with the adds and leaf sums of a per-node recursion, so the
     value is the same bit for bit.  ``method="monte_carlo"``
     samples ``samples`` uniformly random restrictions and returns the best
-    found, which is only a lower bound on the true maximum.  It draws every
-    sample's entries in one call, the stream of one call per sample, and
-    substitutes them ``_RESTRICTION_BLOCK`` table entries at a time; each
-    row's mass sums in the order of ``level_mass``, so the value is that of
-    restricting one sample at a time, bit for bit.
+    found, which is only a lower bound on the true maximum.  It substitutes
+    ``_RESTRICTION_BLOCK`` table entries at a time and draws each block's
+    entries with one call, which continues the stream of one call per
+    sample; each row's mass sums in the order of ``level_mass``, so the
+    value is that of restricting one sample at a time, bit for bit.
     """
     if method == "monte_carlo":
         if rng is None:
@@ -345,11 +345,10 @@ def max_restricted_level2_mass(
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
         pairs = subset_sizes(f.n_vars) == 2
-        values = rng.integers(-1, 2, size=(samples, f.n_vars))
         step = max(1, _RESTRICTION_BLOCK // f.coeffs.size)
         best = 0.0
         for start in range(0, samples, step):
-            block = values[start : start + step]
+            block = rng.integers(-1, 2, size=(min(step, samples - start), f.n_vars))
             tables = _restrict_rows(np.tile(f.coeffs, (len(block), 1)), block)
             best = max(best, float(np.abs(tables.compress(pairs, axis=1)).sum(axis=1).max()))
         return best

@@ -71,6 +71,14 @@ def finite(text: str) -> float:
     return value
 
 
+def sample_count(text: str) -> int:
+    """argparse type for --samples: a standard error needs at least two samples."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text}")
+    return value
+
+
 def _env_seed() -> int:
     raw = os.environ.get("FORRLAB_SEED", "0")
     try:
@@ -333,8 +341,8 @@ def _cmd_sweep(args) -> int:
     started = time.perf_counter()
     seed = _master_seed(args)
     ns = _parse_n_range(args.n)
-    if args.samples < 0:
-        raise _UsageError("--samples must be >= 0 (0 skips sampling)")
+    if args.samples < 0 or args.samples == 1:
+        raise _UsageError("--samples must be 0 (skips sampling) or >= 2")
     if args.dt_div < 1:
         raise _UsageError("--dt-div must be >= 1")
     try:
@@ -392,7 +400,7 @@ def _add_seed_flag(p) -> None:
 
 def _add_sampling_flags(p, default_samples: int) -> None:
     p.add_argument(
-        "--samples", type=int, default=default_samples, help="number of Monte Carlo paths"
+        "--samples", type=sample_count, default=default_samples, help="number of Monte Carlo paths (>= 2)"
     )
     p.add_argument(
         "--epsilon", type=finite, help="time horizon (default: 1/(8 ln N) for the process dimension N)"
@@ -607,7 +615,7 @@ def build_parser() -> _Parser:
         default="16..256",
         help="half dimension or inclusive range A..B of powers of two (default 16..256)",
     )
-    p.add_argument("--samples", type=int, default=20_000, help="paths per size; 0 skips sampling")
+    p.add_argument("--samples", type=int, default=20_000, help="paths per size (>= 2); 0 skips sampling")
     p.add_argument("--dt-div", type=int, default=1024, help="grid steps per horizon")
     p.add_argument("--bridge", action="store_true", help="bridge-corrected exit detection")
     p.add_argument("--ell", type=finite, default=1.0, help="log exponent of the level-mass profile")

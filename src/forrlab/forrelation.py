@@ -21,7 +21,14 @@ import math
 import numpy as np
 
 from . import _kernels
-from .diffusion import CovarianceSpec, SamplerConfig, StoppedBatch, boolean_round, sample_stopped_paths
+from .diffusion import (
+    STORED_PATHS_BYTE_LIMIT,
+    CovarianceSpec,
+    SamplerConfig,
+    StoppedBatch,
+    boolean_round,
+    sample_stopped_paths,
+)
 from .errors import CapacityError
 from .report import (
     PASS,
@@ -92,10 +99,16 @@ def sample_acceptance(x, y, shots: int, rng) -> Estimate:
     """Bernoulli draws of the accept/reject outcome; returns the proportion.
 
     The acceptance law is exact, so sampling only adds noise; this exists for
-    end-to-end demos of the distinguisher as an actual coin.
+    end-to-end demos of the distinguisher as an actual coin.  The shots are
+    drawn at once, 9 bytes each, so a count whose draws would exceed
+    STORED_PATHS_BYTE_LIMIT bytes raises CapacityError before any draw.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if 9 * shots > STORED_PATHS_BYTE_LIMIT:
+        raise CapacityError(
+            f"{shots} shots hold {9 * shots} bytes of draws, over the {STORED_PATHS_BYTE_LIMIT} byte limit"
+        )
     p = accept_probability(x, y)
     hits = int((rng.random(shots) < p).sum())
     return proportion_estimate(hits, shots)
@@ -164,12 +177,20 @@ def uniform_phi_null(n: int, samples: int, rng) -> Estimate:
     on a worker thread behind the caller (``_kernels._wht_behind``, inline
     below its size gate or on one CPU), draws y's signs meanwhile, joins,
     and takes phi as the float64 dot of Hx with y, which is exact.
-    Arguments are checked before any draw.
+    Arguments are checked before any draw, and a chunk whose two sign
+    arrays would exceed STORED_PATHS_BYTE_LIMIT bytes raises CapacityError.
     """
     if n < 1 or n & (n - 1):
         raise ValueError("n must be a power of two >= 1")
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    # x's signs in the transform's dtype (asked of _sign_rows on no rows), and y's int32 signs
+    chunk = min(_NULL_CHUNK, samples) * n * (_kernels._sign_rows(np.empty((0, n), np.int32)).itemsize + 4)
+    if chunk > STORED_PATHS_BYTE_LIMIT:
+        raise CapacityError(
+            f"uniform null chunks of n = {n} hold {chunk} bytes of signs, over the "
+            f"{STORED_PATHS_BYTE_LIMIT} byte limit; use fewer samples or a smaller n"
+        )
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -210,6 +231,8 @@ def _advantage_chain(
     if not isinstance(cov, CovarianceSpec):
         raise ValueError("the advantage chain needs the structured covariance")
     if paths is None:
+        if samples < 2:
+            raise ValueError("samples must be >= 2")
         paths = sample_stopped_paths(cov, config, samples, store_paths=store_paths, want_phi=True)
     if paths.phi is None or paths.phi_raw is None:
         raise ValueError("paths batch must carry the phi functional")

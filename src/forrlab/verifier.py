@@ -238,6 +238,8 @@ def verify_stopped_mean_bound(
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     if paths is None:
+        if samples < 2:
+            raise ValueError("samples must be >= 2")
         paths = sample_stopped_paths(cov, config, samples, store_paths=True)
     if paths.x_tau is None:
         raise ValueError("paths batch must carry stored endpoints")

@@ -320,6 +320,19 @@ def test_monte_carlo_scan_blocks_hold_the_digest(monkeypatch):
     test_monte_carlo_scan_matches_pinned_digest()
 
 
+def test_monte_carlo_scan_draws_block_by_block():
+    # 2e5 samples at N = 4 hold 6.1 MiB of int64 entries if drawn in one
+    # call; one block's draws and tables stay under 2 MiB whatever the count
+    f = bf.random_sign_function(4, np.random.default_rng(4))
+    tracemalloc.start()
+    try:
+        bf.max_restricted_level2_mass(f, "monte_carlo", 200_000, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 # the level-by-level tail of the scan against the one-call-per-node
 # recursion, beyond the N <= 10 of FOLD_DIGESTS and on each side of the
 # switch; the folds and leaf sums are the same, so the values are equal

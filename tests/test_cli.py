@@ -15,6 +15,7 @@ import pytest
 
 import forrlab.diffusion as diff
 import forrlab.forrelation as forr
+from forrlab import _kernels, cli
 
 
 def run_cli(*argv, env=None):
@@ -141,6 +142,40 @@ class TestUsageErrors:
     def test_unstored_batch_past_the_limit_is_usage_error(self):
         # 1e12 paths would hold 33 TB of tau, exit flags, stream ids and phi
         proc = run_cli("verify-prop", "--n", "2", "--samples", "1000000000000")
+        assert proc.returncode == 64
+        assert "byte limit" in proc.stderr
+        assert proc.stdout == ""
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--n", "2"),
+            ("verify-dynkin",),
+            ("verify-main",),
+            ("verify-prop", "--n", "2"),
+            ("advantage", "--n", "2"),
+            ("sweep", "--n", "16"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_sample_is_refused_before_sampling(self, monkeypatch, capsys, argv):
+        # in process, so that a draw before the refusal fails the test
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the kernel ran before the --samples check")
+
+        monkeypatch.setattr(_kernels, "run_paths_structured_numpy", no_sampling)
+        monkeypatch.setattr(_kernels, "run_paths_dense_numpy", no_sampling)
+        try:
+            code = cli.main([*argv, "--samples", "1"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 64
+        assert "--samples" in capsys.readouterr().err
+
+    def test_oversized_shots_are_usage_error(self):
+        # 2e11 shots would draw 1.8 TB at once
+        proc = run_cli("accept", "--x", "1,1", "--y", "1,-1", "--shots", "200000000000")
         assert proc.returncode == 64
         assert "byte limit" in proc.stderr
         assert proc.stdout == ""

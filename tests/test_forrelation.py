@@ -171,6 +171,14 @@ class TestSampleAcceptance:
         with pytest.raises(ValueError):
             forr.sample_acceptance([1.0], [1.0], 0, np.random.default_rng(0))
 
+    def test_oversized_shots_refused_before_drawing(self):
+        # 2e11 shots would draw 1.8 TB at once
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(CapacityError, match="byte limit"):
+            forr.sample_acceptance([1.0, 1.0], [1.0, -1.0], 200_000_000_000, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestStatevectorAmplitude:
     def test_identity_phases_give_inverse_sqrt(self):
@@ -222,6 +230,14 @@ class TestUniformNull:
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="must be"):
             forr.uniform_phi_null(n, 100, rng)
+        assert rng.bit_generator.state == state
+
+    def test_oversized_chunk_refused_before_drawing(self):
+        # 4096 rows of 2^22 signs for x and for y: 128 GiB a chunk
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(CapacityError, match="byte limit"):
+            forr.uniform_phi_null(2**22, 4096, rng)
         assert rng.bit_generator.state == state
 
     def test_choice_stream_is_integers_stream(self):

@@ -17,6 +17,7 @@ import pytest
 
 import forrlab.boolean_fourier as bf
 import forrlab.diffusion as diff
+import forrlab.forrelation as forr
 import forrlab.verifier as ver
 from forrlab.errors import CapacityError
 from forrlab.report import FAIL, PASS
@@ -431,6 +432,26 @@ class TestStoppedMeanBound:
         batch = diff.sample_stopped_paths(dense_cov, dense_config, 4, store_paths=False)
         with pytest.raises(ValueError):
             ver.verify_stopped_mean_bound(f, dense_cov, dense_config, 4, t=1.0, paths=batch)
+
+
+@pytest.mark.parametrize("route", ["dynkin", "stopped_mean_bound", "advantage_bound", "advantage_experiment"])
+def test_one_sample_is_refused_before_sampling(monkeypatch, route):
+    # a standard error needs two samples; one used to be drawn first
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the kernel ran before the samples check")
+
+    monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", no_sampling)
+    cov = diff.build_sigma(2)
+    config = diff.default_sampler_config(cov.dim)
+    f = bf.from_coeffs(4, np.eye(16)[0b0011])
+    calls = {
+        "dynkin": lambda: ver.verify_dynkin(f, cov, config, 1),
+        "stopped_mean_bound": lambda: ver.verify_stopped_mean_bound(f, cov, config, 1),
+        "advantage_bound": lambda: ver.verify_advantage_bound(cov, config, 1),
+        "advantage_experiment": lambda: forr.advantage_experiment(cov, config, 1),
+    }
+    with pytest.raises(ValueError, match="samples must be >= 2"):
+        calls[route]()
 
 
 class TestAdvantageBound:
