@@ -5,8 +5,13 @@ or ``--out``) and exits with the verdict code: 0 pass, 1 fail, 2
 inconclusive.  ``phi`` and ``accept`` print a plain JSON object to stdout
 and exit 0.  A usage error exits 64 from any subcommand.  Runs are
 reproducible: the master seed comes from ``--seed`` or the ``FORRLAB_SEED``
-environment variable, and ``--no-timestamp`` drops the timing fields so a
-rerun with the same arguments is byte-identical.
+environment variable (else 0), and ``--no-timestamp`` drops the timing
+fields so a rerun with the same arguments is byte-identical.  The seed is an
+integer >= 0: a malformed or negative ``--seed``, or such a ``FORRLAB_SEED``
+when ``--seed`` is absent, is a usage error for every subcommand that takes
+``--seed``, whether or not the run draws.  Each handler returns its report
+(a plain dict for ``phi`` and ``accept``); ``main`` alone times the run,
+writes the result and maps the verdict to the exit code.
 
 Subcommands:
 
@@ -79,16 +84,23 @@ def sample_count(text: str) -> int:
     return value
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("FORRLAB_SEED", "0")
+def dt_divisor(text: str) -> int:
+    """argparse type for --dt-div: the grid steps per horizon, at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
+def master_seed(text: str) -> int:
+    """argparse type for --seed and its FORRLAB_SEED default: numpy seeds are integers >= 0."""
     try:
-        return int(raw)
+        value = int(text)
+        if value >= 0:
+            return value
     except ValueError:
-        raise _UsageError(f"FORRLAB_SEED must be an integer, got {raw!r}")
-
-
-def _master_seed(args) -> int:
-    return args.seed if args.seed is not None else _env_seed()
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 0 (from --seed or FORRLAB_SEED), got {text!r}")
 
 
 def _parse_vector(text: str, name: str) -> np.ndarray:
@@ -143,10 +155,6 @@ def _build_config(args, cov, seed: int, epsilon: float | None = None) -> diff.Sa
         if cov.dim < 2:
             raise _UsageError("the default horizon 1/(8 ln N) needs dimension >= 2; give --epsilon")
         epsilon = diff.canonical_epsilon(cov.dim)
-    if epsilon <= 0.0:
-        raise _UsageError("--epsilon must be positive")
-    if args.dt_div < 1:
-        raise _UsageError("--dt-div must be >= 1")
     return diff.SamplerConfig(epsilon, epsilon / args.dt_div, args.bridge, seed)
 
 
@@ -175,27 +183,14 @@ def _resolve_function(args, n_vars: int, rng) -> bf.BooleanFunction:
     return f
 
 
-def _emit(args, report: ExperimentReport, started: float) -> int:
-    report.wall_time_s = time.perf_counter() - started
-    text = report.to_json(no_timing=args.no_timestamp) + "\n"
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return verdict_exit_code(report.verdict)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def _cmd_sample(args) -> int:
-    started = time.perf_counter()
-    seed = _master_seed(args)
+def _cmd_sample(args) -> ExperimentReport:
     cov = _build_covariance(args)
-    config = _build_config(args, cov, seed)
+    config = _build_config(args, cov, args.seed)
     structured = isinstance(cov, diff.CovarianceSpec)
     batch = diff.sample_stopped_paths(
         cov, config, args.samples, store_paths=True, want_phi=structured
@@ -206,7 +201,7 @@ def _cmd_sample(args) -> int:
         "epsilon": config.epsilon,
         "dt": config.dt,
         "bridge": config.bridge_correction,
-        "seed": seed,
+        "seed": args.seed,
         "mean_tau": est_tau.value,
         "se_tau": est_tau.se,
         "exit_fraction": float(batch.exited.mean()),
@@ -218,17 +213,17 @@ def _cmd_sample(args) -> int:
     if args.dump_paths is not None:
         bits = None
         if args.bits:
-            bits = diff.boolean_round(batch.x_tau, np.random.default_rng([seed, 2]))
+            bits = diff.boolean_round(batch.x_tau, np.random.default_rng([args.seed, 2]))
         header = {
             "dim": cov.dim,
             "epsilon": config.epsilon,
             "dt": config.dt,
             "bridge": config.bridge_correction,
-            "seed": seed,
+            "seed": args.seed,
             "samples": args.samples,
         }
         diff.dump_paths_csv(batch, args.dump_paths, header=header, bits=bits)
-    return _emit(args, ExperimentReport("sample", PASS, args.samples, payload), started)
+    return ExperimentReport("sample", PASS, args.samples, payload)
 
 
 def _parse_pair(args) -> tuple[np.ndarray, np.ndarray]:
@@ -240,33 +235,27 @@ def _parse_pair(args) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _cmd_phi(args) -> int:
+def _cmd_phi(args) -> dict:
     x, y = _parse_pair(args)
-    value = forr.phi(x, y)
-    sys.stdout.write(json.dumps({"phi": value}) + "\n")
-    return 0
+    return {"phi": forr.phi(x, y)}
 
 
-def _cmd_accept(args) -> int:
+def _cmd_accept(args) -> dict:
     x, y = _parse_pair(args)
     out = {"phi": forr.phi(x, y), "accept_probability": forr.accept_probability(x, y)}
     if args.shots is not None:
-        rng = np.random.default_rng(_master_seed(args))
-        est = forr.sample_acceptance(x, y, args.shots, rng)
+        est = forr.sample_acceptance(x, y, args.shots, np.random.default_rng(args.seed))
         out["sampled_acceptance"] = est.value
         out["sampled_se"] = est.se
-    sys.stdout.write(json.dumps(out) + "\n")
-    return 0
+    return out
 
 
-def _cmd_verify_lemma(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify_lemma(args) -> ExperimentReport:
     if args.vars < 2:
         raise _UsageError("--vars must be >= 2 (the identity quantifies over pairs)")
     if args.functions < 1 or args.anchors < 1:
         raise _UsageError("--functions and --anchors must be >= 1")
-    seed = _master_seed(args)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.functions):
         f = bf.random_sign_function(args.vars, rng)
@@ -280,17 +269,12 @@ def _cmd_verify_lemma(args) -> int:
         "anchors": args.anchors,
         "max_residual": worst,
         "tolerance": args.tol,
-        "seed": seed,
+        "seed": args.seed,
     }
-    report = ExperimentReport(
-        "restriction_identity", verdict, args.functions * args.anchors, payload
-    )
-    return _emit(args, report, started)
+    return ExperimentReport("restriction_identity", verdict, args.functions * args.anchors, payload)
 
 
-def _cmd_verify_dynkin(args) -> int:
-    started = time.perf_counter()
-    seed = _master_seed(args)
+def _cmd_verify_dynkin(args) -> ExperimentReport:
     # bare invocation reproduces the dimension-2 closed-form instance
     if args.n is None and args.dim is None:
         args.dim, args.gamma = 2, 0.5
@@ -298,53 +282,36 @@ def _cmd_verify_dynkin(args) -> int:
     epsilon = None
     if args.epsilon is None and args.n is None and cov.dim == 2:
         epsilon = 0.05
-    config = _build_config(args, cov, seed, epsilon=epsilon)
-    f = _resolve_function(args, cov.dim, np.random.default_rng([seed, 5]))
-    report = ver.verify_dynkin(f, cov, config, args.samples, dump_csv=args.dump_triples)
-    return _emit(args, report, started)
+    config = _build_config(args, cov, args.seed, epsilon=epsilon)
+    f = _resolve_function(args, cov.dim, np.random.default_rng([args.seed, 5]))
+    return ver.verify_dynkin(f, cov, config, args.samples, dump_csv=args.dump_triples)
 
 
-def _cmd_verify_main(args) -> int:
-    started = time.perf_counter()
-    seed = _master_seed(args)
+def _cmd_verify_main(args) -> ExperimentReport:
     # bare invocation uses the dense dimension-4, gamma 0.2 reference family
     if args.n is None and args.dim is None:
         args.dim, args.gamma = 4, 0.2
     cov = _build_covariance(args)
-    config = _build_config(args, cov, seed)
-    f = _resolve_function(args, cov.dim, np.random.default_rng([seed, 5]))
-    report = ver.verify_stopped_mean_bound(f, cov, config, args.samples, t=args.t)
-    return _emit(args, report, started)
+    config = _build_config(args, cov, args.seed)
+    f = _resolve_function(args, cov.dim, np.random.default_rng([args.seed, 5]))
+    return ver.verify_stopped_mean_bound(f, cov, config, args.samples, t=args.t)
 
 
-def _cmd_verify_prop(args) -> int:
-    started = time.perf_counter()
-    seed = _master_seed(args)
+def _cmd_verify_prop(args) -> ExperimentReport:
     cov = diff.build_sigma(args.n)
-    config = _build_config(args, cov, seed)
-    report = ver.verify_advantage_bound(cov, config, args.samples)
-    return _emit(args, report, started)
+    return ver.verify_advantage_bound(cov, _build_config(args, cov, args.seed), args.samples)
 
 
-def _cmd_advantage(args) -> int:
-    started = time.perf_counter()
-    seed = _master_seed(args)
+def _cmd_advantage(args) -> ExperimentReport:
     cov = diff.build_sigma(args.n)
-    config = _build_config(args, cov, seed)
-    report = forr.advantage_experiment(
-        cov, config, args.samples, include_rounded=args.rounded
-    )
-    return _emit(args, report, started)
+    config = _build_config(args, cov, args.seed)
+    return forr.advantage_experiment(cov, config, args.samples, include_rounded=args.rounded)
 
 
-def _cmd_sweep(args) -> int:
-    started = time.perf_counter()
-    seed = _master_seed(args)
+def _cmd_sweep(args) -> ExperimentReport:
     ns = _parse_n_range(args.n)
     if args.samples < 0 or args.samples == 1:
         raise _UsageError("--samples must be 0 (skips sampling) or >= 2")
-    if args.dt_div < 1:
-        raise _UsageError("--dt-div must be >= 1")
     try:
         rows = ver.stopped_bound_profile(ns, ell=args.ell, depth=args.depth, c=args.c, k=args.k)
     except ValueError as exc:
@@ -354,7 +321,7 @@ def _cmd_sweep(args) -> int:
         if args.samples == 0:
             continue
         cov = diff.build_sigma(row["n"])
-        config = _build_config(args, cov, seed + row["n"], epsilon=row["epsilon"])
+        config = _build_config(args, cov, args.seed + row["n"], epsilon=row["epsilon"])
         batch = diff.sample_stopped_paths(
             cov, config, args.samples, store_paths=False, want_phi=True
         )
@@ -369,11 +336,10 @@ def _cmd_sweep(args) -> int:
         "depth": args.depth,
         "c": args.c,
         "k": args.k,
-        "seed": seed,
+        "seed": args.seed,
         "rows": rows,
     }
-    report = ExperimentReport("sweep", verdict, args.samples * len(ns), payload)
-    return _emit(args, report, started)
+    return ExperimentReport("sweep", verdict, args.samples * len(ns), payload)
 
 
 # ---------------------------------------------------------------------------
@@ -381,21 +347,27 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_output_flags(p) -> None:
+def _add_seed_flag(p) -> None:
+    # argparse passes the string default through the type, so a bad
+    # FORRLAB_SEED is refused like a bad --seed
+    p.add_argument(
+        "--seed",
+        type=master_seed,
+        default=os.environ.get("FORRLAB_SEED", "0"),
+        help="master RNG seed, an integer >= 0 (default: the FORRLAB_SEED environment variable, else 0)",
+    )
+
+
+def _add_report_flags(p, func) -> None:
+    """The seed and output flags of a report subcommand, after its other flags."""
+    _add_seed_flag(p)
     p.add_argument("--out", metavar="FILE", help="write the JSON report to FILE instead of stdout")
     p.add_argument(
         "--no-timestamp",
         action="store_true",
         help="omit the timestamp and wall time so identical reruns are byte-identical",
     )
-
-
-def _add_seed_flag(p) -> None:
-    p.add_argument(
-        "--seed",
-        type=int,
-        help="master RNG seed (default: the FORRLAB_SEED environment variable, else 0)",
-    )
+    p.set_defaults(func=func)
 
 
 def _add_sampling_flags(p, default_samples: int) -> None:
@@ -406,7 +378,7 @@ def _add_sampling_flags(p, default_samples: int) -> None:
         "--epsilon", type=finite, help="time horizon (default: 1/(8 ln N) for the process dimension N)"
     )
     p.add_argument(
-        "--dt-div", type=int, default=1024, help="grid steps per horizon; dt = epsilon/dt-div"
+        "--dt-div", type=dt_divisor, default=1024, help="grid steps per horizon; dt = epsilon/dt-div"
     )
     p.add_argument(
         "--bridge",
@@ -471,9 +443,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="append independently rounded +-1 bits to the CSV dump",
     )
-    _add_seed_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_sample)
+    _add_report_flags(p, _cmd_sample)
 
     p = sub.add_parser(
         "phi",
@@ -517,9 +487,7 @@ def build_parser() -> _Parser:
     p.add_argument("--functions", type=int, default=100, help="random functions to test")
     p.add_argument("--anchors", type=int, default=25, help="random anchors per function")
     p.add_argument("--tol", type=finite, default=1e-9, help="residual tolerance")
-    _add_seed_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_verify_lemma)
+    _add_report_flags(p, _cmd_verify_lemma)
 
     p = sub.add_parser(
         "verify-dynkin",
@@ -540,9 +508,7 @@ def build_parser() -> _Parser:
         metavar="FILE",
         help="write per-path tau, f(X_tau), generator integral rows to FILE",
     )
-    _add_seed_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_verify_dynkin)
+    _add_report_flags(p, _cmd_verify_dynkin)
 
     p = sub.add_parser(
         "verify-main",
@@ -558,9 +524,7 @@ def build_parser() -> _Parser:
     _add_function_flags(p)
     p.add_argument("--t", type=finite, help="override the level-2 mass bound t")
     _add_sampling_flags(p, default_samples=100_000)
-    _add_seed_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_verify_main)
+    _add_report_flags(p, _cmd_verify_main)
 
     p = sub.add_parser(
         "verify-prop",
@@ -574,9 +538,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--n", type=int, default=64, help="half dimension (power of two, default 64)")
     _add_sampling_flags(p, default_samples=100_000)
-    _add_seed_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_verify_prop)
+    _add_report_flags(p, _cmd_verify_prop)
 
     p = sub.add_parser(
         "advantage",
@@ -596,9 +558,7 @@ def build_parser() -> _Parser:
         help="also report mean phi over rounded +-1 bits (mean-preserving)",
     )
     _add_sampling_flags(p, default_samples=100_000)
-    _add_seed_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_advantage)
+    _add_report_flags(p, _cmd_advantage)
 
     p = sub.add_parser(
         "sweep",
@@ -616,24 +576,34 @@ def build_parser() -> _Parser:
         help="half dimension or inclusive range A..B of powers of two (default 16..256)",
     )
     p.add_argument("--samples", type=int, default=20_000, help="paths per size (>= 2); 0 skips sampling")
-    p.add_argument("--dt-div", type=int, default=1024, help="grid steps per horizon")
+    p.add_argument("--dt-div", type=dt_divisor, default=1024, help="grid steps per horizon")
     p.add_argument("--bridge", action="store_true", help="bridge-corrected exit detection")
     p.add_argument("--ell", type=finite, default=1.0, help="log exponent of the level-mass profile")
     p.add_argument("--depth", type=int, default=2, help="depth parameter of the level-mass profile")
     p.add_argument("--c", type=finite, default=1.0, help="constant of the level-mass profile")
     p.add_argument("--k", type=int, default=1, help="level exponent of the level-mass profile")
-    _add_seed_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_sweep)
+    _add_report_flags(p, _cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse, run the subcommand, and emit its result; returns the exit code."""
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, dict):
+            sys.stdout.write(json.dumps(result) + "\n")
+            return 0
+        result.wall_time_s = time.perf_counter() - started
+        text = result.to_json(no_timing=args.no_timestamp) + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return verdict_exit_code(result.verdict)
     except (_UsageError, ValueError, CapacityError, OSError) as exc:
         sys.stderr.write(f"forrlab {args.subcommand}: error: {exc}\n")
         return EXIT_USAGE

@@ -334,21 +334,29 @@ def sample_stopped_paths(
     path count.  want_phi asks the structured sampler to also return the
     correlation functional of the two halves of each stopped point.
     gen_coeffs adds the generator accumulator and the pre-clamp endpoints
-    x_raw, which are stored like x_tau.  A request whose returned batch or
-    whose working set would exceed STORED_PATHS_BYTE_LIMIT bytes raises
-    CapacityError before anything is sampled.
+    x_raw, which are stored like x_tau.  Both families enter the kernel
+    once, with their mixer: the fast transform for the structured family,
+    the eigendecomposition root for a dense one.  Every refusal comes
+    before that call: a bad table, want_phi on a dense covariance, and a
+    request whose returned batch or whose working set would exceed
+    STORED_PATHS_BYTE_LIMIT bytes, which raises CapacityError.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     dim = cov.dim
     gen_coeffs = _generator_table(gen_coeffs, dim)
     want_acc = gen_coeffs is not None
+    if isinstance(cov, CovarianceSpec):
+        mix, diag = _kernels._structured_mixer(cov.n), 1.0
+    elif want_phi:
+        raise ValueError("the half-correlation functional needs the structured covariance")
+    else:
+        mix, diag = _kernels._dense_mixer(cov.sqrt_matrix), np.diagonal(cov.matrix).copy()
     # per path: tau, exited, stream id; phi, phi_raw; accumulator; x_tau, x_raw
     batch = n_samples * (17 + 16 * bool(want_phi) + 8 * want_acc + 8 * dim * (bool(store_paths) + want_acc))
     group = min(n_samples, _kernels.group_streams(dim) * _kernels.STREAM_BLOCK)
-    width = dim // 2 if isinstance(cov, CovarianceSpec) else dim
     working = _kernels.working_set_bytes(
-        group, dim, width, config.dt, config.epsilon, config.bridge_correction, 2**dim if want_acc else 0
+        group, dim, mix.width, config.dt, config.epsilon, config.bridge_correction, 2**dim if want_acc else 0
     )
     if max(batch, working) > STORED_PATHS_BYTE_LIMIT:
         raise CapacityError(
@@ -356,32 +364,10 @@ def sample_stopped_paths(
             f"over the {STORED_PATHS_BYTE_LIMIT} byte limit; sample without path storage, fewer paths or "
             "a smaller dimension"
         )
-    if isinstance(cov, CovarianceSpec):
-        raw = _kernels.run_paths_structured_numpy(
-            config.seed,
-            n_samples,
-            cov.n,
-            config.dt,
-            config.epsilon,
-            bridge=config.bridge_correction,
-            gen_coeffs=gen_coeffs,
-            store=store_paths,
-            want_phi=want_phi,
-        )
-    else:
-        if want_phi:
-            raise ValueError("the half-correlation functional needs the structured covariance")
-        raw = _kernels.run_paths_dense_numpy(
-            config.seed,
-            n_samples,
-            cov.sqrt_matrix,
-            np.diagonal(cov.matrix).copy(),
-            config.dt,
-            config.epsilon,
-            bridge=config.bridge_correction,
-            gen_coeffs=gen_coeffs,
-            store=store_paths,
-        )
+    raw = _kernels._run_blocks_np(
+        config.seed, n_samples, mix, diag, config.dt, config.epsilon, config.bridge_correction, gen_coeffs,
+        store_paths, want_phi,
+    )
     return StoppedBatch(**raw)
 
 

@@ -35,6 +35,20 @@ def report_of(proc):
     return json.loads(proc.stdout)
 
 
+def run_refusing_draws(monkeypatch, capsys, argv):
+    """cli.main in process, with the kernel entry failing if reached; (exit code, stderr)."""
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the kernel ran before the refusal")
+
+    monkeypatch.setattr(_kernels, "_run_blocks_np", no_sampling)
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
 class TestPhiAndAccept:
     def test_phi_trivial_instance(self):
         proc = run_cli("phi", "--n", "1", "--x", "1", "--y", "1")
@@ -138,6 +152,7 @@ class TestUsageErrors:
             env={"FORRLAB_SEED": "not-a-number"},
         )
         assert proc.returncode == 64
+        assert "FORRLAB_SEED" in proc.stderr
 
     def test_unstored_batch_past_the_limit_is_usage_error(self):
         # 1e12 paths would hold 33 TB of tau, exit flags, stream ids and phi
@@ -164,8 +179,7 @@ class TestUsageErrors:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the kernel ran before the --samples check")
 
-        monkeypatch.setattr(_kernels, "run_paths_structured_numpy", no_sampling)
-        monkeypatch.setattr(_kernels, "run_paths_dense_numpy", no_sampling)
+        monkeypatch.setattr(_kernels, "_run_blocks_np", no_sampling)
         try:
             code = cli.main([*argv, "--samples", "1"])
         except SystemExit as exc:
@@ -173,12 +187,89 @@ class TestUsageErrors:
         assert code == 64
         assert "--samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--n", "2"),
+            ("accept", "--x=1,-1", "--y=1,1"),
+            ("accept", "--x=1,-1", "--y=1,1", "--shots", "10"),
+            ("verify-lemma", "--vars", "2", "--functions", "1", "--anchors", "1"),
+            ("verify-dynkin",),
+            ("verify-main",),
+            ("verify-prop", "--n", "2"),
+            ("advantage", "--n", "2"),
+            ("sweep", "--n", "4", "--samples", "10", "--dt-div", "8"),
+        ],
+        ids=[
+            "sample", "accept", "accept-shots", "verify-lemma", "verify-dynkin", "verify-main",
+            "verify-prop", "advantage", "sweep",
+        ],
+    )
+    def test_negative_seed_is_refused_before_sampling(self, monkeypatch, capsys, argv, via):
+        # numpy refuses negative seeds; sweep used to run, seeding row n with seed + n
+        if via == "flag":
+            monkeypatch.delenv("FORRLAB_SEED", raising=False)
+            argv += ("--seed", "-1")
+        else:
+            monkeypatch.setenv("FORRLAB_SEED", "-1")
+        code, err = run_refusing_draws(monkeypatch, capsys, argv)
+        assert code == 64
+        assert "--seed" in err and "FORRLAB_SEED" in err
+
+    def test_flag_seed_overrides_a_bad_env_seed(self, monkeypatch, capsys):
+        monkeypatch.setenv("FORRLAB_SEED", "not-a-number")
+        assert cli.main(["accept", "--x=1,-1", "--y=1,1", "--shots", "10", "--seed", "3"]) == 0
+        assert "sampled_acceptance" in json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("dt_div", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--n", "2"),
+            ("verify-dynkin",),
+            ("verify-main",),
+            ("verify-prop", "--n", "2"),
+            ("advantage", "--n", "2"),
+            ("sweep", "--n", "4"),
+            ("sweep", "--n", "4", "--samples", "0"),
+        ],
+        ids=["sample", "verify-dynkin", "verify-main", "verify-prop", "advantage", "sweep", "sweep-unsampled"],
+    )
+    def test_dt_div_below_one_is_refused_before_sampling(self, monkeypatch, capsys, argv, dt_div):
+        code, err = run_refusing_draws(monkeypatch, capsys, (*argv, "--dt-div", dt_div))
+        assert code == 64
+        assert "--dt-div" in err
+
     def test_oversized_shots_are_usage_error(self):
         # 2e11 shots would draw 1.8 TB at once
         proc = run_cli("accept", "--x", "1,1", "--y", "1,-1", "--shots", "200000000000")
         assert proc.returncode == 64
         assert "byte limit" in proc.stderr
         assert proc.stdout == ""
+
+
+REPORT_SUBCOMMANDS = ["sample", "verify-lemma", "verify-dynkin", "verify-main", "verify-prop", "advantage", "sweep"]
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", REPORT_SUBCOMMANDS)
+    def test_report_subcommands_take_seed_and_output_flags(self, monkeypatch, name):
+        monkeypatch.delenv("FORRLAB_SEED", raising=False)
+        assert cli.build_parser().parse_args([name]).seed == 0
+        args = cli.build_parser().parse_args([name, "--seed", "3", "--out", "r.json", "--no-timestamp"])
+        assert (args.seed, args.out, args.no_timestamp) == (3, "r.json", True)
+
+    @pytest.mark.parametrize("name, taken", [("accept", {"--seed"}), ("phi", set())])
+    def test_plain_subcommands_take_only_their_flags(self, name, taken):
+        for flag in ("--seed=3", "--out=r.json", "--no-timestamp"):
+            argv = [name, "--x=1", "--y=1", flag]
+            if flag.split("=")[0] in taken:
+                cli.build_parser().parse_args(argv)
+                continue
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+            assert exc.value.code == 64
 
 
 class TestVerifySubcommands:

@@ -266,6 +266,45 @@ class TestBatchSampling:
         with pytest.raises(ValueError):
             diff.sample_stopped_paths(cov, cfg, 10, want_phi=True)
 
+    def test_dense_phi_refused_before_the_kernel(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the kernel ran before the want_phi check")
+
+        monkeypatch.setattr(diff._kernels, "_run_blocks_np", no_sampling)
+        cov = diff.equicorrelated_covariance(4, 0.2)
+        with pytest.raises(ValueError, match="needs the structured covariance"):
+            diff.sample_stopped_paths(cov, diff.default_sampler_config(4), 10, want_phi=True)
+
+    @pytest.mark.parametrize(
+        "cov", [diff.build_sigma(1), diff.equicorrelated_covariance(2, 0.5)], ids=["structured", "dense"]
+    )
+    def test_one_kernel_call_per_request(self, monkeypatch, cov):
+        # 2049 paths span three stream blocks; the family's public kernel
+        # gives the same batch bit for bit
+        calls = []
+        entry = diff._kernels._run_blocks_np
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return entry(*args, **kwargs)
+
+        monkeypatch.setattr(diff._kernels, "_run_blocks_np", counted)
+        cfg = diff.SamplerConfig(0.05, 0.05 / 4, seed=9)
+        gen = np.arange(4.0)
+        structured = isinstance(cov, diff.CovarianceSpec)
+        batch = diff.sample_stopped_paths(cov, cfg, 2049, gen_coeffs=gen, want_phi=structured)
+        assert len(calls) == 1
+        kw = dict(bridge=False, gen_coeffs=gen, store=True)
+        if structured:
+            ref = diff._kernels.run_paths_structured_numpy(9, 2049, 1, cfg.dt, cfg.epsilon, want_phi=True, **kw)
+        else:
+            ref = diff._kernels.run_paths_dense_numpy(9, 2049, cov.sqrt_matrix, np.ones(2), cfg.dt, cfg.epsilon, **kw)
+        for key, value in ref.items():
+            if value is None:
+                assert getattr(batch, key) is None, key
+            else:
+                npt.assert_array_equal(getattr(batch, key), value, err_msg=key)
+
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
             diff.sample_stopped_paths(diff.build_sigma(1), diff.default_sampler_config(2), 0)
@@ -275,7 +314,7 @@ class TestBatchSampling:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the kernel ran before the capacity check")
 
-        monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", no_sampling)
+        monkeypatch.setattr(diff._kernels, "_run_blocks_np", no_sampling)
         cov = diff.build_sigma(1024)
         cfg = diff.default_sampler_config(cov.dim)
         with pytest.raises(CapacityError):
@@ -293,7 +332,7 @@ class TestBatchSampling:
         def reached(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(diff._kernels, "run_paths_dense_numpy", reached)
+        monkeypatch.setattr(diff._kernels, "_run_blocks_np", reached)
         cov = diff.equicorrelated_covariance(2, 0.5)
         cfg = diff.SamplerConfig(0.05, 0.05 / 64)
         n = diff.STORED_PATHS_BYTE_LIMIT // 41
@@ -315,7 +354,7 @@ class TestBatchSampling:
         def reached(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", reached)
+        monkeypatch.setattr(diff._kernels, "_run_blocks_np", reached)
         monkeypatch.setattr(diff, "STORED_PATHS_BYTE_LIMIT", 200_000 * 33)
         cov = diff.build_sigma(1)
         cfg = diff.SamplerConfig(0.05, 0.05 / 64)
@@ -331,7 +370,7 @@ class TestBatchSampling:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the kernel ran before the capacity check")
 
-        monkeypatch.setattr(diff._kernels, "run_paths_dense_numpy", no_sampling)
+        monkeypatch.setattr(diff._kernels, "_run_blocks_np", no_sampling)
         monkeypatch.setattr(diff, "STORED_PATHS_BYTE_LIMIT", 4 * 2**20)
         cov = diff.equicorrelated_covariance(8, 0.1)
         cfg = diff.SamplerConfig(0.05, 0.05 / 64)
@@ -348,8 +387,7 @@ class TestBatchSampling:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the kernel ran before the table check")
 
-        monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", no_sampling)
-        monkeypatch.setattr(diff._kernels, "run_paths_dense_numpy", no_sampling)
+        monkeypatch.setattr(diff._kernels, "_run_blocks_np", no_sampling)
         cfg = diff.SamplerConfig(0.05, 0.05 / 64)
         too_many = diff.STORED_PATHS_BYTE_LIMIT // (cov.dim * 8) + 1
         for n in (100, too_many):
@@ -369,8 +407,7 @@ class TestBatchSampling:
             def __getattr__(self, name):
                 raise AssertionError("the reference sampler drew before the table check")
 
-        monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", no_sampling)
-        monkeypatch.setattr(diff._kernels, "run_paths_dense_numpy", no_sampling)
+        monkeypatch.setattr(diff._kernels, "_run_blocks_np", no_sampling)
         monkeypatch.setattr(diff._kernels, "eval_multilinear_batch_numpy", no_sampling)
         cfg = diff.SamplerConfig(0.05, 0.05 / 64)
         gen = [[0.1, 0.2], [0.3, 0.4]]
@@ -416,8 +453,7 @@ class TestBatchSampling:
             def __getattr__(self, name):
                 raise AssertionError("the reference sampler drew before the table check")
 
-        monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", no_sampling)
-        monkeypatch.setattr(diff._kernels, "run_paths_dense_numpy", no_sampling)
+        monkeypatch.setattr(diff._kernels, "_run_blocks_np", no_sampling)
         cfg = diff.SamplerConfig(0.05, 0.05 / 64)
         gen = np.array([bad, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="generator table entries must be finite"):
@@ -430,7 +466,7 @@ class TestBatchSampling:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the kernel ran before the capacity check")
 
-        monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", no_sampling)
+        monkeypatch.setattr(diff._kernels, "_run_blocks_np", no_sampling)
         cov = diff.build_sigma(2**17)
         cfg = diff.default_sampler_config(cov.dim)
         with pytest.raises(CapacityError):
@@ -442,7 +478,7 @@ class TestBatchSampling:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the kernel ran before the capacity check")
 
-        monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", no_sampling)
+        monkeypatch.setattr(diff._kernels, "_run_blocks_np", no_sampling)
         cov = diff.build_sigma(2**14)
         cfg = diff.default_sampler_config(cov.dim, bridge_correction=True)
         with pytest.raises(CapacityError):

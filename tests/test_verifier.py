@@ -440,7 +440,7 @@ def test_one_sample_is_refused_before_sampling(monkeypatch, route):
     def no_sampling(*args, **kwargs):
         raise AssertionError("the kernel ran before the samples check")
 
-    monkeypatch.setattr(diff._kernels, "run_paths_structured_numpy", no_sampling)
+    monkeypatch.setattr(diff._kernels, "_run_blocks_np", no_sampling)
     cov = diff.build_sigma(2)
     config = diff.default_sampler_config(cov.dim)
     f = bf.from_coeffs(4, np.eye(16)[0b0011])
