@@ -8,22 +8,26 @@ holds, for every shape, the tracemalloc peak of one call in MiB
 
 --against PARENT_SRC compares two trees in one interpreter: it imports the
 whole ``forrlab`` package under PARENT_SRC as modules of its own next to
-the imported forrlab, and runs every shape's calls alternately, the parent
+the imported forrlab, and runs every row's calls alternately, the parent
 first in odd rounds and second in even ones, so that both see the same
-drift in the host's speed.  The rows are stored under "before" (the
-parent) and "after"; a run of one tree is stored under "run".
+drift in the host's speed.  Every row then runs an even number of rounds,
+so each tree goes first in half of them: an odd --repeat is raised by one,
+and --cli and --perfbench run each tree twice a row.  The rows are stored
+under "before" (the parent) and "after"; a run of one tree is stored under
+"run".
 
---cli also times the canonical end-to-end CLI runs once on each tree,
-through that tree's forrlab.cli.main with default settings and
---no-timestamp: verify-prop --n 64 --samples 100000, verify-dynkin,
-verify-main and advantage --rounded (several minutes a tree), the trees
-taking turns to go first.  Their wall times and exit codes go under "cli"
-in the --json record.
+--cli also times the canonical end-to-end CLI runs on each tree, through
+that tree's forrlab.cli.main with default settings and --no-timestamp:
+verify-prop --n 64 --samples 100000, verify-dynkin, verify-main and
+advantage --rounded (several minutes a run).  Each run's median wall time,
+its wall times and its largest exit code go under "cli" in the --json
+record.
 
 --perfbench WORKLOAD (repeatable) also runs that workload of the perfbench
-benchmark once on each tree, the parent's first, from the perfbench/ next
-to each src/, for its default 20 s, and stores its end-to-end metrics
-under "perfbench" in the --json record, which --json PATH writes:
+benchmark on each tree, from the perfbench/ next to each src/, for its
+default 20 s, and stores the median of each end-to-end metric over the
+tree's runs, with the runs themselves, under "perfbench" in the --json
+record, which --json PATH writes:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py \
         --against <parent checkout>/src --json BENCH_<date>_<sha>.json
@@ -107,6 +111,17 @@ def bench_uniform_null(args, pkg):
         pkg.forrelation.uniform_phi_null(1024, 4096, np.random.default_rng(args.seed))
 
     return "uniform_null_n1024x4096", run, None
+
+
+def bench_boolean_round(args, pkg):
+    # advantage --rounded's rounding of stopped points at a quarter of its
+    # canonical 1e5 x 128 size
+    x = np.random.default_rng(args.seed).uniform(-0.5, 0.5, size=(25_000, 128))
+
+    def run():
+        pkg.diffusion.boolean_round(x, np.random.default_rng(args.seed))
+
+    return "boolean_round_25000x128", run, None
 
 
 def bench_level2_scan(args, pkg):
@@ -293,7 +308,7 @@ def bench_dense_tiny(args, pkg):
 
 
 def bench_perfbench(workload, root):
-    """End-to-end metrics of one perfbench workload on the tree at ``root``.
+    """End-to-end metrics of one perfbench workload run on the tree at ``root``.
 
     Runs ``perfbench/run.py --seed 1 --seconds 20 --trace 0`` of that tree
     (which measures the ``src/`` next to it), in a fresh interpreter, and
@@ -315,21 +330,51 @@ def bench_perfbench(workload, root):
     return row
 
 
-def turns(count, round_index):
-    """The order in which ``count`` trees go in a round: reversed in odd rounds."""
-    return range(count) if round_index % 2 == 0 else reversed(range(count))
+def even_rounds(count, rounds):
+    """``rounds`` raised to an even number when ``count`` > 1 trees alternate,
+    so that each tree goes first equally often."""
+    return rounds + rounds % 2 if count > 1 else rounds
+
+
+def alternate(calls, rounds):
+    """Call each of ``calls`` (one per tree) in ``rounds`` rounds, the first
+    tree first in even rounds and last in odd ones; returns each call's
+    results in order."""
+    results = [[] for _ in calls]
+    for r in range(rounds):
+        for i in range(len(calls)) if r % 2 == 0 else reversed(range(len(calls))):
+            results[i].append(calls[i]())
+    return results
+
+
+def bench_perfbench_rows(workload, roots):
+    """Each end-to-end metric's median over the runs of one perfbench workload on each tree."""
+    calls = [lambda root=root: bench_perfbench(workload, root) for root in roots]
+    rows = []
+    for runs in alternate(calls, even_rounds(len(roots), 1)):
+        row = {name: statistics.median(run[name] for run in runs) for name in runs[0]}
+        row.update(failed=sum(run["failed"] for run in runs), attempted=sum(run["attempted"] for run in runs))
+        rows.append({**row, "runs": runs})
+    return rows
 
 
 def bench_cli(packages, tags):
-    """Wall time and exit code of each canonical CLI run on each tree, one run each."""
+    """Median wall time, wall times and largest exit code of each canonical CLI run on each tree."""
     rows = [{} for _ in packages]
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
-        for k, (name, argv) in enumerate(CLI_RUNS):
-            for i in turns(len(packages), k):
+        for name, argv in CLI_RUNS:
+
+            def call(i):
                 wall, code = timed(lambda: packages[i].cli.main(argv + ["--no-timestamp", "--out", out]))
-                rows[i][name] = {"wall_s": wall, "exit_code": code}
                 print(f"cli {name}{tags[i]}: {wall:.2f}s, exit code {code}", flush=True)
+                return wall, code
+
+            calls = [lambda i=i: call(i) for i in range(len(packages))]
+            for row, runs in zip(rows, alternate(calls, even_rounds(len(packages), 1))):
+                walls = [wall for wall, _ in runs]
+                row[name] = {"wall_s": statistics.median(walls), "runs_s": walls,
+                             "exit_code": max(code for _, code in runs)}
     return rows
 
 
@@ -368,10 +413,7 @@ def load_package(src):
 def measure(calls, dt, repeat):
     """Time each of ``calls`` (one per tree) ``repeat`` times, alternating
     which goes first; returns one row per call."""
-    times = [[] for _ in calls]
-    for r in range(repeat):
-        for i in turns(len(calls), r):
-            times[i].append(timed(calls[i])[0])
+    times = alternate([lambda call=call: timed(call)[0] for call in calls], repeat)
     rows = []
     for run, ts in zip(calls, times):
         best = min(ts)
@@ -414,7 +456,7 @@ def store_json(path, args, runs):
 BENCHES = [
     bench_wht, bench_eval, bench_structured, bench_structured_groups, bench_structured_n16, bench_dense,
     bench_dense_dynkin, bench_dense_tiny, bench_dense_bridge, bench_structured_bridge, bench_wht_rows,
-    bench_wht_rows_short, bench_uniform_null, bench_level2_scan, bench_level2_scan_mc,
+    bench_wht_rows_short, bench_uniform_null, bench_boolean_round, bench_level2_scan, bench_level2_scan_mc,
     bench_restriction_identity_n4, bench_restriction_identity_n8,
 ]
 
@@ -422,17 +464,25 @@ BENCHES = [
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=2000, help="paths per sampling benchmark")
-    parser.add_argument("--repeat", type=int, default=5, help="timed calls per shape and tree")
+    parser.add_argument(
+        "--repeat", type=int, default=5,
+        help="timed calls per shape and tree; with --against an odd count is raised by one",
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", metavar="PATH", help="store the timings in a JSON file")
-    parser.add_argument("--cli", action="store_true", help="also time the canonical CLI runs")
+    parser.add_argument(
+        "--cli", action="store_true",
+        help="also time the canonical CLI runs (twice a tree with --against, each tree first once)",
+    )
     parser.add_argument(
         "--perfbench", metavar="WORKLOAD", action="append", default=[],
-        help="also run this perfbench workload end to end (repeatable)",
+        help="also run this perfbench workload end to end (repeatable; twice a tree with --against,"
+        " each tree first once)",
     )
     parser.add_argument(
         "--against", metavar="PARENT_SRC",
-        help="alternate every shape with the forrlab package under this src directory",
+        help="alternate every row with the forrlab package under this src directory, each tree"
+        " going first in half of the row's rounds",
     )
     args = parser.parse_args()
 
@@ -440,11 +490,12 @@ def main():
     if args.against:
         packages, labels = [load_package(args.against), packages[0]], ["before", "after"]
         tags = [" (before)", " (after)"]
+    args.repeat = even_rounds(len(packages), args.repeat)
     runs = [{"kernels": {}} for _ in packages]
+    roots = [pathlib.Path(package.__file__).resolve().parents[2] for package in packages]
     for name in args.perfbench:
-        for run, package in zip(runs, packages):
-            root = pathlib.Path(package.__file__).resolve().parents[2]
-            run.setdefault("perfbench", {})[name] = bench_perfbench(name, root)
+        for run, row in zip(runs, bench_perfbench_rows(name, roots)):
+            run.setdefault("perfbench", {})[name] = row
 
     benches = [[bench(args, package) for package in packages] for bench in BENCHES]
     width = max(len(shape[0][0]) for shape in benches) + max(map(len, tags))

@@ -8,9 +8,8 @@ Two families of kernels live here:
   on rows) iterate with the block index innermost.  A long row transform
   shares its row blocks with one worker thread, which can run behind the
   caller's other work.  Rows of +-1
-  entries take phi in float32, which is exact: every transform
-  intermediate is an integer of magnitude at most n <= 2^24 (float64
-  above); and
+  entries take phi in int16, which is exact: every transform intermediate
+  is an integer of magnitude at most n <= 2^14 (int32 above); and
 * Euler-Maruyama path loops for the stopped diffusion dX_t = sigma dB_t
   on the solid cube [-1/2, 1/2]^N, with grid-time exit detection, an
   optional per-coordinate Brownian-bridge crossing test, and optional
@@ -97,9 +96,9 @@ _SHARE_MIN = 1 << 18
 # butterfly levels whose contiguous run h * post is shorter than this run
 # with the block index innermost (runs of 16 to 128 timed alike)
 _SHORT_RUN = 16
-# the longest +-1 rows whose transform is exact in float32: every
-# intermediate is an integer of magnitude at most n
-_F32_EXACT = 1 << 24
+# the longest +-1 rows whose transform fits int16: every intermediate is an
+# integer of magnitude at most n, and int16 stops at 2^15 - 1
+_INT16_EXACT = 1 << 14
 
 
 def stream_seeds(master_seed: int, n_streams: int) -> list:
@@ -229,25 +228,31 @@ def _phi_rows(x, y):
     return np.einsum("ij,ij->i", x, hy) * (1.0 / np.sqrt(n) / n)
 
 
-def _sign_rows(x):
-    """Rows of +-1 entries in the dtype whose transform is exact, C-ordered.
+def _sign_dtype(n):
+    """The integer dtype in which rows of n +-1 entries transform exactly."""
+    return np.dtype(np.int16 if n <= _INT16_EXACT else np.int32)
 
-    float32 up to ``_F32_EXACT`` entries a row, float64 above; x itself when
+
+def _sign_rows(x):
+    """Rows of +-1 entries in ``_sign_dtype`` of their length, C-ordered.
+
+    int16 up to ``_INT16_EXACT`` entries a row, int32 above; x itself when
     it is already so.
     """
-    return np.asarray(x, dtype=np.float32 if x.shape[-1] <= _F32_EXACT else np.float64, order="C")
+    return np.asarray(x, dtype=_sign_dtype(x.shape[-1]), order="C")
 
 
 def _phi_transformed(hx, y):
     """Row-wise phi from Hx, the transformed ``_sign_rows`` of x, and +-1 rows y.
 
     Exact: every transform intermediate is an integer of magnitude at most
-    n, and the float64 dot sums integers whose partial sums are of magnitude
-    at most n^1.5, so every route and summation order gives the same value;
-    and since H is symmetric, (Hx) . y is x^T H y.
+    n, which the integer rows hold, and the float64 dot sums integers whose
+    partial sums are of magnitude at most n^1.5, so every route and
+    summation order gives the same value; and since H is symmetric,
+    (Hx) . y is x^T H y.  y is read in its own dtype, int8 included.
     """
     n = hx.shape[1]
-    dots = np.einsum("ij,ij->i", hx, np.asarray(y, dtype=hx.dtype), dtype=np.float64)
+    dots = np.einsum("ij,ij->i", hx, y, dtype=np.float64)
     return dots * (1.0 / np.sqrt(n) / n)
 
 
@@ -255,7 +260,8 @@ def _phi_sign_rows(x, y):
     """``_phi_rows`` to the bit for matched ``(m, n)`` rows of +-1 entries.
 
     x's ``_sign_rows`` build is transformed in place, so a C-ordered x of
-    that dtype is overwritten; y is read as it is.
+    that dtype is overwritten; y is read as it is, so int8 rows are not
+    copied.
     """
     return _phi_transformed(wht_inplace_np(_sign_rows(x)), y)
 
@@ -475,14 +481,20 @@ def _bridge_crossings_np(r, prev, new, hvar, work):
         cand |= r == 0.0
     cand &= inside
     i, j = np.nonzero(cand)
-    crossed, up = np.empty((2, i.size), dtype=bool)
-    for s in range(0, i.size, _CANDIDATE_BLOCK):
-        ci, cj = i[s : s + _CANDIDATE_BLOCK], j[s : s + _CANDIDATE_BLOCK]
+
+    def crossings(ci, cj):
         pv, nv, rv, hv = prev[ci, cj], new[ci, cj], r[ci, cj], hvar[ci]
         p_up = np.exp(-2.0 * (a - pv) * (a - nv) / hv)
         p_dn = np.exp(-2.0 * (a + pv) * (a + nv) / hv)
-        np.less(rv, p_up + p_dn - p_up * p_dn, out=crossed[s : s + _CANDIDATE_BLOCK])
-        np.less(rv, p_up, out=up[s : s + _CANDIDATE_BLOCK])
+        return rv < p_up + p_dn - p_up * p_dn, rv < p_up
+
+    if i.size <= _CANDIDATE_BLOCK:
+        crossed, up = crossings(i, j)
+    else:
+        crossed, up = np.empty((2, i.size), dtype=bool)
+        for s in range(0, i.size, _CANDIDATE_BLOCK):
+            b = slice(s, s + _CANDIDATE_BLOCK)
+            crossed[b], up[b] = crossings(i[b], j[b])
     return i[crossed], j[crossed], up[crossed]
 
 

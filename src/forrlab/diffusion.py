@@ -371,19 +371,34 @@ def sample_stopped_paths(
     return StoppedBatch(**raw)
 
 
+# entries per block of boolean_round's checks, draws and comparison (512 KiB of doubles)
+_ROUND_BLOCK = 1 << 16
+
+
 def boolean_round(x, rng) -> np.ndarray:
     """Round cube points to independent signs, +1 with probability (1+x_i)/2.
 
     Accepts one point or a batch of rows; preserves each coordinate mean and,
-    by independence across coordinates, every pairwise product mean.
+    by independence across coordinates, every pairwise product mean.  The
+    whole input is checked before any draw; then ``_ROUND_BLOCK`` entries at
+    a time, in C order, are drawn and compared into the int8 result.  A
+    uniform double takes one raw value, so the blocks draw the values and
+    leave the Generator state of one rng.random(x.shape).
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("input must be finite")
-    if (np.abs(x) > 1.0).any():
-        raise ValueError("input must lie in [-1, 1] per coordinate")
-    u = rng.random(x.shape)
-    return np.where(u < (1.0 + x) / 2.0, 1, -1).astype(np.int8)
+    flat = x.reshape(-1)
+    blocks = [slice(s, s + _ROUND_BLOCK) for s in range(0, flat.size, _ROUND_BLOCK)]
+    for b in blocks:
+        if not (np.abs(flat[b]) <= 1.0).all():
+            if not np.isfinite(flat[b]).all():
+                raise ValueError("input must be finite")
+            raise ValueError("input must lie in [-1, 1] per coordinate")
+    signs = np.empty(x.shape, dtype=np.int8)
+    flat_signs = signs.reshape(-1)
+    for b in blocks:
+        u = rng.random(flat[b].size)
+        flat_signs[b] = np.where(u < (1.0 + flat[b]) / 2.0, 1, -1)
+    return signs
 
 
 def exit_probability_one_dim(barrier: float, horizon: float) -> float:

@@ -154,38 +154,43 @@ def statevector_amplitude(x, y) -> float:
     return float(state[0])
 
 
-# the bits of -1.0 in float32; with the sign bit flipped they are +1.0's
-_MINUS_ONE_BITS = np.float32(-1.0).view(np.uint32)
+def _uniform_signs(rng, m: int, n: int, dtype) -> np.ndarray:
+    """(m, n) uniform +-1 of an integer dtype, from the stream rng.choice((-1.0, 1.0)) consumes.
 
-
-def _uniform_signs(rng, m: int, n: int) -> np.ndarray:
-    """(m, n) uniform +-1 as float32, from the stream rng.choice((-1.0, 1.0)) consumes.
-
-    Built in place from the int32 draw's own bits: b in {0, 1} shifted to
-    the sign bit, then xor -1.0's bits, gives 2b - 1.
+    Filled ``_kernels._WHT_BLOCK`` entries at a time with 2b - 1 from
+    rng.integers(0, 2, dtype=np.int32).  Each call takes one 32-bit value a
+    sign and PCG64 keeps the unused half of a 64-bit word in its state, so
+    the blocks draw the values and leave the state of one whole call, and
+    no full-size int32 draw is held.
     """
-    bits = rng.integers(0, 2, size=(m, n), dtype=np.int32).view(np.uint32)
-    bits <<= 31
-    bits ^= _MINUS_ONE_BITS
-    return bits.view(np.float32)
+    out = np.empty((m, n), dtype)
+    flat = out.reshape(-1)
+    for s in range(0, flat.size, _kernels._WHT_BLOCK):
+        bits = rng.integers(0, 2, size=min(_kernels._WHT_BLOCK, flat.size - s), dtype=np.int32)
+        bits <<= 1
+        bits -= 1
+        flat[s : s + bits.size] = bits
+    return out
 
 
 def uniform_phi_null(n: int, samples: int, rng) -> Estimate:
     """Mean phi over independent uniform sign pairs (analytically zero).
 
-    Each chunk of ``_NULL_CHUNK`` rows draws x's signs, starts x's transform
-    on a worker thread behind the caller (``_kernels._wht_behind``, inline
-    below its size gate or on one CPU), draws y's signs meanwhile, joins,
-    and takes phi as the float64 dot of Hx with y, which is exact.
-    Arguments are checked before any draw, and a chunk whose two sign
-    arrays would exceed STORED_PATHS_BYTE_LIMIT bytes raises CapacityError.
+    Each chunk of ``_NULL_CHUNK`` rows draws x's signs as integer rows of
+    the transform's dtype (``_kernels._sign_dtype``: int16 up to n = 2^14),
+    starts x's transform on a worker thread behind the caller
+    (``_kernels._wht_behind``, inline below its size gate or on one CPU),
+    draws y's signs as int8 meanwhile, joins, and takes phi as the float64
+    dot of Hx with y, which is exact.  Arguments are checked before any
+    draw, and a chunk whose two sign arrays would exceed
+    STORED_PATHS_BYTE_LIMIT bytes raises CapacityError.
     """
     if n < 1 or n & (n - 1):
         raise ValueError("n must be a power of two >= 1")
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    # x's signs in the transform's dtype (asked of _sign_rows on no rows), and y's int32 signs
-    chunk = min(_NULL_CHUNK, samples) * n * (_kernels._sign_rows(np.empty((0, n), np.int32)).itemsize + 4)
+    x_dtype = _kernels._sign_dtype(n)
+    chunk = min(_NULL_CHUNK, samples) * n * (x_dtype.itemsize + 1)
     if chunk > STORED_PATHS_BYTE_LIMIT:
         raise CapacityError(
             f"uniform null chunks of n = {n} hold {chunk} bytes of signs, over the "
@@ -196,9 +201,9 @@ def uniform_phi_null(n: int, samples: int, rng) -> Estimate:
     done = 0
     while done < samples:
         m = min(_NULL_CHUNK, samples - done)
-        hx = _kernels._sign_rows(_uniform_signs(rng, m, n))
+        hx = _uniform_signs(rng, m, n, x_dtype)
         with _kernels._wht_behind(hx):
-            ys = _uniform_signs(rng, m, n)
+            ys = _uniform_signs(rng, m, n, np.int8)
         vals = _kernels._phi_transformed(hx, ys)
         total += float(vals.sum())
         total_sq += float((vals**2).sum())

@@ -1,4 +1,4 @@
-"""The package loader of benchmarks/bench_kernels.py, on a copy of this tree."""
+"""The package loader of benchmarks/bench_kernels.py, on a copy of this tree, and its round order."""
 
 import argparse
 import importlib.util
@@ -46,3 +46,16 @@ def test_load_package_imports_the_copy_beside_this_tree(tmp_path):
     values = [bench.bench_level2_scan_mc(args, package)[1]() for package in (parent, own)]
     assert type(values[0]) is float
     assert values[0] == values[1]
+
+
+def test_each_tree_goes_first_in_half_of_a_rows_rounds():
+    bench = load_script()
+    order = []
+    calls = [lambda k=k: order.append(k) or 10 * k for k in range(2)]
+    for repeat, rounds in ((1, 2), (5, 6), (6, 6)):
+        order.clear()
+        assert bench.even_rounds(len(calls), repeat) == rounds
+        assert bench.alternate(calls, rounds) == [[0] * rounds, [10] * rounds]
+        firsts = order[0::2]
+        assert firsts.count(0) == firsts.count(1) == rounds // 2
+    assert bench.even_rounds(1, 5) == 5

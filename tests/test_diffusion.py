@@ -557,6 +557,40 @@ class TestBooleanRound:
                 se = prod.std(ddof=1) / 1000.0
                 assert abs(prod.mean() - x[i] * x[j]) <= 4.0 * se
 
+    @pytest.mark.parametrize("shape", [(), (6,), (3, 7), (70_000, 3)])
+    def test_blocks_match_one_draw(self, shape):
+        # block by block (a partial second block at (70000, 3)) against one
+        # rng.random over the whole input: the same signs and the same stream
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, size=shape)
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        want = np.where(b.random(shape) < (1.0 + x) / 2.0, 1, -1).astype(np.int8)
+        got = diff.boolean_round(x, a)
+        assert got.dtype == np.int8 and got.shape == shape
+        npt.assert_array_equal(got, want)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_refusal_draws_nothing(self):
+        # the bad entry sits in the last block: no block is drawn first
+        x = np.zeros(3 * diff._ROUND_BLOCK)
+        x[-1] = 1.5
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="lie in"):
+            diff.boolean_round(x, rng)
+        assert rng.bit_generator.state == state
+
+    def test_canonical_batch_peaks_under_32_mib(self):
+        # advantage --rounded's 1e5 x 128 endpoints round to 12.2 MiB of
+        # int8; the input is allocated before tracing
+        x = np.zeros((100_000, 128))
+        tracemalloc.start()
+        try:
+            diff.boolean_round(x, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_output_is_signs(self):
         rng = np.random.default_rng(0)
         z = diff.boolean_round(np.zeros(6), rng)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -124,13 +125,28 @@ def test_sign_rows_equal_phi_batch_bit_for_bit():
         assert _kernels._phi_sign_rows(xs.astype(np.int8), ys.astype(np.int8)).tobytes() == want
 
 
-def test_sign_rows_float64_route_equals_phi_batch(monkeypatch):
-    # rows longer than _F32_EXACT take float64; lower the cut to reach it
-    monkeypatch.setattr(_kernels, "_F32_EXACT", 1)
+def test_sign_rows_int32_route_equals_phi_batch(monkeypatch):
+    # rows longer than _INT16_EXACT take int32; lower the cut to reach it
+    monkeypatch.setattr(_kernels, "_INT16_EXACT", 1)
     rng = np.random.default_rng(11)
     xs, ys = rng.choice((-1.0, 1.0), size=(2, 33, 64))
     want = forr.phi_batch(xs, ys).tobytes()
+    assert _kernels._sign_rows(xs).dtype == np.int32
     assert _kernels._phi_sign_rows(xs, ys.copy()).tobytes() == want
+
+
+@pytest.mark.parametrize("n, dtype", [(2**14, np.int16), (2**15, np.int32)])
+def test_sign_rows_hold_magnitude_n(n, dtype):
+    # the longest int16 rows and the shortest int32 ones: constant rows put
+    # +-n itself in the transform, random rows stay near sqrt(n)
+    rng = np.random.default_rng(n)
+    const = np.repeat([[1.0], [-1.0]], n, axis=1)
+    xs = np.concatenate([const, const, rng.choice((-1.0, 1.0), size=(2, n))])
+    ys = np.concatenate([const, const[::-1], rng.choice((-1.0, 1.0), size=(2, n))])
+    want = forr.phi_batch(xs, ys).tobytes()
+    assert _kernels._sign_rows(xs).dtype == dtype
+    assert _kernels._phi_sign_rows(xs, ys).tobytes() == want
+    assert _kernels._phi_sign_rows(xs.astype(np.int8), ys.astype(np.int8)).tobytes() == want
 
 
 class TestAcceptProbability:
@@ -240,6 +256,17 @@ class TestUniformNull:
             forr.uniform_phi_null(2**22, 4096, rng)
         assert rng.bit_generator.state == state
 
+    def test_chunk_of_long_rows_peaks_under_16_mib(self):
+        # one (4096, 1024) chunk holds x as int16 and y as int8: 12 MiB
+        forr.uniform_phi_null(1024, 4096, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            forr.uniform_phi_null(1024, 4096, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_choice_stream_is_integers_stream(self):
         # the null draws rng.integers(0, 2, dtype=np.int32) for the signs
         # rng.choice((-1.0, 1.0)) gives; a numpy that changes choice's
@@ -337,17 +364,17 @@ class TestAdvantageExperiment:
             forr.advantage_experiment(cov, cfg, 100, paths=batch)
 
 
-@pytest.mark.parametrize("m, n", [(7, 3), (64, 1024), (1, 1)])
-def test_uniform_signs_from_the_draws_bits(m, n):
-    # the float32 +-1 built from the int32 draw's bits against 2b - 1 in
-    # float arithmetic: the same bytes and the same stream
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+@pytest.mark.parametrize("m, n", [(7, 3), (64, 1024), (5, 10000), (1, 1)])
+def test_uniform_signs_from_the_draws_bits(m, n, dtype):
+    # the +-1 rows filled block by block (two whole blocks at (64, 1024), a
+    # partial second one at (5, 10000)) against 2b - 1 of one whole int32
+    # draw: the same values and the same stream
     a, b = np.random.default_rng([m, n]), np.random.default_rng([m, n])
-    want = b.integers(0, 2, size=(m, n), dtype=np.int32).astype(np.float32)
-    want *= 2.0
-    want -= 1.0
-    got = forr._uniform_signs(a, m, n)
-    assert got.dtype == np.float32 and got.flags.c_contiguous
-    assert got.tobytes() == want.tobytes()
+    want = 2 * b.integers(0, 2, size=(m, n), dtype=np.int32) - 1
+    got = forr._uniform_signs(a, m, n, dtype)
+    assert got.dtype == dtype and got.flags.c_contiguous
+    npt.assert_array_equal(got, want)
     assert a.bit_generator.state == b.bit_generator.state
 
 
