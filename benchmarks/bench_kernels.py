@@ -16,12 +16,13 @@ and --cli and --perfbench run each tree twice a row.  The rows are stored
 under "before" (the parent) and "after"; a run of one tree is stored under
 "run".
 
---cli also times the canonical end-to-end CLI runs on each tree, through
-that tree's forrlab.cli.main with default settings and --no-timestamp:
-verify-prop --n 64 --samples 100000, verify-dynkin, verify-main and
-advantage --rounded (several minutes a run).  Each run's median wall time,
-its wall times and its largest exit code go under "cli" in the --json
-record.
+--cli also times the canonical end-to-end CLI runs on each tree, each in
+a fresh interpreter (``python -m forrlab.cli`` with that tree's src/ first
+on PYTHONPATH; the time includes its start-up and imports) with default
+settings and --no-timestamp: verify-prop --n 64 --samples 100000,
+verify-dynkin, verify-main and advantage --rounded (several minutes a run).
+Each run's median wall time, its wall times and its largest exit code go
+under "cli" in the --json record.
 
 --perfbench WORKLOAD (repeatable) also runs that workload of the perfbench
 benchmark on each tree, from the perfbench/ next to each src/, for its
@@ -358,20 +359,28 @@ def bench_perfbench_rows(workload, roots):
     return rows
 
 
-def bench_cli(packages, tags):
-    """Median wall time, wall times and largest exit code of each canonical CLI run on each tree."""
-    rows = [{} for _ in packages]
+def bench_cli(srcs, tags):
+    """Median wall time, wall times and largest exit code of each canonical CLI run on each tree.
+
+    Each run is a fresh interpreter in a scratch directory that imports the
+    forrlab package under its tree's ``srcs`` entry, so no run inherits
+    another's modules or heap.
+    """
+    rows = [{} for _ in srcs]
+    paths = [os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])) for src in srcs]
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
         for name, argv in CLI_RUNS:
 
             def call(i):
-                wall, code = timed(lambda: packages[i].cli.main(argv + ["--no-timestamp", "--out", out]))
-                print(f"cli {name}{tags[i]}: {wall:.2f}s, exit code {code}", flush=True)
-                return wall, code
+                cmd = [sys.executable, "-m", "forrlab.cli", *argv, "--no-timestamp", "--out", out]
+                env = {**os.environ, "PYTHONPATH": paths[i]}
+                wall, done = timed(lambda: subprocess.run(cmd, env=env, cwd=tmp, check=False))
+                print(f"cli {name}{tags[i]}: {wall:.2f}s, exit code {done.returncode}", flush=True)
+                return wall, done.returncode
 
-            calls = [lambda i=i: call(i) for i in range(len(packages))]
-            for row, runs in zip(rows, alternate(calls, even_rounds(len(packages), 1))):
+            calls = [lambda i=i: call(i) for i in range(len(srcs))]
+            for row, runs in zip(rows, alternate(calls, even_rounds(len(srcs), 1))):
                 walls = [wall for wall, _ in runs]
                 row[name] = {"wall_s": statistics.median(walls), "runs_s": walls,
                              "exit_code": max(code for _, code in runs)}
@@ -472,7 +481,8 @@ def main():
     parser.add_argument("--json", metavar="PATH", help="store the timings in a JSON file")
     parser.add_argument(
         "--cli", action="store_true",
-        help="also time the canonical CLI runs (twice a tree with --against, each tree first once)",
+        help="also time the canonical CLI runs, each in a fresh interpreter of its tree (twice a tree"
+        " with --against, each tree first once)",
     )
     parser.add_argument(
         "--perfbench", metavar="WORKLOAD", action="append", default=[],
@@ -492,7 +502,8 @@ def main():
         tags = [" (before)", " (after)"]
     args.repeat = even_rounds(len(packages), args.repeat)
     runs = [{"kernels": {}} for _ in packages]
-    roots = [pathlib.Path(package.__file__).resolve().parents[2] for package in packages]
+    srcs = [pathlib.Path(package.__file__).resolve().parents[1] for package in packages]
+    roots = [src.parent for src in srcs]
     for name in args.perfbench:
         for run, row in zip(runs, bench_perfbench_rows(name, roots)):
             run.setdefault("perfbench", {})[name] = row
@@ -509,7 +520,7 @@ def main():
             per_step = f"{row['ns_per_path_step']:>8.0f}" if dt is not None else f"{'':>8}"
             print(f"{name + tag:<{width}}  {row['best_s']:>9.4f}s  {row['median_s']:>9.4f}s  {per_step}")
     if args.cli:
-        for run, rows in zip(runs, bench_cli(packages, tags)):
+        for run, rows in zip(runs, bench_cli(srcs, tags)):
             run["cli"] = rows
     if args.json:
         store_json(args.json, args, dict(zip(labels, runs)))

@@ -7,9 +7,9 @@ Two families of kernels live here:
   its short levels (contiguous runs under ``_SHORT_RUN``, such as h = 1 to 8
   on rows) iterate with the block index innermost.  A long row transform
   shares its row blocks with one worker thread, which can run behind the
-  caller's other work.  Rows of +-1
-  entries take phi in int16, which is exact: every transform intermediate
-  is an integer of magnitude at most n <= 2^14 (int32 above); and
+  caller's other work.  phi = (1/n) x^T H y transforms a copy of y: in
+  int16 for +-1 integer rows, exactly (every intermediate is an integer of
+  magnitude at most n <= 2^14; int32 above), else in float64; and
 * Euler-Maruyama path loops for the stopped diffusion dX_t = sigma dB_t
   on the solid cube [-1/2, 1/2]^N, with grid-time exit detection, an
   optional per-coordinate Brownian-bridge crossing test, and optional
@@ -221,49 +221,32 @@ def wht_inplace_np(a: np.ndarray) -> np.ndarray:
 wht_batch_numpy = wht_inplace_np
 
 
-def _phi_rows(x, y):
-    """Row-wise (1/n) x^T H y for matched ``(m, n)`` arrays; y is copied, not changed."""
-    n = x.shape[1]
-    hy = wht_inplace_np(np.array(y, dtype=np.float64, order="C"))
-    return np.einsum("ij,ij->i", x, hy) * (1.0 / np.sqrt(n) / n)
-
-
 def _sign_dtype(n):
     """The integer dtype in which rows of n +-1 entries transform exactly."""
     return np.dtype(np.int16 if n <= _INT16_EXACT else np.int32)
 
 
-def _sign_rows(x):
-    """Rows of +-1 entries in ``_sign_dtype`` of their length, C-ordered.
+def _phi_dot(x, hy):
+    """Row-wise phi = (1/n) x^T H y from x and hy, the unnormalized transform of y.
 
-    int16 up to ``_INT16_EXACT`` entries a row, int32 above; x itself when
-    it is already so.
+    Summed in float64, with integer rows read in their own dtype (int8
+    included).  On +-1 rows this is exact: the integer transform holds every
+    intermediate (magnitude at most n), and the partial sums are integers of
+    magnitude at most n^1.5, so every route and summation order gives the
+    same value; since H is symmetric, the uniform null passes (Hx, y).
     """
-    return np.asarray(x, dtype=_sign_dtype(x.shape[-1]), order="C")
+    n = x.shape[1]
+    return np.einsum("ij,ij->i", x, hy, dtype=np.float64) * (1.0 / np.sqrt(n) / n)
 
 
-def _phi_transformed(hx, y):
-    """Row-wise phi from Hx, the transformed ``_sign_rows`` of x, and +-1 rows y.
+def _phi_rows(x, y):
+    """Row-wise (1/n) x^T H y for matched ``(m, n)`` arrays; y is copied, not changed.
 
-    Exact: every transform intermediate is an integer of magnitude at most
-    n, which the integer rows hold, and the float64 dot sums integers whose
-    partial sums are of magnitude at most n^1.5, so every route and
-    summation order gives the same value; and since H is symmetric,
-    (Hx) . y is x^T H y.  y is read in its own dtype, int8 included.
+    The copy of y transforms in ``_sign_dtype(n)`` when y is an integer
+    array of +-1 entries, which is exact, and in float64 otherwise.
     """
-    n = hx.shape[1]
-    dots = np.einsum("ij,ij->i", hx, y, dtype=np.float64)
-    return dots * (1.0 / np.sqrt(n) / n)
-
-
-def _phi_sign_rows(x, y):
-    """``_phi_rows`` to the bit for matched ``(m, n)`` rows of +-1 entries.
-
-    x's ``_sign_rows`` build is transformed in place, so a C-ordered x of
-    that dtype is overwritten; y is read as it is, so int8 rows are not
-    copied.
-    """
-    return _phi_transformed(wht_inplace_np(_sign_rows(x)), y)
+    dtype = _sign_dtype(y.shape[1]) if np.issubdtype(y.dtype, np.integer) else np.float64
+    return _phi_dot(x, wht_inplace_np(np.array(y, dtype=dtype, order="C")))
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +540,11 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
     before the clamp; ``x_raw`` is that endpoint before the clamp and before
     bridge-crossed coordinates are put on the barrier.  State-sized arrays
     live in buffers allocated once per group: the state, a spare that takes
-    the step's draws, then the rows of the step's exiting paths for
-    finalize, then the compacted state (the two swap), and for the bridge
-    test the previous state and the test's scratch.  Normals
-    drawn ahead fill two more buffers a stream, sized by ``_ahead_sizes``.
+    the step's draws, then the rows of the step's exiting paths (at the end,
+    the survivors') for finalize, then the compacted state (the two swap),
+    and for the bridge test the previous state and the test's scratch.
+    Normals drawn ahead fill two more buffers a stream, sized by
+    ``_ahead_sizes``.
     """
     count, dim, width = out["tau"].size, mix.dim, mix.width
     store = out["x_tau"] is not None
@@ -597,7 +581,7 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
         return pt
 
     def finalize(rows, pt, crossed=None):
-        # pt holds one C-ordered row per path, a copy that finalize overwrites
+        # pt holds one C-ordered row per path, scratch: phi transforms its bottom half last
         n = dim // 2
         if want_acc:
             out["x_raw"][rows] = pt
@@ -611,15 +595,17 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
         if store:
             out["x_tau"][rows] = pt
         if want_phi:
-            out["phi"][rows] = _phi_rows(pt[:, :n], pt[:, n:])
+            out["phi"][rows] = _phi_dot(pt[:, :n], wht_inplace_np(pt[:, n:]))
 
     # under the grid test a group draws only normals: they are drawn ahead
     # on a worker thread while the step mixes and tests.  On one CPU the two
-    # only take turns (prop-n64 pinned to one CPU ran 4% slower)
+    # only take turns (prop-n64 pinned to one CPU ran 4% slower).
+    # draw(k, out) fills out with block k's next normals either way
     ahead = None
     sizes = _ahead_sizes(count, width, dt, epsilon, bridge)
     if sizes and _cpus() > 1:
         ahead = _NormalsAhead(rngs, sizes)
+    draw = ahead.fill if ahead else lambda k, out: rngs[k].standard_normal(out=out)
     try:
         while t < epsilon - tiny and alive.size:
             h = min(dt, epsilon - t)
@@ -628,12 +614,8 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
                 prev = _rows(prev_buf, dim, live)
                 np.copyto(prev, st)
             g = _rows(spare, live, width)
-            if ahead is None:
-                for rng, a, b in blocks:
-                    rng.standard_normal(out=g[a:b])
-            else:
-                for k, (_, a, b) in enumerate(blocks):
-                    ahead.fill(k, g[a:b])
+            for k, (_, a, b) in enumerate(blocks):
+                draw(k, g[a:b])
             mix(g, st, h, solo)
             t += h
 
@@ -674,10 +656,10 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
         if ahead is not None:
             ahead.close()
 
-    # the last finalize copies every survivor; free the scratch for it
-    spare = prev_buf = work_buf = ahead = None
+    # the survivors leave as exits do, once the other scratch (views too) is free
+    prev_buf = work_buf = prev = work = ahead = draw = None
     if alive.size:
-        finalize(alive, np.ascontiguousarray(st.T))
+        finalize(alive, exiting_rows(np.arange(alive.size)))
         if want_acc:
             out["accumulator"][alive] = acc
 

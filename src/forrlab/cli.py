@@ -214,14 +214,8 @@ def _cmd_sample(args) -> ExperimentReport:
         bits = None
         if args.bits:
             bits = diff.boolean_round(batch.x_tau, np.random.default_rng([args.seed, 2]))
-        header = {
-            "dim": cov.dim,
-            "epsilon": config.epsilon,
-            "dt": config.dt,
-            "bridge": config.bridge_correction,
-            "seed": args.seed,
-            "samples": args.samples,
-        }
+        header = {key: payload[key] for key in ("dim", "epsilon", "dt", "bridge", "seed")}
+        header["samples"] = args.samples
         diff.dump_paths_csv(batch, args.dump_paths, header=header, bits=bits)
     return ExperimentReport("sample", PASS, args.samples, payload)
 

@@ -181,9 +181,9 @@ def uniform_phi_null(n: int, samples: int, rng) -> Estimate:
     starts x's transform on a worker thread behind the caller
     (``_kernels._wht_behind``, inline below its size gate or on one CPU),
     draws y's signs as int8 meanwhile, joins, and takes phi as the float64
-    dot of Hx with y, which is exact.  Arguments are checked before any
-    draw, and a chunk whose two sign arrays would exceed
-    STORED_PATHS_BYTE_LIMIT bytes raises CapacityError.
+    dot of Hx with y (``_kernels._phi_dot``), which is exact.  Arguments
+    are checked before any draw, and a chunk whose two sign arrays would
+    exceed STORED_PATHS_BYTE_LIMIT bytes raises CapacityError.
     """
     if n < 1 or n & (n - 1):
         raise ValueError("n must be a power of two >= 1")
@@ -204,7 +204,7 @@ def uniform_phi_null(n: int, samples: int, rng) -> Estimate:
         hx = _uniform_signs(rng, m, n, x_dtype)
         with _kernels._wht_behind(hx):
             ys = _uniform_signs(rng, m, n, np.int8)
-        vals = _kernels._phi_transformed(hx, ys)
+        vals = _kernels._phi_dot(hx, ys)
         total += float(vals.sum())
         total_sq += float((vals**2).sum())
         done += m
@@ -303,7 +303,7 @@ def advantage_experiment(
             if paths.x_tau is None:
                 raise ValueError("rounding needs stored endpoints in the paths batch")
             bits = boolean_round(paths.x_tau, np.random.default_rng([config.seed, 2]))
-            est_rounded = mean_estimate(_kernels._phi_sign_rows(bits[:, : cov.n], bits[:, cov.n :]))
+            est_rounded = mean_estimate(_kernels._phi_rows(bits[:, : cov.n], bits[:, cov.n :]))
             payload["mean_phi_rounded"] = est_rounded.value
             payload["se_phi_rounded"] = est_rounded.se
         return [check_equal(null, Estimate(0.0, 0.0))]

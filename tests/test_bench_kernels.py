@@ -1,10 +1,12 @@
-"""The package loader of benchmarks/bench_kernels.py, on a copy of this tree, and its round order."""
+"""benchmarks/bench_kernels.py on a copy of this tree (package loader, CLI runs) and its round order."""
 
 import argparse
 import importlib.util
 import inspect
 import pathlib
+import re
 import shutil
+import subprocess
 import sys
 import types
 
@@ -59,3 +61,28 @@ def test_each_tree_goes_first_in_half_of_a_rows_rounds():
         firsts = order[0::2]
         assert firsts.count(0) == firsts.count(1) == rounds // 2
     assert bench.even_rounds(1, 5) == 5
+
+
+def test_cli_runs_import_their_own_trees_forrlab(tmp_path, monkeypatch):
+    # one short run on this tree and on a copy; each child reports, through
+    # Python's verbose imports, the forrlab/cli.py it ran
+    bench = load_script()
+    copy = tmp_path / "src"
+    shutil.copytree(SRC, copy / "forrlab", ignore=shutil.ignore_patterns("__pycache__"))
+    short_run = ("sample", ["sample", "--n", "4", "--samples", "500", "--seed", "3"])
+    monkeypatch.setattr(bench, "CLI_RUNS", [short_run])
+    loaded = []
+    run = subprocess.run
+
+    def verbose_run(cmd, env, **kwargs):
+        done = run(cmd, env={**env, "PYTHONVERBOSE": "1"}, stderr=subprocess.PIPE, text=True, **kwargs)
+        loaded.append({pathlib.Path(p) for p in re.findall(r"(/[^\s']*)/forrlab/cli\.py\b", done.stderr)})
+        return done
+
+    monkeypatch.setattr(bench.subprocess, "run", verbose_run)
+    rows = bench.bench_cli([copy, SRC.parent], [" (copy)", " (tree)"])
+
+    assert [row["sample"]["exit_code"] for row in rows] == [0, 0]
+    assert [len(row["sample"]["runs_s"]) for row in rows] == [2, 2]
+    # the copy ran first in the first round and last in the second
+    assert loaded == [{copy}, {SRC.parent}, {SRC.parent}, {copy}]

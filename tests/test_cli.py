@@ -369,6 +369,9 @@ class TestSampleSubcommand:
         header, batch, bits = diff.load_paths_csv(str(out))
         assert header["dim"] == 4
         assert header["seed"] == 12
+        # the header restates the report's settings, plus the sample count
+        doc = report_of(proc)
+        assert header == {**{key: doc[key] for key in ("dim", "epsilon", "dt", "bridge", "seed")}, "samples": 60}
         assert len(batch) == 60
         assert bits.shape == (60, 4)
         assert np.isin(bits, [-1, 1]).all()

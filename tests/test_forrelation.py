@@ -121,8 +121,32 @@ def _sign_rows_cases():
 def test_sign_rows_equal_phi_batch_bit_for_bit():
     for xs, ys in _sign_rows_cases():
         want = forr.phi_batch(xs, ys).tobytes()
-        assert _kernels._phi_sign_rows(xs, ys).tobytes() == want
-        assert _kernels._phi_sign_rows(xs.astype(np.int8), ys.astype(np.int8)).tobytes() == want
+        assert _kernels._phi_rows(xs.astype(np.int8), ys.astype(np.int8)).tobytes() == want
+
+
+def transform_dtypes(monkeypatch):
+    """Record the dtype of every array wht_inplace_np transforms."""
+    seen = []
+    wht = _kernels.wht_inplace_np
+
+    def recorded(a):
+        seen.append(a.dtype)
+        return wht(a)
+
+    monkeypatch.setattr(_kernels, "wht_inplace_np", recorded)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "rows, want",
+    [(np.int8, np.int16), (np.int16, np.int16), (np.float64, np.float64), (np.float32, np.float64)],
+)
+def test_phi_rows_transform_dtype(rows, want, monkeypatch):
+    # integer +-1 rows transform exactly in int16, float rows in float64
+    seen = transform_dtypes(monkeypatch)
+    xs, ys = np.random.default_rng(4).choice((-1, 1), size=(2, 5, 64)).astype(rows)
+    _kernels._phi_rows(xs, ys)
+    assert seen == [want]
 
 
 def test_sign_rows_int32_route_equals_phi_batch(monkeypatch):
@@ -131,12 +155,15 @@ def test_sign_rows_int32_route_equals_phi_batch(monkeypatch):
     rng = np.random.default_rng(11)
     xs, ys = rng.choice((-1.0, 1.0), size=(2, 33, 64))
     want = forr.phi_batch(xs, ys).tobytes()
-    assert _kernels._sign_rows(xs).dtype == np.int32
-    assert _kernels._phi_sign_rows(xs, ys.copy()).tobytes() == want
+    seen = transform_dtypes(monkeypatch)
+    y8 = ys.astype(np.int8)
+    assert _kernels._phi_rows(xs.astype(np.int8), y8).tobytes() == want
+    assert seen == [np.int32]
+    assert (y8 == ys).all()
 
 
 @pytest.mark.parametrize("n, dtype", [(2**14, np.int16), (2**15, np.int32)])
-def test_sign_rows_hold_magnitude_n(n, dtype):
+def test_sign_rows_hold_magnitude_n(n, dtype, monkeypatch):
     # the longest int16 rows and the shortest int32 ones: constant rows put
     # +-n itself in the transform, random rows stay near sqrt(n)
     rng = np.random.default_rng(n)
@@ -144,9 +171,9 @@ def test_sign_rows_hold_magnitude_n(n, dtype):
     xs = np.concatenate([const, const, rng.choice((-1.0, 1.0), size=(2, n))])
     ys = np.concatenate([const, const[::-1], rng.choice((-1.0, 1.0), size=(2, n))])
     want = forr.phi_batch(xs, ys).tobytes()
-    assert _kernels._sign_rows(xs).dtype == dtype
-    assert _kernels._phi_sign_rows(xs, ys).tobytes() == want
-    assert _kernels._phi_sign_rows(xs.astype(np.int8), ys.astype(np.int8)).tobytes() == want
+    seen = transform_dtypes(monkeypatch)
+    assert _kernels._phi_rows(xs.astype(np.int8), ys.astype(np.int8)).tobytes() == want
+    assert seen == [dtype]
 
 
 class TestAcceptProbability:

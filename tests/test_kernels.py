@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -509,6 +510,46 @@ def test_two_group_digests_hold_with_small_ahead_buffers(monkeypatch):
     test_dense_groups_match_pinned_digests(monkeypatch)
     assert [ahead.streams for ahead in made] == [2, 1]
     assert_workers_ended(made)
+
+
+@pytest.mark.parametrize("bridge", [False, True], ids=["grid-ahead", "bridge"])
+def test_survivors_finalize_after_the_scratch_is_dropped(bridge, monkeypatch):
+    # the draw-ahead buffers (grid) and the bridge test's previous state and
+    # scratch are dead when the survivors' phi is taken, so that their rows
+    # do not add to the group's peak
+    refs = []
+
+    class RecordingRng:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, out):
+            refs.append(weakref.ref(out))
+            return self.rng.standard_normal(out=out)
+
+    class Ahead(K._NormalsAhead):
+        def __init__(self, rngs, sizes):
+            super().__init__([RecordingRng(rng) for rng in rngs], sizes)
+
+    crossings, phi_dot, dead = K._bridge_crossings_np, K._phi_dot, []
+
+    def recorded_crossings(r, prev, new, hvar, work):
+        refs.extend(weakref.ref(a.base) for a in (prev, work))
+        return crossings(r, prev, new, hvar, work)
+
+    def recorded_phi_dot(x, hy):
+        dead.append(all(ref() is None for ref in refs))
+        return phi_dot(x, hy)
+
+    monkeypatch.setattr(K, "_NormalsAhead", Ahead)
+    monkeypatch.setattr(K, "_cpus", lambda: 2)
+    monkeypatch.setattr(K, "_bridge_crossings_np", recorded_crossings)
+    monkeypatch.setattr(K, "_phi_dot", recorded_phi_dot)
+    eps = 0.05
+    out = K.run_paths_structured_numpy(3, K.STREAM_BLOCK, 64, eps / 16, eps, bridge=bridge, want_phi=True)
+    assert refs and out["exited"].any() and not out["exited"].all()
+    # the exit steps ran with the scratch alive; the survivors came last
+    assert dead[0] is False and dead[-1] is True
 
 
 def test_small_runs_and_bridge_runs_draw_inline():
