@@ -4,7 +4,9 @@ Runs each shape --repeat times and prints its best and median per-call
 wall time.  Path kernels also report path-steps (one Euler step of one
 path) and nanoseconds per path-step of the best call.  The --json record
 holds, for every shape, the tracemalloc peak of one call in MiB
-(``peak_traced_mb``).
+(``peak_traced_mb``), and for each tree the CPUs this process may run on
+(``allowed_cpus``, the count its kernels gate draw-ahead and transform
+sharing on; ``cpus`` is the host's count).
 
 --against PARENT_SRC compares two trees in one interpreter: it imports the
 whole ``forrlab`` package under PARENT_SRC as modules of its own next to
@@ -40,9 +42,9 @@ Usage:
 
 import argparse
 import datetime
+import functools
 import importlib
 import json
-import math
 import os
 import pathlib
 import pkgutil
@@ -74,35 +76,25 @@ def timed(fn):
     return time.perf_counter() - started, out
 
 
-def bench_wht(args, pkg):
-    rows = np.random.default_rng(args.seed).normal(size=(4096, 128))
+# row-transform rows: (name, rows, row length, copy).  Each call transforms
+# seeded normal rows in place, a fresh copy of them when copy is set; without
+# it (the uniform null's 32 MB chunk at n = 1024) each call scales the rows by
+# the length, far from overflow.  1024x64 is the sampler's phi rows at n = 64
+# for one stream block.
+WHT_ROWS = [
+    ("batched WHT 4096x128", 4096, 128, True),
+    ("wht_rows_4096x1024", 4096, 1024, False),
+    ("wht_rows_1024x64", 1024, 64, True),
+]
+
+
+def bench_wht(name, m, n, copy, args, pkg):
+    rows = np.random.default_rng(args.seed).normal(size=(m, n))
 
     def run():
-        pkg._kernels.wht_batch_numpy(rows.copy())
+        pkg._kernels.wht_inplace_np(rows.copy() if copy else rows)
 
-    return "batched WHT 4096x128", run, None
-
-
-def bench_wht_rows(args, pkg):
-    # one chunk of the uniform phi null at n = 1024: a 32 MB batch of long
-    # rows.  In place: each call scales the rows by 1024, far from overflow.
-    rows = np.random.default_rng(args.seed).normal(size=(4096, 1024))
-
-    def run():
-        pkg._kernels.wht_batch_numpy(rows)
-
-    return "wht_rows_4096x1024", run, None
-
-
-def bench_wht_rows_short(args, pkg):
-    # the sampler's phi rows at n = 64 for one stream block; the copy keeps
-    # the input fixed
-    rows = np.random.default_rng(args.seed).normal(size=(1024, 64))
-
-    def run():
-        pkg._kernels.wht_batch_numpy(rows.copy())
-
-    return "wht_rows_1024x64", run, None
+    return name, run, None
 
 
 def bench_uniform_null(args, pkg):
@@ -183,129 +175,46 @@ def bench_eval(args, pkg):
     return f"multilinear eval {args.samples}x2^10", run, None
 
 
-def bench_structured(args, pkg):
-    n = 64
-    epsilon = 1.0 / (8.0 * math.log(2 * n))
-    dt = epsilon / 256
+# path-kernel rows: (name, family, paths, epsilon, dt divisor, keywords).  The
+# family is a structured n (N = 2n coordinates) or a dense (dim, gamma)
+# equicorrelated covariance; paths None is --samples and epsilon None the
+# canonical horizon 1/(8 ln N).  The name gets ", <paths> paths".
+PATH_ROWS = [
+    ("structured paths n=64", 64, None, None, 256, dict(store=False, want_phi=True)),
+    # four one-stream groups of STREAM_BLOCK = 1024 paths, each drawing its
+    # normals ahead on a worker thread that starts and stops with the group:
+    # criterion 06's shape in miniature
+    ("structured paths n=64", 64, 4096, None, 256, dict(store=False, want_phi=True)),
+    # two stream blocks in one group: the seeded sample-n16 run's shape
+    ("structured paths n=16", 16, 1500, None, 256, dict(store=False, want_phi=True)),
+    ("dense paths dim=4", (4, 0.2), None, None, 256, dict(store=False)),
+    # verify-dynkin's bare instance
+    ("dense Dynkin dim=2", (2, 0.5), None, 0.05, 1024,
+     dict(gen_coeffs=np.array([0.0, 0.0, 0.0, 0.5]), store=True)),
+    # 64 paths of 64 steps: the worker must not start for it
+    ("dense tiny dim=2", (2, 0.5), 64, 0.05, 64, dict(store=False)),
+    # the one-coordinate run of exit_probability_report at epsilon 0.5, to epsilon/2
+    ("dense bridge dim=1", (1, 0.0), None, 0.25, 512, dict(bridge=True, store=False)),
+    # one stream block with the bridge test
+    ("structured bridge n=64", 64, 1024, None, 1024, dict(bridge=True, store=False)),
+]
+
+
+def bench_paths(name, family, paths, epsilon, dt_div, kw, args, pkg):
+    paths = paths or args.samples
+    if isinstance(family, int):
+        coords, kernel, inputs = 2 * family, pkg._kernels.run_paths_structured_numpy, (family,)
+    else:
+        cov = pkg.diffusion.equicorrelated_covariance(*family)
+        inputs = (cov.sqrt_matrix, np.ones(cov.dim))
+        coords, kernel = cov.dim, pkg._kernels.run_paths_dense_numpy
+    epsilon = epsilon or pkg.diffusion.canonical_epsilon(coords)
+    dt = epsilon / dt_div
 
     def run():
-        return pkg._kernels.run_paths_structured_numpy(
-            args.seed, args.samples, n, dt, epsilon, store=False, want_phi=True
-        )
+        return kernel(args.seed, paths, *inputs, dt, epsilon, **kw)
 
-    return f"structured paths n=64, {args.samples} paths", run, dt
-
-
-def bench_structured_groups(args, pkg):
-    # four one-stream groups at n = 64, each drawing its normals ahead on a
-    # worker thread that starts and stops with the group: criterion 06's
-    # shape in miniature
-    n = 64
-    epsilon = 1.0 / (8.0 * math.log(2 * n))
-    dt = epsilon / 256
-    paths = 4 * pkg._kernels.STREAM_BLOCK
-
-    def run():
-        return pkg._kernels.run_paths_structured_numpy(
-            args.seed, paths, n, dt, epsilon, store=False, want_phi=True
-        )
-
-    return f"structured paths n=64, {paths} paths", run, dt
-
-
-def bench_structured_n16(args, pkg):
-    # two stream blocks at n = 16 in one group (the seeded sample-n16 run's
-    # shape): 1500 paths, dt = epsilon/256
-    n = 16
-    epsilon = 1.0 / (8.0 * math.log(2 * n))
-    dt = epsilon / 256
-
-    def run():
-        return pkg._kernels.run_paths_structured_numpy(
-            args.seed, 1500, n, dt, epsilon, store=False, want_phi=True
-        )
-
-    return "structured paths n=16, 1500 paths", run, dt
-
-
-def bench_structured_bridge(args, pkg):
-    # one stream block at n = 64 with the bridge test, dt = epsilon/1024
-    n = 64
-    epsilon = 1.0 / (8.0 * math.log(2 * n))
-    dt = epsilon / 1024
-
-    def run():
-        return pkg._kernels.run_paths_structured_numpy(
-            args.seed, pkg._kernels.STREAM_BLOCK, n, dt, epsilon, bridge=True, store=False
-        )
-
-    return f"structured bridge n=64, {pkg._kernels.STREAM_BLOCK} paths", run, dt
-
-
-def bench_dense(args, pkg):
-    dim = 4
-    sigma = np.full((dim, dim), 0.2)
-    np.fill_diagonal(sigma, 1.0)
-    vals, vecs = np.linalg.eigh(sigma)
-    sig_sqrt = (vecs * np.sqrt(vals)) @ vecs.T
-    diag = np.ones(dim)
-    epsilon = 1.0 / (8.0 * math.log(dim))
-    dt = epsilon / 256
-
-    def run():
-        return pkg._kernels.run_paths_dense_numpy(
-            args.seed, args.samples, sig_sqrt, diag, dt, epsilon, store=False
-        )
-
-    return f"dense paths dim=4, {args.samples} paths", run, dt
-
-
-def bench_dense_dynkin(args, pkg):
-    # verify-dynkin's bare instance: dim 2, gamma 0.5, epsilon 0.05, dt = epsilon/1024
-    sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
-    vals, vecs = np.linalg.eigh(sigma)
-    sig_sqrt = (vecs * np.sqrt(vals)) @ vecs.T
-    gen = np.array([0.0, 0.0, 0.0, 0.5])
-    epsilon = 0.05
-    dt = epsilon / 1024
-    kw = dict(gen_coeffs=gen, store=True)
-
-    def run():
-        return pkg._kernels.run_paths_dense_numpy(
-            args.seed, args.samples, sig_sqrt, np.ones(2), dt, epsilon, **kw
-        )
-
-    return f"dense Dynkin dim=2, {args.samples} paths", run, dt
-
-
-def bench_dense_bridge(args, pkg):
-    # the one-coordinate run of exit_probability_report at epsilon 0.5, bridge on
-    epsilon = 0.25
-    dt = epsilon / 512
-    kw = dict(bridge=True, store=False)
-
-    def run():
-        return pkg._kernels.run_paths_dense_numpy(
-            args.seed, args.samples, np.eye(1), np.ones(1), dt, epsilon, **kw
-        )
-
-    return f"dense bridge dim=1, {args.samples} paths", run, dt
-
-
-def bench_dense_tiny(args, pkg):
-    # a tiny dim-2 run, 64 paths of 64 steps: the worker must not start for it
-    sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
-    vals, vecs = np.linalg.eigh(sigma)
-    sig_sqrt = (vecs * np.sqrt(vals)) @ vecs.T
-    epsilon = 0.05
-    dt = epsilon / 64
-
-    def run():
-        return pkg._kernels.run_paths_dense_numpy(
-            args.seed, 64, sig_sqrt, np.ones(2), dt, epsilon, store=False
-        )
-
-    return "dense tiny dim=2, 64 paths", run, dt
+    return f"{name}, {paths} paths", run, dt
 
 
 def bench_perfbench(workload, root):
@@ -463,10 +372,9 @@ def store_json(path, args, runs):
 
 
 BENCHES = [
-    bench_wht, bench_eval, bench_structured, bench_structured_groups, bench_structured_n16, bench_dense,
-    bench_dense_dynkin, bench_dense_tiny, bench_dense_bridge, bench_structured_bridge, bench_wht_rows,
-    bench_wht_rows_short, bench_uniform_null, bench_boolean_round, bench_level2_scan, bench_level2_scan_mc,
-    bench_restriction_identity_n4, bench_restriction_identity_n8,
+    *(functools.partial(bench_wht, *row) for row in WHT_ROWS), bench_eval,
+    *(functools.partial(bench_paths, *row) for row in PATH_ROWS), bench_uniform_null, bench_boolean_round,
+    bench_level2_scan, bench_level2_scan_mc, bench_restriction_identity_n4, bench_restriction_identity_n8,
 ]
 
 
@@ -501,7 +409,7 @@ def main():
         packages, labels = [load_package(args.against), packages[0]], ["before", "after"]
         tags = [" (before)", " (after)"]
     args.repeat = even_rounds(len(packages), args.repeat)
-    runs = [{"kernels": {}} for _ in packages]
+    runs = [{"kernels": {}, "allowed_cpus": package._kernels._cpus()} for package in packages]
     srcs = [pathlib.Path(package.__file__).resolve().parents[1] for package in packages]
     roots = [src.parent for src in srcs]
     for name in args.perfbench:

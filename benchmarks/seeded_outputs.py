@@ -17,7 +17,6 @@ Usage:
 """
 
 import hashlib
-import math
 import os
 import tempfile
 
@@ -51,8 +50,8 @@ RUNS = [
 # the last runs five dim-1 stream blocks, the last one partial, in one group
 EXIT_REPORTS = [
     ("exit-report-dim1", 1, 0.0, 0.5, True, 2000),
-    ("exit-report-dim4", 4, 0.2, 1.0 / (8.0 * math.log(4)), False, 2000),
-    ("exit-report-dim1-blocks5", 1, 0.0, 1.0 / (8.0 * math.log(2)), True, 4500),
+    ("exit-report-dim4", 4, 0.2, diff.canonical_epsilon(4), False, 2000),
+    ("exit-report-dim1-blocks5", 1, 0.0, diff.canonical_epsilon(2), True, 4500),
 ]
 
 

@@ -3,12 +3,15 @@
 import argparse
 import importlib.util
 import inspect
+import math
 import pathlib
 import re
 import shutil
 import subprocess
 import sys
 import types
+
+import numpy as np
 
 import forrlab
 
@@ -86,3 +89,89 @@ def test_cli_runs_import_their_own_trees_forrlab(tmp_path, monkeypatch):
     assert [len(row["sample"]["runs_s"]) for row in rows] == [2, 2]
     # the copy ran first in the first round and last in the second
     assert loaded == [{copy}, {SRC.parent}, {SRC.parent}, {copy}]
+
+
+ROW_NAMES = [
+    "batched WHT 4096x128", "wht_rows_4096x1024", "wht_rows_1024x64", "multilinear eval 200x2^10",
+    "structured paths n=64, 200 paths", "structured paths n=64, 4096 paths",
+    "structured paths n=16, 1500 paths",
+    "dense paths dim=4, 200 paths", "dense Dynkin dim=2, 200 paths", "dense tiny dim=2, 64 paths",
+    "dense bridge dim=1, 200 paths", "structured bridge n=64, 1024 paths", "uniform_null_n1024x4096",
+    "boolean_round_25000x128", "level2_scan_n11", "level2_scan_mc_n11x200", "restriction_identity_n4x250",
+    "restriction_identity_n8",
+]
+
+
+def eigh_root(dim, gamma):
+    sigma = np.full((dim, dim), gamma)
+    np.fill_diagonal(sigma, 1.0)
+    vals, vecs = np.linalg.eigh(sigma)
+    return (vecs * np.sqrt(vals)) @ vecs.T
+
+
+def bound(kernel, *args, **kwargs):
+    """Every parameter of a call of ``kernel``, defaults included, by name."""
+    call = inspect.signature(kernel).bind(*args, **kwargs)
+    call.apply_defaults()
+    return dict(call.arguments)
+
+
+def same(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
+def test_path_rows_call_the_kernels_with_hand_built_inputs(monkeypatch):
+    # recording stubs stand in for the two path kernels; each row's call must
+    # equal the row written out by hand: eigh roots, np.eye(1) and the
+    # literal horizon 1/(8 ln N)
+    bench = load_script()
+    K = bench.with_submodules(forrlab)._kernels
+    structured, dense = K.run_paths_structured_numpy, K.run_paths_dense_numpy
+    calls = []
+
+    def recorder(kernel):
+        return lambda *a, **kw: calls.append(bound(kernel, *a, **kw))
+
+    for kernel in (structured, dense):
+        monkeypatch.setattr(K, kernel.__name__, recorder(kernel))
+    args = argparse.Namespace(seed=3, samples=200)
+    rows = [row(args, forrlab) for row in bench.BENCHES]
+    assert [name for name, _, _ in rows] == ROW_NAMES
+
+    e64, e16, e4 = (1.0 / (8.0 * math.log(N)) for N in (128, 32, 4))
+    phi = dict(store=False, want_phi=True)
+    expected = {
+        "structured paths n=64, 200 paths": bound(structured, 3, 200, 64, e64 / 256, e64, **phi),
+        "structured paths n=64, 4096 paths": bound(
+            structured, 3, 4 * K.STREAM_BLOCK, 64, e64 / 256, e64, **phi
+        ),
+        "structured paths n=16, 1500 paths": bound(structured, 3, 1500, 16, e16 / 256, e16, **phi),
+        "dense paths dim=4, 200 paths": bound(
+            dense, 3, 200, eigh_root(4, 0.2), np.ones(4), e4 / 256, e4, store=False
+        ),
+        "dense Dynkin dim=2, 200 paths": bound(
+            dense, 3, 200, eigh_root(2, 0.5), np.ones(2), 0.05 / 1024, 0.05,
+            gen_coeffs=np.array([0.0, 0.0, 0.0, 0.5]), store=True,
+        ),
+        "dense tiny dim=2, 64 paths": bound(
+            dense, 3, 64, eigh_root(2, 0.5), np.ones(2), 0.05 / 64, 0.05, store=False
+        ),
+        "dense bridge dim=1, 200 paths": bound(
+            dense, 3, 200, np.eye(1), np.ones(1), 0.25 / 512, 0.25, bridge=True, store=False
+        ),
+        "structured bridge n=64, 1024 paths": bound(
+            structured, 3, K.STREAM_BLOCK, 64, e64 / 1024, e64, bridge=True, store=False
+        ),
+    }
+    path_rows = [(name, run, dt) for name, run, dt in rows if dt is not None]
+    assert [name for name, _, _ in path_rows] == list(expected)
+    for name, run, dt in path_rows:
+        calls.clear()
+        run()
+        assert len(calls) == 1, name
+        for key, value in expected[name].items():
+            assert same(calls[0][key], value), (name, key)
+        assert dt == calls[0]["dt"], name

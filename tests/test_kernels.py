@@ -33,7 +33,7 @@ class TestWalshHadamardKernels:
     def test_batch_rows_independent(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 8))
-        got = K.wht_batch_numpy(a.copy())
+        got = K.wht_inplace_np(a.copy())
         for r in range(5):
             npt.assert_allclose(got[r], direct_wht_oracle(a[r]), atol=1e-12)
 
