@@ -254,22 +254,27 @@ def _phi_rows(x, y):
 # ---------------------------------------------------------------------------
 
 
-# rows per chunk of eval_multilinear_batch_numpy
+# rows per chunk of eval_multilinear_batch_numpy, and entries per chunk of
+# each temporary of its first fold (2^22 doubles, 32 MiB): 4096 rows up to
+# N = 11 variables, fewer above
 _EVAL_CHUNK = 4096
+_EVAL_ENTRIES = 1 << 22
 
 
 def eval_multilinear_batch_numpy(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate sum_S c[S] prod_{i in S} x_i at each row of ``points``.
 
     ``coeffs`` has length 2^N with bit i of the index marking variable i.
-    Work is chunked over ``_EVAL_CHUNK`` rows to cap the (2^N x rows)
-    scratch table.
+    Work is chunked over rows so that the first fold's two (2^(N-1) x rows)
+    temporaries hold at most ``_EVAL_ENTRIES`` entries each (at least one
+    row a chunk); each row folds alone, so chunking moves no bit.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
     out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], _EVAL_CHUNK):
-        rows = slice(start, start + _EVAL_CHUNK)
+    chunk = max(1, min(_EVAL_CHUNK, 2 * _EVAL_ENTRIES // coeffs.size))
+    for start in range(0, points.shape[0], chunk):
+        rows = slice(start, start + chunk)
         out[rows] = _eval_multilinear_cols_np(coeffs, points[rows].T)
     return out
 

@@ -55,6 +55,7 @@ __all__ = [
     "save_function",
 ]
 
+TABLE_VAR_LIMIT = 16  # 2^N tables built from a variable count alone are capped here
 EXHAUSTIVE_VAR_LIMIT = 12  # 3^N restriction scans are capped here
 ENUMERATION_VAR_LIMIT = 10
 _SCAN_TAIL_VARS = 7  # the exhaustive scan runs its last variables level by level
@@ -174,7 +175,7 @@ class RestrictionDistribution:
             raise ValueError("anchor must be a 1-D, non-empty vector")
         if not np.isfinite(anchor).all():
             raise ValueError("anchor must be finite")
-        if np.abs(anchor).max() > 0.5 + 1e-12:
+        if np.abs(anchor).max() > 0.5:
             raise ValueError("anchor must lie in [-1/2, 1/2]^N")
         anchor = anchor.copy()
         anchor.setflags(write=False)
@@ -230,6 +231,8 @@ def truth_table(f: BooleanFunction) -> np.ndarray:
 
 def random_sign_function(n_vars: int, rng: np.random.Generator) -> BooleanFunction:
     """A uniformly random +-1-valued function on n_vars variables."""
+    if n_vars > TABLE_VAR_LIMIT:
+        raise CapacityError(f"random functions are capped at {TABLE_VAR_LIMIT} variables, got {n_vars}")
     table = rng.integers(0, 2, size=2**n_vars) * 2 - 1
     return from_truth_table(table)
 
@@ -455,7 +458,13 @@ def to_json_dict(f: BooleanFunction) -> dict:
 def from_json_dict(d: dict) -> BooleanFunction:
     if not isinstance(d, dict) or set(d) != {"n", "coeffs"}:
         raise ValueError('expected an object with exactly the keys "n" and "coeffs"')
-    return from_coeffs(int(d["n"]), d["coeffs"])
+    n = d["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f'"n" must be an integer, got {n!r}')
+    try:
+        return from_coeffs(n, d["coeffs"])
+    except TypeError:
+        raise ValueError('"coeffs" must be a list of numbers') from None
 
 
 def load_function(path) -> BooleanFunction:

@@ -3,15 +3,23 @@
 Every subcommand but ``phi`` and ``accept`` prints one JSON report (stdout
 or ``--out``) and exits with the verdict code: 0 pass, 1 fail, 2
 inconclusive.  ``phi`` and ``accept`` print a plain JSON object to stdout
-and exit 0.  A usage error exits 64 from any subcommand.  Runs are
-reproducible: the master seed comes from ``--seed`` or the ``FORRLAB_SEED``
-environment variable (else 0), and ``--no-timestamp`` drops the timing
-fields so a rerun with the same arguments is byte-identical.  The seed is an
-integer >= 0: a malformed or negative ``--seed``, or such a ``FORRLAB_SEED``
-when ``--seed`` is absent, is a usage error for every subcommand that takes
-``--seed``, whether or not the run draws.  Each handler returns its report
-(a plain dict for ``phi`` and ``accept``); ``main`` alone times the run,
-writes the result and maps the verdict to the exit code.
+and exit 0.  Runs are reproducible: the master seed comes from ``--seed``
+or the ``FORRLAB_SEED`` environment variable (else 0), and
+``--no-timestamp`` drops the timing fields so a rerun with the same
+arguments is byte-identical.  Each handler returns its report (a plain dict
+for ``phi`` and ``accept``); ``main`` alone times the run, writes the result
+and maps the verdict to the exit code.
+
+A refused request exits 64 from any subcommand with one stderr line, and
+each rule has one owner.  A rule about one flag is that flag's argparse type
+(``finite``, ``at_least``, ``master_seed``, ``numbers``, ``n_range``) or
+argparse itself (a missing, unknown or conflicting flag), so it refuses
+before any handler runs: a bad ``FORRLAB_SEED`` is refused like a bad
+``--seed``, whether or not the run draws.  Every other rule is a
+``ValueError`` raised by a handler (rules across flags) or by the library
+call it makes (a ``CapacityError`` for a request past a size cap), and
+``main`` prints it, or an ``OSError`` from a file, as
+``forrlab <subcommand>: error: <message>``.
 
 Subcommands:
 
@@ -56,12 +64,6 @@ from .report import (
     verdict_exit_code,
 )
 
-TRUTH_TABLE_VAR_LIMIT = 16
-
-
-class _UsageError(Exception):
-    """Bad arguments discovered after argparse; maps to exit code 64."""
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -76,20 +78,16 @@ def finite(text: str) -> float:
     return value
 
 
-def sample_count(text: str) -> int:
-    """argparse type for --samples: a standard error needs at least two samples."""
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text}")
-    return value
+def at_least(low: int):
+    """argparse type for an integer flag with a floor: --samples, --dt-div, --vars, ..."""
 
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return value
 
-def dt_divisor(text: str) -> int:
-    """argparse type for --dt-div: the grid steps per horizon, at least one."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
-    return value
+    return integer
 
 
 def master_seed(text: str) -> int:
@@ -103,48 +101,30 @@ def master_seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer >= 0 (from --seed or FORRLAB_SEED), got {text!r}")
 
 
-def _parse_vector(text: str, name: str) -> np.ndarray:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError:
-        raise _UsageError(f"{name} must be a comma separated list of numbers, got {text!r}")
+def numbers(text: str) -> np.ndarray:
+    """argparse type for --x, --y and --truth-table: comma or space separated numbers."""
+    return np.array([float(p) for p in text.replace(",", " ").split()])
 
 
-def _parse_n_range(text: str) -> list:
-    """'64' -> [64]; '16..1024' -> the powers of two from 16 to 1024."""
-    try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-        else:
-            lo = hi = int(text)
-    except ValueError:
-        raise _UsageError(f"--n must be an integer or a range A..B, got {text!r}")
-    if lo < 1 or hi < lo:
-        raise _UsageError(f"--n range must satisfy 1 <= A <= B, got {text!r}")
-    for v in (lo, hi):
-        if v & (v - 1):
-            raise _UsageError(f"--n endpoints must be powers of two, got {v}")
-    out = []
-    n = lo
-    while n <= hi:
-        out.append(n)
-        n *= 2
-    return out
+def n_range(text: str) -> list:
+    """argparse type for sweep's --n: '64' -> [64]; '16..1024' -> the powers of two from 16 to 1024."""
+    lo_s, sep, hi_s = text.partition("..")
+    lo = int(lo_s)
+    hi = int(hi_s) if sep else lo
+    if lo < 1 or hi < lo or lo & (lo - 1) or hi & (hi - 1):
+        raise argparse.ArgumentTypeError(f"must be a power of two or a range A..B of them, A <= B; got {text!r}")
+    return [1 << k for k in range(lo.bit_length() - 1, hi.bit_length())]
 
 
 def _build_covariance(args):
-    if args.n is not None and args.dim is not None:
-        raise _UsageError("give either --n (structured) or --dim (dense), not both")
     if args.n is not None:
         if args.gamma is not None:
-            raise _UsageError("--gamma applies only to --dim (the structured value is 1/sqrt(n))")
+            raise ValueError("--gamma applies only to --dim (the structured value is 1/sqrt(n))")
         return diff.build_sigma(args.n)
     if args.dim is None:
-        raise _UsageError("one of --n or --dim is required")
+        raise ValueError("one of --n or --dim is required")
     if args.gamma is None:
-        raise _UsageError("--dim needs --gamma")
+        raise ValueError("--dim needs --gamma")
     return diff.equicorrelated_covariance(args.dim, args.gamma)
 
 
@@ -153,34 +133,34 @@ def _build_config(args, cov, seed: int, epsilon: float | None = None) -> diff.Sa
         epsilon = args.epsilon
     if epsilon is None:
         if cov.dim < 2:
-            raise _UsageError("the default horizon 1/(8 ln N) needs dimension >= 2; give --epsilon")
+            raise ValueError("the default horizon 1/(8 ln N) needs dimension >= 2; give --epsilon")
         epsilon = diff.canonical_epsilon(cov.dim)
     return diff.SamplerConfig(epsilon, epsilon / args.dt_div, args.bridge, seed)
 
 
 def _resolve_function(args, n_vars: int, rng) -> bf.BooleanFunction:
+    """The function of --function, --truth-table or --random-function, else x0 x1.
+
+    The verifier refuses one whose variable count is not the process dimension.
+    """
+    if n_vars > bf.TABLE_VAR_LIMIT:
+        raise CapacityError(f"functions are capped at {bf.TABLE_VAR_LIMIT} variables; the process has {n_vars}")
     if args.function is not None:
         try:
-            f = bf.load_function(args.function)
+            return bf.load_function(args.function)
         except OSError as exc:
-            raise _UsageError(f"cannot read function file: {exc}")
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise _UsageError(f"bad function file: {exc}")
-    elif args.truth_table is not None:
-        table = _parse_vector(args.truth_table, "--truth-table")
-        if table.size > 2**TRUTH_TABLE_VAR_LIMIT:
-            raise _UsageError(f"inline truth tables are capped at {TRUTH_TABLE_VAR_LIMIT} variables")
-        f = bf.from_truth_table(table)
-    elif args.random_function:
-        f = bf.random_sign_function(n_vars, rng)
-    else:
-        # default: the product of the first two coordinates
-        coeffs = np.zeros(2**n_vars)
-        coeffs[0b11] = 1.0
-        f = bf.from_coeffs(n_vars, coeffs)
-    if f.n_vars != n_vars:
-        raise _UsageError(f"function has {f.n_vars} variables but the process has {n_vars}")
-    return f
+            raise ValueError(f"cannot read function file: {exc}")
+        except ValueError as exc:
+            raise ValueError(f"bad function file: {exc}")
+    if args.truth_table is not None:
+        return bf.from_truth_table(args.truth_table)
+    if args.random_function:
+        return bf.random_sign_function(n_vars, rng)
+    if n_vars < 2:
+        raise ValueError("the default function x0 x1 needs dimension >= 2; give a function flag")
+    coeffs = np.zeros(2**n_vars)
+    coeffs[0b11] = 1.0
+    return bf.from_coeffs(n_vars, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -220,22 +200,20 @@ def _cmd_sample(args) -> ExperimentReport:
     return ExperimentReport("sample", PASS, args.samples, payload)
 
 
-def _parse_pair(args) -> tuple[np.ndarray, np.ndarray]:
+def _pair(args) -> tuple[np.ndarray, np.ndarray]:
     """The --x and --y vectors, of length --n when it is given."""
-    x = _parse_vector(args.x, "--x")
-    y = _parse_vector(args.y, "--y")
-    if args.n is not None and (x.size != args.n or y.size != args.n):
-        raise _UsageError(f"--x and --y must have length --n = {args.n}")
-    return x, y
+    if args.n is not None and (args.x.size != args.n or args.y.size != args.n):
+        raise ValueError(f"--x and --y must have length --n = {args.n}")
+    return args.x, args.y
 
 
 def _cmd_phi(args) -> dict:
-    x, y = _parse_pair(args)
+    x, y = _pair(args)
     return {"phi": forr.phi(x, y)}
 
 
 def _cmd_accept(args) -> dict:
-    x, y = _parse_pair(args)
+    x, y = _pair(args)
     out = {"phi": forr.phi(x, y), "accept_probability": forr.accept_probability(x, y)}
     if args.shots is not None:
         est = forr.sample_acceptance(x, y, args.shots, np.random.default_rng(args.seed))
@@ -245,10 +223,6 @@ def _cmd_accept(args) -> dict:
 
 
 def _cmd_verify_lemma(args) -> ExperimentReport:
-    if args.vars < 2:
-        raise _UsageError("--vars must be >= 2 (the identity quantifies over pairs)")
-    if args.functions < 1 or args.anchors < 1:
-        raise _UsageError("--functions and --anchors must be >= 1")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.functions):
@@ -303,13 +277,9 @@ def _cmd_advantage(args) -> ExperimentReport:
 
 
 def _cmd_sweep(args) -> ExperimentReport:
-    ns = _parse_n_range(args.n)
     if args.samples < 0 or args.samples == 1:
-        raise _UsageError("--samples must be 0 (skips sampling) or >= 2")
-    try:
-        rows = ver.stopped_bound_profile(ns, ell=args.ell, depth=args.depth, c=args.c, k=args.k)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+        raise ValueError("--samples must be 0 (skips sampling) or >= 2")
+    rows = ver.stopped_bound_profile(args.n, ell=args.ell, depth=args.depth, c=args.c, k=args.k)
     verdicts = []
     for row in rows:
         if args.samples == 0:
@@ -333,7 +303,7 @@ def _cmd_sweep(args) -> ExperimentReport:
         "seed": args.seed,
         "rows": rows,
     }
-    return ExperimentReport("sweep", verdict, args.samples * len(ns), payload)
+    return ExperimentReport("sweep", verdict, args.samples * len(args.n), payload)
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +336,13 @@ def _add_report_flags(p, func) -> None:
 
 def _add_sampling_flags(p, default_samples: int) -> None:
     p.add_argument(
-        "--samples", type=sample_count, default=default_samples, help="number of Monte Carlo paths (>= 2)"
+        "--samples", type=at_least(2), default=default_samples, help="number of Monte Carlo paths (>= 2)"
     )
     p.add_argument(
         "--epsilon", type=finite, help="time horizon (default: 1/(8 ln N) for the process dimension N)"
     )
     p.add_argument(
-        "--dt-div", type=dt_divisor, default=1024, help="grid steps per horizon; dt = epsilon/dt-div"
+        "--dt-div", type=at_least(1), default=1024, help="grid steps per horizon; dt = epsilon/dt-div"
     )
     p.add_argument(
         "--bridge",
@@ -381,11 +351,10 @@ def _add_sampling_flags(p, default_samples: int) -> None:
     )
 
 
-def _add_model_flags(p, n_help: str) -> None:
-    p.add_argument("--n", type=int, help=n_help)
-    p.add_argument(
-        "--dim", type=int, help="dimension of a dense equicorrelated covariance (alternative to --n)"
-    )
+def _add_model_flags(p) -> None:
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--n", type=int, help="half dimension of the structured covariance (power of two, N = 2n)")
+    g.add_argument("--dim", type=int, help="dimension of a dense equicorrelated covariance (alternative to --n)")
     p.add_argument("--gamma", type=finite, help="off-diagonal correlation used with --dim")
 
 
@@ -398,6 +367,7 @@ def _add_function_flags(p) -> None:
     )
     g.add_argument(
         "--truth-table",
+        type=numbers,
         metavar="VALUES",
         help="comma separated +-1 truth table of length 2^N (N <= 16)",
     )
@@ -429,7 +399,7 @@ def build_parser() -> _Parser:
             "path: stream id, tau, exited, coordinates, optional rounded bits."
         ),
     )
-    _add_model_flags(p, "half dimension of the structured covariance (power of two, N = 2n)")
+    _add_model_flags(p)
     _add_sampling_flags(p, default_samples=1000)
     p.add_argument("--dump-paths", metavar="FILE", help="write the per-path CSV dump to FILE")
     p.add_argument(
@@ -448,8 +418,8 @@ def build_parser() -> _Parser:
         ),
     )
     p.add_argument("--n", type=int, help="expected vector length (power of two)")
-    p.add_argument("--x", required=True, help="comma separated first vector")
-    p.add_argument("--y", required=True, help="comma separated second vector")
+    p.add_argument("--x", type=numbers, required=True, help="comma separated first vector")
+    p.add_argument("--y", type=numbers, required=True, help="comma separated second vector")
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser(
@@ -461,8 +431,8 @@ def build_parser() -> _Parser:
         ),
     )
     p.add_argument("--n", type=int, help="expected vector length (power of two)")
-    p.add_argument("--x", required=True, help="comma separated +-1 vector")
-    p.add_argument("--y", required=True, help="comma separated +-1 vector")
+    p.add_argument("--x", type=numbers, required=True, help="comma separated +-1 vector")
+    p.add_argument("--y", type=numbers, required=True, help="comma separated +-1 vector")
     p.add_argument("--shots", type=int, help="also estimate the probability from this many draws")
     _add_seed_flag(p)
     p.set_defaults(func=_cmd_accept)
@@ -477,9 +447,9 @@ def build_parser() -> _Parser:
             "tolerance."
         ),
     )
-    p.add_argument("--vars", type=int, default=4, help="number of variables N (default 4)")
-    p.add_argument("--functions", type=int, default=100, help="random functions to test")
-    p.add_argument("--anchors", type=int, default=25, help="random anchors per function")
+    p.add_argument("--vars", type=at_least(2), default=4, help="number of variables N (default 4)")
+    p.add_argument("--functions", type=at_least(1), default=100, help="random functions to test")
+    p.add_argument("--anchors", type=at_least(1), default=25, help="random anchors per function")
     p.add_argument("--tol", type=finite, default=1e-9, help="residual tolerance")
     _add_report_flags(p, _cmd_verify_lemma)
 
@@ -494,7 +464,7 @@ def build_parser() -> _Parser:
             "dimension-2 closed-form instance (f = x0 x1, gamma 0.5, epsilon 0.05)."
         ),
     )
-    _add_model_flags(p, "half dimension of the structured covariance (power of two, N = 2n)")
+    _add_model_flags(p)
     _add_function_flags(p)
     _add_sampling_flags(p, default_samples=100_000)
     p.add_argument(
@@ -514,7 +484,7 @@ def build_parser() -> _Parser:
             "Bare invocation uses the dense dimension-4 family with gamma 0.2."
         ),
     )
-    _add_model_flags(p, "half dimension of the structured covariance (power of two, N = 2n)")
+    _add_model_flags(p)
     _add_function_flags(p)
     p.add_argument("--t", type=finite, help="override the level-2 mass bound t")
     _add_sampling_flags(p, default_samples=100_000)
@@ -566,11 +536,12 @@ def build_parser() -> _Parser:
     )
     p.add_argument(
         "--n",
+        type=n_range,
         default="16..256",
         help="half dimension or inclusive range A..B of powers of two (default 16..256)",
     )
     p.add_argument("--samples", type=int, default=20_000, help="paths per size (>= 2); 0 skips sampling")
-    p.add_argument("--dt-div", type=dt_divisor, default=1024, help="grid steps per horizon")
+    p.add_argument("--dt-div", type=at_least(1), default=1024, help="grid steps per horizon")
     p.add_argument("--bridge", action="store_true", help="bridge-corrected exit detection")
     p.add_argument("--ell", type=finite, default=1.0, help="log exponent of the level-mass profile")
     p.add_argument("--depth", type=int, default=2, help="depth parameter of the level-mass profile")
@@ -598,7 +569,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         return verdict_exit_code(result.verdict)
-    except (_UsageError, ValueError, CapacityError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"forrlab {args.subcommand}: error: {exc}\n")
         return EXIT_USAGE
 

@@ -60,14 +60,12 @@ def verify_restriction_identity(f: BooleanFunction, x) -> float:
 
     The expectation runs over the full ternary restriction family anchored
     at x (3^N terms), so this is exact up to floating point; callers should
-    see residuals below 1e-9.  Anchors must be finite and lie in
-    [-1/2, 1/2]^N.
+    see residuals below 1e-9.  ``RestrictionDistribution`` refuses an
+    anchor that is not finite or leaves [-1/2, 1/2]^N.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (f.n_vars,):
         raise ValueError(f"anchor must have length {f.n_vars}")
-    if (np.abs(x) > 0.5).any():
-        raise ValueError("anchor must lie in [-1/2, 1/2] per coordinate")
     # d_ij f_rho(0) is the {i,j} coefficient of the restricted function
     expected = restricted_mean(f, RestrictionDistribution(x))
     worst = 0.0
@@ -153,7 +151,7 @@ def verify_dynkin(
     accumulator.
     """
     if f.n_vars != cov.dim:
-        raise ValueError("function dimension must match the covariance")
+        raise ValueError(f"function has {f.n_vars} variables but the covariance has dimension {cov.dim}")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     sigma = cov.dense_sigma() if isinstance(cov, CovarianceSpec) else cov.matrix
@@ -228,7 +226,7 @@ def verify_stopped_mean_bound(
     paths, in which case its length supersedes samples.
     """
     if f.n_vars != cov.dim:
-        raise ValueError("function dimension must match the covariance")
+        raise ValueError(f"function has {f.n_vars} variables but the covariance has dimension {cov.dim}")
     if t is None:
         if f.n_vars > EXHAUSTIVE_VAR_LIMIT:
             raise CapacityError(

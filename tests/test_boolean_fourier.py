@@ -78,6 +78,13 @@ class TestFromTruthTable:
         with pytest.raises(ValueError):
             bf.from_truth_table([1, -1, 0.5, 1])
 
+    def test_random_function_is_capped_before_it_draws(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(CapacityError, match="capped at 16 variables"):
+            bf.random_sign_function(bf.TABLE_VAR_LIMIT + 1, rng)
+        assert rng.bit_generator.state == state
+
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             bf.from_truth_table([1, -1, 1])
@@ -447,6 +454,13 @@ class TestRestrictionDistribution:
         with pytest.raises(ValueError):
             bf.RestrictionDistribution([0.6, 0.0])
 
+    @pytest.mark.parametrize("edge", [0.5, -0.5])
+    def test_cube_is_closed_and_exact(self, edge):
+        # a tolerance above 1/2 would give a negative p_minus or p_plus
+        bf.RestrictionDistribution([edge, 0.0])
+        with pytest.raises(ValueError, match=r"\[-1/2, 1/2\]"):
+            bf.RestrictionDistribution([edge + np.copysign(1e-13, edge), 0.0])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_anchor(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -536,6 +550,16 @@ class TestSerialization:
             bf.from_json_dict({"n": 2})
         with pytest.raises(ValueError):
             bf.from_json_dict({"n": 2, "coeffs": [1, 0], "extra": 1})
+
+    @pytest.mark.parametrize("n", [None, 2.9, 2.0, "2", True])
+    def test_rejects_a_non_integer_variable_count(self, n):
+        # int() used to turn None into a TypeError and 2.9 into 2
+        with pytest.raises(ValueError, match='"n" must be an integer'):
+            bf.from_json_dict({"n": n, "coeffs": [0.0, 0.0, 0.0, 1.0]})
+
+    def test_rejects_coefficients_that_are_not_numbers(self):
+        with pytest.raises(ValueError, match='"coeffs"'):
+            bf.from_json_dict({"n": 2, "coeffs": {"a": 1}})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_coefficients(self, bad):

@@ -176,16 +176,9 @@ class TestUsageErrors:
     )
     def test_one_sample_is_refused_before_sampling(self, monkeypatch, capsys, argv):
         # in process, so that a draw before the refusal fails the test
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("the kernel ran before the --samples check")
-
-        monkeypatch.setattr(_kernels, "_run_blocks_np", no_sampling)
-        try:
-            code = cli.main([*argv, "--samples", "1"])
-        except SystemExit as exc:
-            code = exc.code
+        code, err = run_refusing_draws(monkeypatch, capsys, (*argv, "--samples", "1"))
         assert code == 64
-        assert "--samples" in capsys.readouterr().err
+        assert "--samples" in err
 
     @pytest.mark.parametrize("via", ["flag", "env"])
     @pytest.mark.parametrize(
@@ -247,6 +240,87 @@ class TestUsageErrors:
         assert proc.returncode == 64
         assert "byte limit" in proc.stderr
         assert proc.stdout == ""
+
+
+# (id, argv, a piece of the one error line); {dir} holds the function files of
+# FUNCTION_FILES.  Rows cover each flag's argparse type, the conflicting model
+# flags, every rule across flags and each request that once crashed (exit 1)
+FUNCTION_FILES = {
+    "n-null": '{"n": null, "coeffs": [0, 0, 0, 1]}',
+    "n-float": '{"n": 2.9, "coeffs": [0, 0, 0, 1]}',
+    "n-bool": '{"n": true, "coeffs": [0, 1]}',
+    "coeffs-object": '{"n": 2, "coeffs": {"a": 1}}',
+    "three-vars": '{"n": 3, "coeffs": [0, 0, 0, 0, 0, 0, 0, 1]}',
+}
+REFUSALS = [
+    ("samples-floor", ["verify-prop", "--n", "2", "--samples", "1"],
+     "argument --samples: must be an integer >= 2, got 1"),
+    ("samples-text", ["sample", "--n", "2", "--samples", "many"], "argument --samples: invalid"),
+    ("dt-div-floor", ["advantage", "--n", "2", "--dt-div", "0"],
+     "argument --dt-div: must be an integer >= 1, got 0"),
+    ("sweep-dt-div-floor", ["sweep", "--n", "4", "--dt-div", "-1"],
+     "argument --dt-div: must be an integer >= 1"),
+    ("vars-floor", ["verify-lemma", "--vars", "1"], "argument --vars: must be an integer >= 2, got 1"),
+    ("functions-floor", ["verify-lemma", "--functions", "0"],
+     "argument --functions: must be an integer >= 1, got 0"),
+    ("anchors-floor", ["verify-lemma", "--anchors", "-3"],
+     "argument --anchors: must be an integer >= 1, got -3"),
+    ("seed-negative", ["sample", "--n", "2", "--seed", "-1"], "argument --seed: must be an integer >= 0"),
+    ("gamma-nan", ["sample", "--dim", "2", "--gamma", "nan"], "argument --gamma: invalid finite value"),
+    ("x-text", ["phi", "--x", "1,a", "--y", "1"], "argument --x: invalid numbers value: '1,a'"),
+    ("y-text", ["accept", "--x", "1", "--y", "1;1"], "argument --y: invalid numbers value"),
+    ("truth-table-text", ["verify-main", "--dim", "2", "--gamma", "0.5", "--truth-table", "1,x,1,1"],
+     "argument --truth-table: invalid"),
+    ("n-range-text", ["sweep", "--n", "4..x"], "argument --n: invalid n_range value"),
+    ("n-range-power", ["sweep", "--n", "12..48", "--samples", "0"], "argument --n: must be a power of two"),
+    ("n-range-order", ["sweep", "--n", "16..4", "--samples", "0"], "argument --n: must be a power of two"),
+    ("n-range-zero", ["sweep", "--n", "0"], "argument --n: must be a power of two"),
+    ("n-and-dim", ["verify-dynkin", "--n", "2", "--dim", "4", "--gamma", "0.1"],
+     "argument --dim: not allowed with argument --n"),
+    ("gamma-with-n", ["sample", "--n", "2", "--gamma", "0.1"], "--gamma applies only to --dim"),
+    ("dim-without-gamma", ["verify-main", "--dim", "4"], "--dim needs --gamma"),
+    ("no-model", ["sample"], "one of --n or --dim is required"),
+    ("pair-length", ["phi", "--n", "2", "--x", "1", "--y", "1,1"], "--x and --y must have length --n = 2"),
+    ("sweep-one-sample", ["sweep", "--n", "4", "--samples", "1"],
+     "--samples must be 0 (skips sampling) or >= 2"),
+    ("sweep-negative-samples", ["sweep", "--n", "4", "--samples", "-2"],
+     "--samples must be 0 (skips sampling) or >= 2"),
+    ("horizon-dim1", ["verify-dynkin", "--dim", "1", "--gamma", "0"],
+     "the default horizon 1/(8 ln N) needs dimension >= 2"),
+    ("default-function-dim1", ["verify-main", "--dim", "1", "--gamma", "0", "--epsilon", "0.1"],
+     "the default function x0 x1 needs dimension >= 2"),
+    ("table-vars-mismatch", ["verify-main", "--dim", "2", "--gamma", "0.5", "--truth-table=1,1,1,1,1,1,1,-1"],
+     "function has 3 variables but the covariance has dimension 2"),
+    ("file-vars-mismatch", ["verify-dynkin", "--dim", "2", "--gamma", "0.5", "--function", "{dir}/three-vars.json"],
+     "function has 3 variables"),
+    ("lemma-vars-40", ["verify-lemma", "--vars", "40", "--functions", "1", "--anchors", "1"],
+     "capped at 16 variables"),
+    ("dynkin-dim-40", ["verify-dynkin", "--dim", "40", "--gamma", "0", "--samples", "10"],
+     "capped at 16 variables"),
+    ("main-dim-40", ["verify-main", "--dim", "40", "--gamma", "0", "--samples", "10"],
+     "capped at 16 variables"),
+    ("dynkin-n-64", ["verify-dynkin", "--n", "64"], "capped at 16 variables; the process has 128"),
+    ("file-n-null", ["verify-dynkin", "--function", "{dir}/n-null.json", "--samples", "10"],
+     'bad function file: "n" must be an integer, got None'),
+    ("file-n-float", ["verify-main", "--function", "{dir}/n-float.json", "--samples", "10"],
+     'bad function file: "n" must be an integer, got 2.9'),
+    ("file-n-bool", ["verify-main", "--function", "{dir}/n-bool.json"],
+     'bad function file: "n" must be an integer, got True'),
+    ("file-coeffs-object", ["verify-dynkin", "--function", "{dir}/coeffs-object.json"],
+     'bad function file: "coeffs" must be a list of numbers'),
+]
+
+
+@pytest.mark.parametrize("argv, message", [row[1:] for row in REFUSALS], ids=[row[0] for row in REFUSALS])
+def test_refusal_table(monkeypatch, capsys, tmp_path, argv, message):
+    # in process: a draw before the refusal, or any exception but the
+    # parser's exit, fails the test
+    for name, text in FUNCTION_FILES.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    code, err = run_refusing_draws(monkeypatch, capsys, [a.format(dir=tmp_path) for a in argv])
+    assert code == 64
+    assert err.count("error:") == 1 and err.endswith("\n") and err.count("\n") == 1, err
+    assert err.startswith(f"forrlab {argv[0]}: error: ") and message in err, err
 
 
 REPORT_SUBCOMMANDS = ["sample", "verify-lemma", "verify-dynkin", "verify-main", "verify-prop", "advantage", "sweep"]

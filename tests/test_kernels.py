@@ -137,6 +137,30 @@ class TestMultilinearEvalKernels:
         monkeypatch.setattr(K, "_EVAL_CHUNK", 4)
         npt.assert_array_equal(K.eval_multilinear_batch_numpy(coeffs, pts), whole)
 
+    @pytest.mark.parametrize("n_vars, entries", [(3, 8), (5, 8), (5, 40)])
+    def test_entry_chunks_equal_one_unchunked_fold(self, monkeypatch, n_vars, entries):
+        # chunks of 2, 1 and 2 rows; each row folds alone, so no bit moves
+        rng = np.random.default_rng(n_vars)
+        coeffs = rng.standard_normal(2**n_vars)
+        pts = rng.uniform(-1, 1, size=(11, n_vars))
+        whole = K._eval_multilinear_cols_np(coeffs, pts.T)
+        monkeypatch.setattr(K, "_EVAL_ENTRIES", entries)
+        npt.assert_array_equal(K.eval_multilinear_batch_numpy(coeffs, pts), whole)
+
+    def test_scratch_is_capped_by_entries(self):
+        # 4096-row chunks would hold two 2^13 x 1024 temporaries (128 MiB) at
+        # N = 14; entry chunks keep each at _EVAL_ENTRIES doubles (32 MiB)
+        rng = np.random.default_rng(14)
+        coeffs = rng.standard_normal(2**14)
+        pts = rng.uniform(-1, 1, size=(1024, 14))
+        tracemalloc.start()
+        try:
+            K.eval_multilinear_batch_numpy(coeffs, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * K._EVAL_ENTRIES + 2**20
+
 
 # one kernel per family; the "numpy" id keeps the test names stable
 @pytest.mark.parametrize("run", [K.run_paths_structured_numpy], ids=["numpy"])

@@ -75,6 +75,12 @@ class TestRestrictionIdentity:
         with pytest.raises(ValueError):
             ver.verify_restriction_identity(f, [0.0, 0.0, 0.0])
 
+    def test_anchor_range_is_the_restriction_distributions(self):
+        f = bf.from_coeffs(2, [0.0, 0.0, 0.0, 1.0])
+        assert ver.verify_restriction_identity(f, [0.5, -0.5]) < 1e-12
+        with pytest.raises(ValueError, match=r"\[-1/2, 1/2\]"):
+            ver.verify_restriction_identity(f, [0.5 + 1e-13, 0.0])
+
     def test_nan_anchor_is_rejected(self):
         # a NaN residual would otherwise vanish inside max() and read as 0
         f = bf.random_sign_function(3, np.random.default_rng(0))
