@@ -106,6 +106,16 @@ def bench_uniform_null(args, pkg):
     return "uniform_null_n1024x4096", run, None
 
 
+def bench_sign_rows_phi(args, pkg):
+    # advantage --rounded's phi of the rounded halves: int8 bits of 1e5 stopped points at n = 64
+    bits = np.random.default_rng(args.seed).choice(np.array([-1, 1], dtype=np.int8), size=(100_000, 128))
+
+    def run():
+        pkg._kernels._phi_rows(bits[:, :64], bits[:, 64:])
+
+    return "sign_rows_phi_100000x64", run, None
+
+
 def bench_boolean_round(args, pkg):
     # advantage --rounded's rounding of stopped points at a quarter of its
     # canonical 1e5 x 128 size
@@ -373,8 +383,9 @@ def store_json(path, args, runs):
 
 BENCHES = [
     *(functools.partial(bench_wht, *row) for row in WHT_ROWS), bench_eval,
-    *(functools.partial(bench_paths, *row) for row in PATH_ROWS), bench_uniform_null, bench_boolean_round,
-    bench_level2_scan, bench_level2_scan_mc, bench_restriction_identity_n4, bench_restriction_identity_n8,
+    *(functools.partial(bench_paths, *row) for row in PATH_ROWS), bench_uniform_null, bench_sign_rows_phi,
+    bench_boolean_round, bench_level2_scan, bench_level2_scan_mc, bench_restriction_identity_n4,
+    bench_restriction_identity_n8,
 ]
 
 

@@ -1,15 +1,18 @@
-"""Hot numerical kernels: transform butterflies and the stopped-path loop.
+"""Hot numerical kernels: transforms, phi on rows and the stopped-path loop.
 
 Two families of kernels live here:
 
 * one fast Walsh-Hadamard butterfly routine (unnormalized; callers
-  rescale) that serves both rows and the sampler's paths-minor columns;
-  its short levels (contiguous runs under ``_SHORT_RUN``, such as h = 1 to 8
-  on rows) iterate with the block index innermost.  A long row transform
-  shares its row blocks with one worker thread, which can run behind the
-  caller's other work.  phi = (1/n) x^T H y transforms a copy of y: in
-  int16 for +-1 integer rows, exactly (every intermediate is an integer of
-  magnitude at most n <= 2^14; int32 above), else in float64; and
+  rescale) that serves both float rows and the sampler's paths-minor
+  columns; its short levels (contiguous runs under ``_SHORT_RUN``, such as
+  h = 1 to 8 on rows) iterate with the block index innermost.  A long row
+  transform shares its row blocks with one worker thread.  phi =
+  (1/n) x^T H y transforms y: a float64 copy through the butterflies, or,
+  for +-1 integer rows, blocks of y through BLAS, one matmul per Kronecker
+  factor of H (order at most 2^7), in float32 up to 2^16 entries a row
+  (float64 above), which is exact: every intermediate is an integer of
+  magnitude at most n, and every partial sum of the dot one of at most
+  n^1.5; and
 * Euler-Maruyama path loops for the stopped diffusion dX_t = sigma dB_t
   on the solid cube [-1/2, 1/2]^N, with grid-time exit detection, an
   optional per-coordinate Brownian-bridge crossing test, and optional
@@ -58,7 +61,7 @@ the discretization error.
 from __future__ import annotations
 
 import collections
-import contextlib
+import functools
 import math
 import os
 import queue
@@ -96,9 +99,13 @@ _SHARE_MIN = 1 << 18
 # butterfly levels whose contiguous run h * post is shorter than this run
 # with the block index innermost (runs of 16 to 128 timed alike)
 _SHORT_RUN = 16
-# the longest +-1 rows whose transform fits int16: every intermediate is an
-# integer of magnitude at most n, and int16 stops at 2^15 - 1
-_INT16_EXACT = 1 << 14
+# entries per row block of the +-1 row transform (256 KiB of float32), and
+# the largest Kronecker factor it multiplies by, 2^7
+_SIGN_BLOCK = 1 << 16
+_FACTOR_BITS = 7
+# the longest +-1 rows whose transform and dot are exact in float32: their
+# partial sums are integers of magnitude at most n^1.5 = 2^24
+_FLOAT32_EXACT = 1 << 16
 
 
 def stream_seeds(master_seed: int, n_streams: int) -> list:
@@ -160,20 +167,22 @@ def _take_blocks(rows, step, todo):
         _wht_axis_np(block, block, scratch[: len(block)])
 
 
-@contextlib.contextmanager
-def _wht_behind(a):
-    """Run ``wht_inplace_np(a)`` behind the with body, on a worker thread.
+def wht_inplace_np(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard butterflies over the last axis, in place.
 
-    The starts of a's row blocks wait on one deque, whose pops are
-    thread-safe.  From ``_SHARE_MIN`` entries and two blocks, on a second
-    CPU, a worker thread pops blocks while the body runs (numpy releases the
-    GIL inside each add); when the body returns, the caller pops the rest
-    and then joins the worker.  Each taker has a block of scratch of its own
-    and each row's adds are those of the row alone, so the taker of a block
-    changes no bit.  Otherwise the caller takes every block at the end of
-    the body.  The body must not touch ``a``.  When it raises, the blocks
-    not yet taken are dropped and the worker ends after the block in hand;
-    a worker's exception is raised at the join.
+    ``a`` is 1-D or 2-D (one transform per row); the last-axis length must
+    be a power of two (not validated here).
+    Applying this twice multiplies the input by the axis length.  Blocks of
+    rows (``_WHT_BLOCK`` entries, at least one row) run through a block of
+    scratch in cache; each row's adds are those of the row alone.  The
+    starts of the blocks wait on one deque, whose pops are thread-safe.
+    From ``_SHARE_MIN`` entries and two blocks, on a second CPU, a worker
+    thread pops blocks next to the caller (numpy releases the GIL inside
+    each add) and the caller joins it when none is left.  Each taker has a
+    block of scratch of its own, so the taker of a block changes no bit.
+    When the caller raises, the blocks not yet taken are dropped and the
+    worker ends after the block in hand; a worker's exception is raised
+    after the join.
     """
     rows = a.reshape(-1, a.shape[-1], 1)
     step = max(1, _WHT_BLOCK // rows.shape[1])
@@ -183,7 +192,7 @@ def _wht_behind(a):
     def work():
         try:
             _take_blocks(rows, step, todo)
-        except BaseException as exc:  # raised again in the caller at the join
+        except BaseException as exc:  # raised again in the caller after the join
             errors.append(exc)
 
     worker = None
@@ -191,7 +200,6 @@ def _wht_behind(a):
         worker = threading.Thread(target=work, daemon=True)
         worker.start()
     try:
-        yield a
         _take_blocks(rows, step, todo)
     finally:
         todo.clear()
@@ -199,21 +207,6 @@ def _wht_behind(a):
             worker.join()
     if errors:
         raise errors[0]
-
-
-def wht_inplace_np(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterflies over the last axis, in place.
-
-    ``a`` is 1-D or 2-D (one transform per row); the last-axis length must
-    be a power of two (not validated here).
-    Applying this twice multiplies the input by the axis length.  Blocks of
-    rows (``_WHT_BLOCK`` entries, at least one row) run through a block of
-    scratch in cache; each row's adds are those of the row alone.  From
-    ``_SHARE_MIN`` entries a worker thread takes blocks next to the caller
-    (see ``_wht_behind``).
-    """
-    with _wht_behind(a):
-        pass
     return a
 
 
@@ -221,32 +214,93 @@ def wht_inplace_np(a: np.ndarray) -> np.ndarray:
 wht_batch_numpy = wht_inplace_np
 
 
-def _sign_dtype(n):
-    """The integer dtype in which rows of n +-1 entries transform exactly."""
-    return np.dtype(np.int16 if n <= _INT16_EXACT else np.int32)
+# ---------------------------------------------------------------------------
+# phi on rows, and the exact BLAS transform of +-1 integer rows
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _hadamard_factor(order, dtype):
+    """The read-only +-1 Sylvester matrix of ``order`` in ``dtype`` (cached)."""
+    h = np.ones((1, 1), dtype)
+    while len(h) < order:
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
+
+
+def _factor_orders(n):
+    """Orders of the Kronecker factors of H_n: as few as ``_FACTOR_BITS`` allows, near equal."""
+    k = n.bit_length() - 1
+    count = max(1, -(-k // _FACTOR_BITS))
+    return [1 << (k * (i + 1) // count - k * i // count) for i in range(count)]
+
+
+def _sign_layout(m, n):
+    """Rows per block and float dtype of ``_phi_rows`` on ``(m, n)`` integer rows."""
+    dtype = np.dtype(np.float32 if n <= _FLOAT32_EXACT else np.float64)
+    return max(1, min(m, _SIGN_BLOCK // n)), dtype
+
+
+def _sign_transform(rows, buf, spare):
+    """Unnormalized transform of +-1 integer rows, exactly, through two flat float buffers.
+
+    H_n is the Kronecker product of the Sylvester factors H_b of
+    ``_factor_orders(n)``, the last one on the fastest index.  That one is
+    ``v.reshape(-1, b) @ H_b``, and each factor before it is
+    ``H_b @ v.reshape(-1, b, inner)``, inner being the product of the
+    factors already applied: one BLAS matmul per factor, no transposes.
+    Every product is +-1 times an integer, and every partial sum is an
+    integer of magnitude at most n, so the result is exact in the buffers'
+    dtype (``_sign_layout``) for any blocking, summation order or thread
+    count.  ``rows`` is copied into ``buf``; returns a view of one buffer.
+    """
+    v, out = buf[: rows.size], spare[: rows.size]
+    np.copyto(v.reshape(rows.shape), rows)
+    inner = 1
+    for order in reversed(_factor_orders(rows.shape[1])):
+        h = _hadamard_factor(order, v.dtype)
+        if inner == 1:
+            np.matmul(v.reshape(-1, order), h, out=out.reshape(-1, order))
+        else:
+            np.matmul(h, v.reshape(-1, order, inner), out=out.reshape(-1, order, inner))
+        v, out = out, v
+        inner *= order
+    return v.reshape(rows.shape)
 
 
 def _phi_dot(x, hy):
     """Row-wise phi = (1/n) x^T H y from x and hy, the unnormalized transform of y.
 
-    Summed in float64, with integer rows read in their own dtype (int8
-    included).  On +-1 rows this is exact: the integer transform holds every
-    intermediate (magnitude at most n), and the partial sums are integers of
-    magnitude at most n^1.5, so every route and summation order gives the
-    same value; since H is symmetric, the uniform null passes (Hx, y).
+    Summed in hy's dtype and scaled in float64.  hy is float64, or float32
+    from ``_sign_transform`` on rows of at most ``_FLOAT32_EXACT`` entries,
+    whose x is +-1 integers (cast exactly, whatever their width).  On +-1
+    rows the sum is exact: the partial sums are integers of magnitude at
+    most n^1.5, at most 2^24 in float32, so every route and summation order
+    gives the same value.
     """
     n = x.shape[1]
-    return np.einsum("ij,ij->i", x, hy, dtype=np.float64) * (1.0 / np.sqrt(n) / n)
+    dots = np.einsum("ij,ij->i", x, hy, dtype=hy.dtype, casting="same_kind")
+    return np.multiply(dots, 1.0 / np.sqrt(n) / n, dtype=np.float64)
 
 
 def _phi_rows(x, y):
-    """Row-wise (1/n) x^T H y for matched ``(m, n)`` arrays; y is copied, not changed.
+    """Row-wise (1/n) x^T H y for matched ``(m, n)`` arrays; neither is changed.
 
-    The copy of y transforms in ``_sign_dtype(n)`` when y is an integer
-    array of +-1 entries, which is exact, and in float64 otherwise.
+    When x and y are both integer arrays, of +-1 entries, y's rows transform
+    by BLAS a block at a time (``_sign_transform``, ``_SIGN_BLOCK`` entries,
+    at least one row) and each block is dotted with x's rows at once, all
+    exactly.  Otherwise a float64 copy of y goes through the butterflies.
     """
-    dtype = _sign_dtype(y.shape[1]) if np.issubdtype(y.dtype, np.integer) else np.float64
-    return _phi_dot(x, wht_inplace_np(np.array(y, dtype=dtype, order="C")))
+    if not (np.issubdtype(x.dtype, np.integer) and np.issubdtype(y.dtype, np.integer)):
+        return _phi_dot(x, wht_inplace_np(np.array(y, dtype=np.float64, order="C")))
+    m, n = y.shape
+    step, dtype = _sign_layout(m, n)
+    bufs = np.empty((2, step * n), dtype)
+    out = np.empty(m)
+    for s in range(0, m, step):
+        out[s : s + step] = _phi_dot(x[s : s + step], _sign_transform(y[s : s + step], *bufs))
+    return out
 
 
 # ---------------------------------------------------------------------------

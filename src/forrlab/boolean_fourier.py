@@ -91,7 +91,9 @@ class BooleanFunction:
         coeffs = np.asarray(self.coeffs, dtype=np.float64)
         if self.n_vars < 1:
             raise ValueError(f"n_vars must be >= 1, got {self.n_vars}")
-        if coeffs.shape != (2**self.n_vars,):
+        # a table of s entries has at most s.bit_length() - 1 variables: no
+        # power of an n_vars beyond that is taken
+        if self.n_vars >= coeffs.size.bit_length() or coeffs.shape != (2**self.n_vars,):
             raise ValueError(
                 f"coefficient table must have length 2^{self.n_vars}, got {coeffs.shape}"
             )

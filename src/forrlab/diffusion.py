@@ -145,6 +145,8 @@ def equicorrelated_covariance(dim: int, gamma: float) -> DenseCovariance:
         raise ValueError("dim must be >= 1")
     if dim > 1 and not -1.0 / (dim - 1) <= gamma <= 1.0:
         raise ValueError("gamma outside the positive semidefinite range")
+    if dim > DENSE_DIM_LIMIT:
+        raise CapacityError(f"dense covariance capped at dim {DENSE_DIM_LIMIT}")
     m = np.full((dim, dim), float(gamma))
     np.fill_diagonal(m, 1.0)
     return DenseCovariance(m)

@@ -43,8 +43,10 @@ from .report import (
 
 STATEVECTOR_QUBIT_LIMIT = 20
 
-# rows per chunk of uniform_phi_null
+# rows per chunk of uniform_phi_null, and raw 64-bit words per block of
+# _uniform_signs (256 KiB)
 _NULL_CHUNK = 4096
+_SIGN_WORDS = 1 << 15
 
 
 def _as_instance_vector(v, name: str) -> np.ndarray:
@@ -154,46 +156,66 @@ def statevector_amplitude(x, y) -> float:
     return float(state[0])
 
 
-def _uniform_signs(rng, m: int, n: int, dtype) -> np.ndarray:
-    """(m, n) uniform +-1 of an integer dtype, from the stream rng.choice((-1.0, 1.0)) consumes.
+def _uniform_signs(rng, m: int, n: int) -> np.ndarray:
+    """(m, n) uniform +-1 int8, from the stream rng.choice((-1.0, 1.0)) consumes.
 
-    Filled ``_kernels._WHT_BLOCK`` entries at a time with 2b - 1 from
-    rng.integers(0, 2, dtype=np.int32).  Each call takes one 32-bit value a
-    sign and PCG64 keeps the unused half of a 64-bit word in its state, so
-    the blocks draw the values and leave the state of one whole call, and
-    no full-size int32 draw is held.
+    That stream is rng.integers(0, 2, dtype=np.int32) mapped to 2b - 1.
+    Lemire's method never rejects on a range of 2 and returns the top bit
+    of each 32-bit draw, and a bit generator whose state has ``has_uint32``
+    (PCG64 and numpy's other 64-bit ones) serves its 32-bit draws low half
+    first from one raw 64-bit word, keeping the high half in its state.  So
+    the signs are bits 31 and 63 of ``random_raw`` words, read
+    ``_SIGN_WORDS`` words at a time.  A half-word buffered at entry gives
+    the first sign and the last two or three signs are drawn by
+    ``integers`` itself, so the Generator ends in the state of one
+    ``integers`` call.  Other bit generators draw every sign by
+    ``integers``, a block at a time.
     """
-    out = np.empty((m, n), dtype)
-    flat = out.reshape(-1)
-    for s in range(0, flat.size, _kernels._WHT_BLOCK):
-        bits = rng.integers(0, 2, size=min(_kernels._WHT_BLOCK, flat.size - s), dtype=np.int32)
-        bits <<= 1
-        bits -= 1
-        flat[s : s + bits.size] = bits
-    return out
+    out = np.empty(m * n, np.int8)
+    state = rng.bit_generator.state
+    head = min(out.size, int(state.get("has_uint32", 0)))
+    body = (max(0, out.size - head - 2) & ~1) if "has_uint32" in state else 0
+
+    def drawn(seg):
+        for s in range(0, seg.size, 2 * _SIGN_WORDS):
+            part = seg[s : s + 2 * _SIGN_WORDS]
+            part[:] = 2 * rng.integers(0, 2, size=part.size, dtype=np.int32) - 1
+
+    drawn(out[:head])
+    for s in range(head, head + body, 2 * _SIGN_WORDS):
+        words = rng.bit_generator.random_raw(min(_SIGN_WORDS, (head + body - s) // 2))
+        # the top byte of each 32-bit half, low half first, holds b in its
+        # sign bit; inverted and shifted it is -1 where b = 0 and 0 where
+        # b = 1, and | 1 makes that 2b - 1
+        top = words.astype("<u8", copy=False).view(np.int8)[3::4]
+        seg = out[s : s + top.size]
+        np.invert(top, out=seg)
+        seg >>= 7
+        seg |= 1
+    drawn(out[head + body :])
+    return out.reshape(m, n)
 
 
 def uniform_phi_null(n: int, samples: int, rng) -> Estimate:
     """Mean phi over independent uniform sign pairs (analytically zero).
 
-    Each chunk of ``_NULL_CHUNK`` rows draws x's signs as integer rows of
-    the transform's dtype (``_kernels._sign_dtype``: int16 up to n = 2^14),
-    starts x's transform on a worker thread behind the caller
-    (``_kernels._wht_behind``, inline below its size gate or on one CPU),
-    draws y's signs as int8 meanwhile, joins, and takes phi as the float64
-    dot of Hx with y (``_kernels._phi_dot``), which is exact.  Arguments
-    are checked before any draw, and a chunk whose two sign arrays would
-    exceed STORED_PATHS_BYTE_LIMIT bytes raises CapacityError.
+    Each chunk of ``_NULL_CHUNK`` rows draws x's signs and then y's as int8
+    (``_uniform_signs``) and takes phi as ``_kernels._phi_rows(ys, xs)``,
+    which transforms x by BLAS and dots it with y, exactly; H is symmetric,
+    so that is x^T H y.  Arguments are checked before any draw, and a chunk
+    whose two sign arrays and transform blocks would exceed
+    STORED_PATHS_BYTE_LIMIT bytes raises CapacityError.
     """
     if n < 1 or n & (n - 1):
         raise ValueError("n must be a power of two >= 1")
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    x_dtype = _kernels._sign_dtype(n)
-    chunk = min(_NULL_CHUNK, samples) * n * (x_dtype.itemsize + 1)
+    rows = min(_NULL_CHUNK, samples)
+    step, dtype = _kernels._sign_layout(rows, n)
+    chunk = rows * n * 2 + 2 * step * n * dtype.itemsize
     if chunk > STORED_PATHS_BYTE_LIMIT:
         raise CapacityError(
-            f"uniform null chunks of n = {n} hold {chunk} bytes of signs, over the "
+            f"uniform null chunks of n = {n} hold {chunk} bytes of signs and transform blocks, over the "
             f"{STORED_PATHS_BYTE_LIMIT} byte limit; use fewer samples or a smaller n"
         )
     total = 0.0
@@ -201,10 +223,9 @@ def uniform_phi_null(n: int, samples: int, rng) -> Estimate:
     done = 0
     while done < samples:
         m = min(_NULL_CHUNK, samples - done)
-        hx = _uniform_signs(rng, m, n, x_dtype)
-        with _kernels._wht_behind(hx):
-            ys = _uniform_signs(rng, m, n, np.int8)
-        vals = _kernels._phi_dot(hx, ys)
+        xs = _uniform_signs(rng, m, n)
+        ys = _uniform_signs(rng, m, n)
+        vals = _kernels._phi_rows(ys, xs)
         total += float(vals.sum())
         total_sq += float((vals**2).sum())
         done += m

@@ -7,6 +7,7 @@ sees them.
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -321,6 +322,38 @@ def test_refusal_table(monkeypatch, capsys, tmp_path, argv, message):
     assert code == 64
     assert err.count("error:") == 1 and err.endswith("\n") and err.count("\n") == 1, err
     assert err.startswith(f"forrlab {argv[0]}: error: ") and message in err, err
+
+
+# requests whose inputs once sized an allocation before any cap was checked
+# (exit 1 with a MemoryError); "{dir}" holds the function file
+UNBOUNDED_ALLOCATIONS = [
+    ("dense-dim-100000", ["sample", "--dim", "100000", "--gamma", "0", "--samples", "10"],
+     "dense covariance capped at dim 4096"),
+    ("file-n-1e11", ["verify-main", "--dim", "2", "--gamma", "0.5", "--function", "{dir}/huge-n.json"],
+     "coefficient table must have length 2^100000000000, got (1,)"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", [row[1:] for row in UNBOUNDED_ALLOCATIONS], ids=[row[0] for row in UNBOUNDED_ALLOCATIONS]
+)
+def test_oversized_inputs_are_refused_under_an_address_space_cap(tmp_path, argv, message):
+    # the child alone runs under a 3 GiB address space, so an allocation sized
+    # by the input fails at once instead of paging the host
+    (tmp_path / "huge-n.json").write_text('{"n": 100000000000, "coeffs": [1]}')
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "forrlab.cli", *(a.format(dir=tmp_path) for a in argv)],
+        capture_output=True, text=True, preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 64, proc.stderr
+    err = proc.stderr
+    assert err.count("error:") == 1 and err.count("\n") == 1, err
+    assert err.startswith(f"forrlab {argv[0]}: error: ") and message in err, err
+    assert proc.stdout == ""
 
 
 REPORT_SUBCOMMANDS = ["sample", "verify-lemma", "verify-dynkin", "verify-main", "verify-prop", "advantage", "sweep"]

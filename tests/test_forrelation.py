@@ -139,33 +139,35 @@ def transform_dtypes(monkeypatch):
 
 @pytest.mark.parametrize(
     "rows, want",
-    [(np.int8, np.int16), (np.int16, np.int16), (np.float64, np.float64), (np.float32, np.float64)],
+    [(np.int8, []), (np.int16, []), (np.int64, []), (np.float64, [np.float64]), (np.float32, [np.float64])],
 )
-def test_phi_rows_transform_dtype(rows, want, monkeypatch):
-    # integer +-1 rows transform exactly in int16, float rows in float64
+def test_phi_rows_route(rows, want, monkeypatch):
+    # integer +-1 rows transform by BLAS and never reach the butterflies;
+    # float rows go through them in float64
     seen = transform_dtypes(monkeypatch)
     xs, ys = np.random.default_rng(4).choice((-1, 1), size=(2, 5, 64)).astype(rows)
     _kernels._phi_rows(xs, ys)
-    assert seen == [want]
+    assert seen == want
 
 
-def test_sign_rows_int32_route_equals_phi_batch(monkeypatch):
-    # rows longer than _INT16_EXACT take int32; lower the cut to reach it
-    monkeypatch.setattr(_kernels, "_INT16_EXACT", 1)
+def test_sign_rows_float64_route_equals_phi_batch(monkeypatch):
+    # rows longer than _FLOAT32_EXACT transform and dot in float64; lower the cut to reach it
+    monkeypatch.setattr(_kernels, "_FLOAT32_EXACT", 1)
     rng = np.random.default_rng(11)
     xs, ys = rng.choice((-1.0, 1.0), size=(2, 33, 64))
     want = forr.phi_batch(xs, ys).tobytes()
     seen = transform_dtypes(monkeypatch)
     y8 = ys.astype(np.int8)
     assert _kernels._phi_rows(xs.astype(np.int8), y8).tobytes() == want
-    assert seen == [np.int32]
+    assert seen == []
     assert (y8 == ys).all()
 
 
-@pytest.mark.parametrize("n, dtype", [(2**14, np.int16), (2**15, np.int32)])
-def test_sign_rows_hold_magnitude_n(n, dtype, monkeypatch):
-    # the longest int16 rows and the shortest int32 ones: constant rows put
-    # +-n itself in the transform, random rows stay near sqrt(n)
+@pytest.mark.parametrize("n", [2**14, 2**16, 2**17])
+def test_sign_rows_hold_magnitude_n(n, monkeypatch):
+    # blocks of four rows (2^14) and of one row, the longest float32 rows
+    # (2^16) and the shortest float64 ones: constant rows put +-n itself in
+    # the transform and +-n^1.5 in the dot, random rows stay near sqrt(n)
     rng = np.random.default_rng(n)
     const = np.repeat([[1.0], [-1.0]], n, axis=1)
     xs = np.concatenate([const, const, rng.choice((-1.0, 1.0), size=(2, n))])
@@ -173,7 +175,13 @@ def test_sign_rows_hold_magnitude_n(n, dtype, monkeypatch):
     want = forr.phi_batch(xs, ys).tobytes()
     seen = transform_dtypes(monkeypatch)
     assert _kernels._phi_rows(xs.astype(np.int8), ys.astype(np.int8)).tobytes() == want
-    assert seen == [dtype]
+    assert seen == []
+
+
+def test_uniform_null_never_reaches_the_butterflies(monkeypatch):
+    seen = transform_dtypes(monkeypatch)
+    forr.uniform_phi_null(64, 5000, np.random.default_rng(0))
+    assert seen == []
 
 
 class TestAcceptProbability:
@@ -284,7 +292,7 @@ class TestUniformNull:
         assert rng.bit_generator.state == state
 
     def test_chunk_of_long_rows_peaks_under_16_mib(self):
-        # one (4096, 1024) chunk holds x as int16 and y as int8: 12 MiB
+        # one (4096, 1024) chunk holds x and y as int8: 8 MiB
         forr.uniform_phi_null(1024, 4096, np.random.default_rng(0))
         tracemalloc.start()
         try:
@@ -391,18 +399,28 @@ class TestAdvantageExperiment:
             forr.advantage_experiment(cov, cfg, 100, paths=batch)
 
 
-@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
-@pytest.mark.parametrize("m, n", [(7, 3), (64, 1024), (5, 10000), (1, 1)])
-def test_uniform_signs_from_the_draws_bits(m, n, dtype):
-    # the +-1 rows filled block by block (two whole blocks at (64, 1024), a
-    # partial second one at (5, 10000)) against 2b - 1 of one whole int32
-    # draw: the same values and the same stream
-    a, b = np.random.default_rng([m, n]), np.random.default_rng([m, n])
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64, np.random.MT19937]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+@pytest.mark.parametrize("buffered", [False, True], ids=["whole", "half-word"])
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (7, 3), (5, 10000), (64, 1024), (3, 2**16 + 1)])
+def test_uniform_signs_from_the_draws_bits(bit_generator, buffered, m, n):
+    # the +-1 rows read from raw words (blocks of 2^16 signs: one partial at
+    # (5, 10000), about one whole at (64, 1024), two whole and a partial
+    # third at (3, 2^16 + 1)), odd counts, one sign, a generator holding
+    # half a word, against 2b - 1 of one whole int32 draw: the same values
+    # and the same state, buffered half-word included.  MT19937 buffers no
+    # half-word and draws every sign by integers
+    a, b = np.random.Generator(bit_generator(m * n)), np.random.Generator(bit_generator(m * n))
+    if buffered:
+        a.integers(0, 2, dtype=np.int32)
+        b.integers(0, 2, dtype=np.int32)
     want = 2 * b.integers(0, 2, size=(m, n), dtype=np.int32) - 1
-    got = forr._uniform_signs(a, m, n, dtype)
-    assert got.dtype == dtype and got.flags.c_contiguous
+    got = forr._uniform_signs(a, m, n)
+    assert got.dtype == np.int8 and got.flags.c_contiguous
     npt.assert_array_equal(got, want)
-    assert a.bit_generator.state == b.bit_generator.state
+    npt.assert_equal(a.bit_generator.state, b.bit_generator.state)
 
 
 def share_every_transform(monkeypatch):

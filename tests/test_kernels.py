@@ -801,6 +801,66 @@ def test_close_waits_only_for_the_fill_in_progress():
 
 
 # ---------------------------------------------------------------------------
+# Exact BLAS transform of +-1 integer rows
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 2**6, 2**7, 2**8, 2**14, 2**15, 2**17])
+def test_factor_orders_multiply_to_n(n):
+    orders = K._factor_orders(n)
+    assert np.prod(orders) == n and max(orders) <= 2**K._FACTOR_BITS
+    assert len(orders) == max(1, -(-(n.bit_length() - 1) // K._FACTOR_BITS))
+    assert max(orders) <= 2 * min(orders)
+
+
+def extreme_sign_rows(n):
+    """+-1 int8 rows whose transform reaches magnitude n (the constant rows
+    and a row of H itself, each with its negation) and two random rows."""
+    e = np.zeros(n)
+    e[n // 3] = 1.0
+    walsh = K.wht_inplace_np(e)
+    rng = np.random.default_rng(n)
+    rows = np.stack([np.ones(n), -np.ones(n), walsh, -walsh, *rng.choice((-1.0, 1.0), size=(2, n))])
+    return rows.astype(np.int8)
+
+
+@pytest.mark.parametrize("cut", ["float32", "float64"])
+@pytest.mark.parametrize("n", [1, 2, 2**6, 2**7, 2**8, 2**9, 2**14, 2**15])
+def test_sign_transform_equals_the_butterflies(monkeypatch, n, cut):
+    # one block of every row, in float32 and, under a lowered cut, float64;
+    # n = 2^9 has unequal factors, 16 and 32
+    if cut == "float64":
+        monkeypatch.setattr(K, "_FLOAT32_EXACT", 0)
+    rows = extreme_sign_rows(n)
+    want = K.wht_inplace_np(rows.astype(np.float64))
+    assert np.abs(want).max() == n
+    _, dtype = K._sign_layout(len(rows), n)
+    assert dtype == cut
+    bufs = np.empty((2, rows.size), dtype)
+    got = K._sign_transform(rows, *bufs)
+    assert got.dtype == dtype
+    npt.assert_array_equal(got, want)
+    # phi of every pair of rows, a block at a time, to the float route's bit
+    xs, ys = np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1))
+    want_phi = K._phi_rows(xs.astype(np.float64), ys.astype(np.float64))
+    assert K._phi_rows(xs, ys).tobytes() == want_phi.tobytes()
+
+
+def test_sign_rows_take_strided_views():
+    # advantage --rounded's halves are column slices of one int8 array
+    bits = np.random.default_rng(5).choice(np.array([-1, 1], dtype=np.int8), size=(3000, 128))
+    x, y = bits[:, :64], bits[:, 64:]
+    want = K._phi_rows(x.astype(np.float64), y.astype(np.float64))
+    assert K._phi_rows(x, y).tobytes() == want.tobytes()
+
+
+def test_hadamard_factor_is_cached_and_read_only():
+    h = K._hadamard_factor(8, np.dtype(np.float32))
+    assert h is K._hadamard_factor(8, np.dtype(np.float32)) and not h.flags.writeable
+    npt.assert_array_equal(h, K.wht_inplace_np(np.eye(8)))
+
+
+# ---------------------------------------------------------------------------
 # Long-row transforms shared with a worker thread
 # ---------------------------------------------------------------------------
 
@@ -822,7 +882,7 @@ def recorded_takers(monkeypatch, cpus=2, share_min=0):
 
 
 def shared_shapes():
-    # one row, two full row blocks and a partial one, and a null chunk at
+    # one row, two full row blocks and a partial one, and a 32 MB chunk at
     # n = 1024, in both dtypes
     for dtype in (np.float32, np.float64):
         for shape in ((1, 64), (2 * 512 + 100, 64), (4096, 1024)):
@@ -839,17 +899,6 @@ def test_shared_transform_equals_the_inline_one(monkeypatch, dtype, shape):
     assert run_bounded(K.wht_inplace_np, a.copy()).tobytes() == inline.tobytes()
     # one taker for a single block; else the caller and a worker, at once
     assert len(set(takers)) == len(takers) == (2 if shape[0] > 1 else 1)
-    # the worker takes the blocks while the body sleeps
-    takers.clear()
-    behind = a.copy()
-
-    def sleep_behind():
-        with K._wht_behind(behind):
-            time.sleep(0.05)
-
-    run_bounded(sleep_behind)
-    assert behind.tobytes() == inline.tobytes()
-    assert len(set(takers)) == len(takers) == (2 if shape[0] > 1 else 1)
 
 
 def test_one_cpu_transforms_inline(monkeypatch):
@@ -861,7 +910,7 @@ def test_one_cpu_transforms_inline(monkeypatch):
 
 
 def test_small_transforms_stay_inline(monkeypatch):
-    # prop-n64's null chunk, (1024, 64), is under the gate; the CLI's, (4096, 64), is not
+    # 2^16 entries, (1024, 64), are under the gate; 2^18, (4096, 64), are not
     takers = recorded_takers(monkeypatch, share_min=K._SHARE_MIN)
     K.wht_inplace_np(np.ones((1024, 64), dtype=np.float32))
     assert takers == [threading.get_ident()]
@@ -873,43 +922,55 @@ def test_transform_worker_ends_on_return(monkeypatch):
     takers = recorded_takers(monkeypatch)
     before = threading.active_count()
     a = np.ones((4096, 64))
-    with K._wht_behind(a):
-        pass
+    assert K.wht_inplace_np(a) is a
     assert len(takers) == 2
     assert threading.active_count() == before
     npt.assert_array_equal(a[:, 0], 64.0)
 
 
-def test_transform_worker_ends_when_the_caller_raises(monkeypatch):
-    recorded_takers(monkeypatch)
-    before = threading.active_count()
-
-    def raise_behind():
-        with K._wht_behind(np.ones((4096, 1024))):
-            raise FloatingPointError("body")
-
-    with pytest.raises(FloatingPointError, match="body"):
-        run_bounded(raise_behind)
-    assert threading.active_count() == before
-
-
-def test_transform_worker_error_reaches_the_caller(monkeypatch):
-    recorded_takers(monkeypatch)
-    caller = threading.get_ident()
+def failing_blocks(monkeypatch, fails, waits):
+    """_wht_axis_np raising MemoryError on the thread ``fails`` picks and,
+    on the thread ``waits`` picks, first waiting (10 s at most) for that."""
     failed = threading.Event()
     wht = K._wht_axis_np
 
     def failing_wht(*args):
-        if threading.get_ident() != caller:
+        if fails(threading.get_ident()):
             failed.set()
-            raise MemoryError("worker block")
+            raise MemoryError("block")
+        if waits(threading.get_ident()):
+            failed.wait(timeout=10)
         return wht(*args)
 
     monkeypatch.setattr(K, "_wht_axis_np", failing_wht)
+    return failed
+
+
+def test_transform_worker_ends_when_the_caller_raises(monkeypatch):
+    # the caller's first block raises; the worker stops after the block in hand
+    recorded_takers(monkeypatch)
+    caller = []
+    failing_blocks(monkeypatch, fails=lambda ident: ident in caller, waits=lambda ident: False)
     before = threading.active_count()
-    with pytest.raises(MemoryError, match="worker block"):
-        with K._wht_behind(np.ones((4096, 64))):
-            assert failed.wait(timeout=10)
+
+    def transform():
+        caller.append(threading.get_ident())
+        K.wht_inplace_np(np.ones((4096, 1024)))
+
+    with pytest.raises(MemoryError, match="block"):
+        run_bounded(transform)
+    assert threading.active_count() == before
+
+
+def test_transform_worker_error_reaches_the_caller(monkeypatch):
+    # the caller holds its first block until the worker's first one has raised
+    recorded_takers(monkeypatch)
+    caller = threading.get_ident()
+    failed = failing_blocks(monkeypatch, fails=lambda ident: ident != caller, waits=lambda ident: ident == caller)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="block"):
+        K.wht_inplace_np(np.ones((4096, 64)))
+    assert failed.is_set()
     assert threading.active_count() == before
 
 
