@@ -127,14 +127,15 @@ def bench_boolean_round(args, pkg):
     return "boolean_round_25000x128", run, None
 
 
-def bench_level2_scan(args, pkg):
-    # the exhaustive 3^11 restriction scan of perfbench's exact-routes
-    f = pkg.boolean_fourier.random_sign_function(11, np.random.default_rng(args.seed))
+def bench_level2_scan(n_vars, args, pkg):
+    # the exhaustive 3^N restriction scan: N = 11 in perfbench's exact-routes,
+    # N = 12 at EXHAUSTIVE_VAR_LIMIT
+    f = pkg.boolean_fourier.random_sign_function(n_vars, np.random.default_rng(args.seed))
 
     def run():
         return pkg.boolean_fourier.max_restricted_level2_mass(f)
 
-    return "level2_scan_n11", run, None
+    return f"level2_scan_n{n_vars}", run, None
 
 
 def bench_level2_scan_mc(args, pkg):
@@ -162,16 +163,17 @@ def bench_restriction_identity_n4(args, pkg):
     return "restriction_identity_n4x250", run, None
 
 
-def bench_restriction_identity_n8(args, pkg):
-    # one call over the 3^8 restrictions of an N = 8 function
+def bench_restriction_identity(n_vars, args, pkg):
+    # one call over the 3^N restrictions of an N-variable function; N = 10 is
+    # ENUMERATION_VAR_LIMIT, the size of verify-lemma --vars 10
     rng = np.random.default_rng(args.seed)
-    f = pkg.boolean_fourier.random_sign_function(8, rng)
-    x = rng.uniform(-0.5, 0.5, size=8)
+    f = pkg.boolean_fourier.random_sign_function(n_vars, rng)
+    x = rng.uniform(-0.5, 0.5, size=n_vars)
 
     def run():
         pkg.verifier.verify_restriction_identity(f, x)
 
-    return "restriction_identity_n8", run, None
+    return f"restriction_identity_n{n_vars}", run, None
 
 
 def bench_eval(args, pkg):
@@ -384,8 +386,9 @@ def store_json(path, args, runs):
 BENCHES = [
     *(functools.partial(bench_wht, *row) for row in WHT_ROWS), bench_eval,
     *(functools.partial(bench_paths, *row) for row in PATH_ROWS), bench_uniform_null, bench_sign_rows_phi,
-    bench_boolean_round, bench_level2_scan, bench_level2_scan_mc, bench_restriction_identity_n4,
-    bench_restriction_identity_n8,
+    bench_boolean_round, functools.partial(bench_level2_scan, 11), functools.partial(bench_level2_scan, 12),
+    bench_level2_scan_mc, bench_restriction_identity_n4, functools.partial(bench_restriction_identity, 8),
+    functools.partial(bench_restriction_identity, 10),
 ]
 
 

@@ -24,6 +24,8 @@ variable.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -58,7 +60,7 @@ __all__ = [
 TABLE_VAR_LIMIT = 16  # 2^N tables built from a variable count alone are capped here
 EXHAUSTIVE_VAR_LIMIT = 12  # 3^N restriction scans are capped here
 ENUMERATION_VAR_LIMIT = 10
-_SCAN_TAIL_VARS = 7  # the exhaustive scan runs its last variables level by level
+_SCAN_TAIL_VARS = 8  # the exhaustive scan runs its last variables level by level
 
 
 def subset_index(subset: Iterable[int]) -> int:
@@ -316,6 +318,29 @@ def partial_derivative(f: BooleanFunction, subset: Iterable[int], x: Sequence[fl
     return float(_eval_multilinear_cols_np(above, x[rest][:, None])[0])
 
 
+@functools.cache
+def _pair_tables(n_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """A column per pair i < j, in ``itertools.combinations`` order: the masks that
+    contain it, in index order (its own first), and the other variables (cached, read-only)."""
+    pairs = [subset_index(p) for p in itertools.combinations(range(n_vars), 2)]
+    masks = np.arange(2**n_vars)
+    others = max(n_vars - 2, 0)
+    above = np.array([masks[masks & p == p] for p in pairs], np.intp).reshape(len(pairs), 2**others).T
+    rest = np.array([[i for i in range(n_vars) if not p >> i & 1] for p in pairs], np.intp)
+    rest = rest.reshape(len(pairs), others).T
+    above.flags.writeable = rest.flags.writeable = False
+    return above, rest
+
+
+def _pair_derivatives(f: BooleanFunction, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The masks of the pairs i < j and d_ij f(x), each folded as ``partial_derivative`` folds it."""
+    above, rest = _pair_tables(f.n_vars)
+    tab = f.coeffs[above]
+    for xs in x[rest]:
+        tab = tab[0::2] + xs * tab[1::2]
+    return above[0], tab[0]
+
+
 def level_mass(f: BooleanFunction, k: int) -> float:
     """Sum of |coefficient| over all subsets of size exactly k."""
     if not 0 <= k <= f.n_vars:
@@ -332,13 +357,17 @@ def max_restricted_level2_mass(
     """Largest level-2 coefficient mass over all restrictions of f.
 
     ``method="exhaustive"`` scans all 3^N restrictions by sharing folds
-    along a ternary recursion (guarded at N <= 12).  The last
-    ``_SCAN_TAIL_VARS`` variables run level by level: a level's nodes that
-    keep k variables are the rows of one array, folded by one add and one
-    subtract, with the adds and leaf sums of a per-node recursion, so the
-    value is the same bit for bit.  ``method="monte_carlo"``
-    samples ``samples`` uniformly random restrictions and returns the best
-    found, which is only a lower bound on the true maximum.  It substitutes
+    along a ternary recursion (guarded at N <= 12).  A node's table keeps
+    the entries with at most 2 kept variables: a row per subset of the
+    variables left (odd rows hold the next one), a column per kept subset in
+    mask order.  Fixing the next variable adds or subtracts the odd rows to
+    the even ones; keeping it appends the odd rows' columns with at most 1.
+    The last ``_SCAN_TAIL_VARS`` variables run level by level, the nodes
+    that keep k variables along the innermost axis of one array; a leaf sums
+    its pair columns as a C-contiguous row, so the adds and sums are those of
+    a per-node recursion, bit for bit.  ``method="monte_carlo"`` samples
+    ``samples`` uniformly random restrictions and returns the best found,
+    only a lower bound on the true maximum.  It substitutes
     ``_RESTRICTION_BLOCK`` table entries at a time and draws each block's
     entries with one call, which continues the stream of one call per
     sample; each row's mass sums in the order of ``level_mass``, so the
@@ -365,86 +394,92 @@ def max_restricted_level2_mass(
             f"(got {f.n_vars}); use method='monte_carlo' for a lower bound"
         )
 
-    # a leaf's table over its kept variables is a prefix of the full one
-    pairs = subset_sizes(f.n_vars) == 2
+    def level(stacks: dict) -> dict:
+        # each node's next variable (odd rows) fixed to +1 and to -1 in its stack, kept in the next
+        nodes = {k: 2 * s.shape[2] for k, s in stacks.items()} | {max(stacks) + 1: 0}
+        for k, s in stacks.items():
+            nodes[k + 1] += s.shape[2]
+        out = {k: np.empty((len(s) // 2, 1 + k * (k + 1) // 2, n)) for k, n in nodes.items()}
+        for k, s in stacks.items():
+            even, odd, width, n = s[0::2], s[1::2], s.shape[1], s.shape[2]
+            np.add(even, odd, out=out[k][:, :, :n])
+            np.subtract(even, odd, out=out[k][:, :, n : 2 * n])
+            keep = out[k + 1][:, :, -n:]
+            keep[:, :width] = even
+            keep[:, width:] = odd[:, _scan_columns(k)[0]]
+        return out
 
-    def tail(c: np.ndarray, remaining: int, kept: int) -> float:
-        # the nodes of one level with k kept variables are the rows of stacks[k]
-        stacks = {kept: c[None]}
+    def scan(stacks: dict, remaining: int) -> float:
+        if remaining > _SCAN_TAIL_VARS:
+            children = [{k: s[:, :, j : j + 1]} for k, s in level(stacks).items() for j in range(s.shape[2])]
+            return max(scan(child, remaining - 1) for child in children)
         for _ in range(remaining):
-            parts: dict[int, list] = {}
-            for k, s in stacks.items():
-                v = s.reshape(len(s), -1, 2, 1 << k)
-                parts.setdefault(k, []).extend((v[:, :, 0] + v[:, :, 1], v[:, :, 0] - v[:, :, 1]))
-                parts[k + 1] = [s]
-            stacks = {k: np.concatenate([p.reshape(len(p), -1) for p in ps]) for k, ps in parts.items()}
-        # compress keeps each row C-ordered, so it sums in the order of a leaf's 1-D sum
-        leaves = [np.abs(s.compress(pairs[: s.shape[1]], axis=1)).sum(axis=1) for s in stacks.values()]
-        return max(float(m.max()) for m in leaves)
+            stacks = level(stacks)
+        # each leaf's pair entries as one C-contiguous row, summed in the order of a 1-D leaf
+        leaves = (np.abs(s[0].take(_scan_columns(k)[1], axis=0).T, order="C") for k, s in stacks.items())
+        return max(float(leaf.sum(axis=1).max()) for leaf in leaves)
 
-    def rec(c: np.ndarray, remaining: int, kept: int) -> float:
-        if remaining <= _SCAN_TAIL_VARS:
-            return tail(c, remaining, kept)
-        width = 1 << kept
-        view = c.reshape(-1, 2 * width)
-        lo = view[:, :width]
-        hi = view[:, width:]
-        best = rec((lo + hi).ravel(), remaining - 1, kept)
-        best = max(best, rec((lo - hi).ravel(), remaining - 1, kept))
-        return max(best, rec(c, remaining - 1, kept + 1))
-
-    return rec(f.coeffs.copy(), f.n_vars, 0)
+    return scan({0: f.coeffs.reshape(-1, 1, 1)}, f.n_vars)
 
 
-_ENTRY_ORDER = np.array((1, -1, 0), dtype=np.int8)  # one coordinate's entries, in enumeration order
+@functools.cache
+def _scan_columns(kept: int) -> tuple[np.ndarray, np.ndarray]:
+    """Among the subsets of ``kept`` variables with at most 2 members, in mask order,
+    the positions of those with at most 1 and with 2 (cached, read-only)."""
+    sizes = subset_sizes(kept)[subset_sizes(kept) <= 2]
+    one, two = np.flatnonzero(sizes <= 1), np.flatnonzero(sizes == 2)
+    one.flags.writeable = two.flags.writeable = False
+    return one, two
+
+
 _RESTRICTION_BLOCK = 1 << 16  # table entries per row block of restricted_mean (512 KiB)
 
 
-def _restriction_table(dist: RestrictionDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """All 3^N restrictions of ``dist`` as arrays: values and probabilities.
+def _expand(c: np.ndarray, p: np.ndarray, probs: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Table row r of ``c``, of probability p[r], with variable i fixed to +1, to -1 and free:
+    rows 3r + (0, 1, 2) of probabilities p[r] * probs, substituted as ``_restrict_rows`` does."""
+    v = c.reshape(len(c), -1, 2, 1 << i)
+    out = np.empty((len(c), 3) + v.shape[1:])
+    np.add(v[:, :, 0], v[:, :, 1], out=out[:, 0, :, 0])
+    np.subtract(v[:, :, 0], v[:, :, 1], out=out[:, 1, :, 0])
+    out[:, :2, :, 1] = 0.0
+    out[:, 2] = v
+    return out.reshape(-1, c.shape[1]), (p[:, None] * probs).ravel()
 
-    Row r of the ``(3^N, N)`` int8 value array is the r-th tuple of
-    ``itertools.product((1, -1, 0), repeat=N)``, and entry r of the
-    probability vector multiplies that row's coordinate probabilities left
-    to right, as ``math.prod`` does.  Capped at ENUMERATION_VAR_LIMIT
-    variables, checked before anything is allocated.
+
+def restricted_mean(f: BooleanFunction, dist: RestrictionDistribution) -> np.ndarray:
+    """E_rho[coefficient table of f_rho] over the 3^N restrictions of ``dist``.
+
+    A ternary expansion in index order (``_expand``) makes row r the r-th
+    tuple of ``itertools.product((1, -1, 0), repeat=N)``, its probability
+    multiplied left to right as ``math.prod`` does; the leading variables go
+    depth-first, the last ones in blocks of at most ``_RESTRICTION_BLOCK``
+    entries.  Each block's reduce down its rows starts from the running sum,
+    so every add is that of a loop over the restrictions one by one.  Capped
+    at ENUMERATION_VAR_LIMIT variables, checked before anything is allocated.
     """
     n = dist.n_vars
     if n > ENUMERATION_VAR_LIMIT:
         raise CapacityError(
             f"restriction enumeration is capped at {ENUMERATION_VAR_LIMIT} variables"
         )
-    # digits[i, r] is coordinate i's position in _ENTRY_ORDER at row r
-    digits = np.indices((3,) * n, dtype=np.int8).reshape(n, -1)
-    per_coord = np.stack([dist.p_plus, dist.p_minus, dist.p_star], axis=1)
-    probs = per_coord[0, digits[0]]
-    for i in range(1, n):
-        probs *= per_coord[i, digits[i]]
-    return _ENTRY_ORDER[digits.T], probs
-
-
-def restricted_mean(f: BooleanFunction, dist: RestrictionDistribution) -> np.ndarray:
-    """E_rho[coefficient table of f_rho] over the 3^N restrictions of ``dist``.
-
-    The enumeration is folded ``_RESTRICTION_BLOCK`` table entries at a time,
-    and the sum adds p * table in enumeration order from a zero vector: each
-    block's reduce down its rows starts from the running sum as its first
-    row, so every add is that of a loop over the restrictions one by one.
-    """
-    values, probs = _restriction_table(dist)
     size = f.coeffs.size
-    step = max(1, _RESTRICTION_BLOCK // size)
-    buf = np.empty((min(step, len(probs)) + 1, size))
-    acc = np.zeros(size)
-    for start in range(0, len(probs), step):
-        block = buf[: min(step, len(probs) - start) + 1]
+    probs = np.stack([dist.p_plus, dist.p_minus, dist.p_star], axis=1)
+
+    def walk(c: np.ndarray, p: np.ndarray, i: int, acc: np.ndarray) -> np.ndarray:
+        if 3 ** (n - i) * size > _RESTRICTION_BLOCK:
+            c, p = _expand(c, p, probs[i], i)
+            for r in range(3):
+                acc = walk(c[r : r + 1], p[r : r + 1], i + 1, acc)
+            return acc
+        for j in range(i, n):
+            c, p = _expand(c, p, probs[j], j)
+        block = np.empty((len(c) + 1, size))
         block[0] = acc
-        tables = block[1:]
-        tables[...] = f.coeffs
-        _restrict_rows(tables, values[start : start + len(tables)])
-        tables *= probs[start : start + len(tables), None]
-        acc = np.add.reduce(block, axis=0)
-    return acc
+        np.multiply(c, p[:, None], out=block[1:])
+        return np.add.reduce(block, axis=0)
+
+    return walk(f.coeffs[None], np.ones(1), 0, np.zeros(size))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ The statements covered:
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -35,10 +34,9 @@ from .boolean_fourier import (
     EXHAUSTIVE_VAR_LIMIT,
     BooleanFunction,
     RestrictionDistribution,
+    _pair_derivatives,
     max_restricted_level2_mass,
-    partial_derivative,
     restricted_mean,
-    subset_index,
     subset_sizes,
 )
 from .diffusion import CovarianceSpec, SamplerConfig, StoppedBatch, sample_stopped_paths
@@ -68,11 +66,8 @@ def verify_restriction_identity(f: BooleanFunction, x) -> float:
         raise ValueError(f"anchor must have length {f.n_vars}")
     # d_ij f_rho(0) is the {i,j} coefficient of the restricted function
     expected = restricted_mean(f, RestrictionDistribution(x))
-    worst = 0.0
-    for pair in itertools.combinations(range(f.n_vars), 2):
-        lhs = partial_derivative(f, pair, x)
-        worst = max(worst, abs(lhs - 4.0 * expected[subset_index(pair)]))
-    return worst
+    pair_masks, lhs = _pair_derivatives(f, x)
+    return float(np.abs(lhs - 4.0 * expected[pair_masks]).max(initial=0.0))
 
 
 def generator_table(f: BooleanFunction, sigma: np.ndarray) -> np.ndarray:

@@ -11,10 +11,12 @@ import os
 import sys
 import time
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+import forrlab.boolean_fourier as bf
 import forrlab.diffusion as diff
 
 STRUCTURED_N = 64
@@ -66,3 +68,23 @@ def dense_batch(dense_cov, dense_config):
     batch = diff.sample_stopped_paths(dense_cov, dense_config, BATCH_SAMPLES, store_paths=True)
     BATCH_BUILD_SECONDS["dense"] = time.perf_counter() - started
     return batch
+
+
+def expanded_enumeration(dist):
+    """The restrictions of ``dist`` as ``restricted_mean`` expands them.
+
+    Returns the ``(3^N, N)`` int8 value array and the probability vector, in
+    the expansion's row order.  Expanding the table of x_i through every
+    variable leaves x_i's value in each row's constant entry (0 where x_i
+    stays free), and the probabilities come with the last expansion.
+    """
+    n = dist.n_vars
+    probs = np.stack([dist.p_plus, dist.p_minus, dist.p_star], axis=1)
+    columns = []
+    for i in range(n):
+        c, p = np.zeros((1, 2**n)), np.ones(1)
+        c[0, 1 << i] = 1.0
+        for j in range(n):
+            c, p = bf._expand(c, p, probs[j], j)
+        columns.append(c[:, 0])
+    return np.stack(columns, axis=1).astype(np.int8), p

@@ -12,6 +12,7 @@ import pytest
 
 import forrlab.boolean_fourier as bf
 from forrlab.errors import CapacityError
+from conftest import expanded_enumeration
 from oracles import (
     brute_force_coefficients,
     enumeration_oracle,
@@ -175,7 +176,7 @@ class TestRestrict:
         rng = np.random.default_rng(40 + n_vars)
         coeffs = rng.standard_normal(2**n_vars)
         coeffs[::3] = -0.0  # a signed zero must keep its sign where nothing adds to it
-        table, _ = bf._restriction_table(bf.RestrictionDistribution(np.zeros(n_vars)))
+        table, _ = expanded_enumeration(bf.RestrictionDistribution(np.zeros(n_vars)))
         f = bf.from_coeffs(n_vars, coeffs)
         for values in (table, rng.integers(-1, 2, size=(50, n_vars))):
             got = bf._restrict_rows(np.tile(coeffs, (len(values), 1)), values)
@@ -218,6 +219,19 @@ class TestPartialDerivative:
             + bf.eval_multilinear(f, x - e)
         )
         assert abs(second) < 1e-12
+
+    @pytest.mark.parametrize("n_vars", range(2, 11))
+    def test_all_pairs_fold_equals_each_pair_alone(self, n_vars):
+        # every pair's derivative in one fold, bit for bit, at a random
+        # anchor, on the faces x_i = +-1/2 and at 0
+        rng = np.random.default_rng(900 + n_vars)
+        f = bf.from_coeffs(n_vars, rng.standard_normal(2**n_vars))
+        pairs = list(itertools.combinations(range(n_vars), 2))
+        for x in (rng.uniform(-0.5, 0.5, n_vars), np.resize([0.5, -0.5, 0.0, 0.25], n_vars), np.zeros(n_vars)):
+            masks, got = bf._pair_derivatives(f, x)
+            assert masks.tolist() == [bf.subset_index(pair) for pair in pairs]
+            want = np.array([bf.partial_derivative(f, pair, x) for pair in pairs])
+            assert got.tobytes() == want.tobytes()
 
     def test_rejects_out_of_range_subset(self):
         f = bf.from_truth_table([1, -1, -1, 1])
@@ -359,7 +373,7 @@ SWITCH = bf._SCAN_TAIL_VARS
 
 @pytest.mark.parametrize(
     "n_vars, kind",
-    [(n, kind) for n in (11, 12) for kind in ("sign", "real")]
+    [(n, kind) for n in (10, 11, 12) for kind in ("sign", "real")]
     + [(n, kind) for n in (SWITCH - 1, SWITCH, SWITCH + 1) for kind in ("sign", "real", "zero", "parity")],
 )
 def test_scan_equals_recursive_oracle(n_vars, kind):
@@ -372,10 +386,10 @@ def test_scan_equals_recursive_oracle(n_vars, kind):
         assert want == 1.0
 
 
-@pytest.mark.parametrize("n_vars", [SWITCH - 1, SWITCH, SWITCH + 1])
+@pytest.mark.parametrize("n_vars", sorted({SWITCH - 1, SWITCH, SWITCH + 1, 9, 10, 11}))
 def test_scan_sums_long_leaves_in_the_oracle_order(n_vars):
     # the last variable times a level-2 function of the others: the maximum
-    # is one leaf of C(N-1, 2) pairs in a stack of 2(N-1) rows, and a row
+    # is one leaf of C(N-1, 2) pairs in a stack of 2(N-1) nodes, and a row
     # summed in another order than a 1-D leaf moves the last bit of about
     # half of these draws
     rng = np.random.default_rng(n_vars)
@@ -385,6 +399,33 @@ def test_scan_sums_long_leaves_in_the_oracle_order(n_vars):
         c = np.zeros(2**n_vars)
         c[idx] = rng.uniform(0.5, 1.5, len(idx))
         assert bf.max_restricted_level2_mass(bf.from_coeffs(n_vars, c)) == recursive_level2_scan(c)
+
+
+def test_scan_sums_a_long_leaf_in_a_stack_of_thousands():
+    # f = h * sum over the 15 pairs {a, b} of K = {0, 1, 2, 5, 7, 9} of
+    # c_ab x_a x_b, with h the product of the other 5 variables.  The
+    # maximum, sum |c_ab|, is at the leaves that keep K and fix the rest:
+    # with |c_ab| in [0.9, 1.1] and c_01 < 0 no other leaf comes near it
+    # (fixing K to signs leaves a frustrated triangle in the sum that two
+    # kept rest variables would collect).  Those leaves keep 3 of the 8
+    # tail variables, so they sit in a stack of C(8, 3) 2^5 = 1792 nodes.
+    # Only draws whose sum in sequence (the order of a column summed down a
+    # stack) differs from their 1-D sum are kept.
+    n_vars, kept = 11, (0, 1, 2, 5, 7, 9)
+    assert bf._SCAN_TAIL_VARS == 8 and kept[3] >= n_vars - 8
+    rest = bf.subset_index(i for i in range(n_vars) if i not in kept)
+    idx = sorted(rest | bf.subset_index(pair) for pair in itertools.combinations(kept, 2))
+    rng = np.random.default_rng(1792)
+    for _ in range(5):
+        vals = rng.uniform(0.9, 1.1, len(idx))
+        while np.add.accumulate(vals)[-1] == vals.sum():
+            vals = rng.uniform(0.9, 1.1, len(idx))
+        c = np.zeros(2**n_vars)
+        c[idx] = vals
+        c[idx[0]] *= -1.0
+        want = recursive_level2_scan(c)
+        assert want == np.abs(c[idx]).sum()  # the leaf's pair entries in mask order
+        assert bf.max_restricted_level2_mass(bf.from_coeffs(n_vars, c)) == want
 
 
 def test_scan_memory_at_the_cap():
@@ -468,7 +509,7 @@ class TestRestrictionDistribution:
 
     def test_enumeration_probabilities_sum_to_one(self):
         dist = bf.RestrictionDistribution([0.25, -0.25, 0.1])
-        _, probs = bf._restriction_table(dist)
+        _, probs = expanded_enumeration(dist)
         assert len(probs) == 27
         assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -477,8 +518,6 @@ class TestRestrictionDistribution:
         f = bf.from_coeffs(11, np.zeros(2**11))
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError):
-                bf._restriction_table(dist)
             with pytest.raises(CapacityError):
                 bf.restricted_mean(f, dist)
             _, peak = tracemalloc.get_traced_memory()
@@ -492,9 +531,10 @@ class TestRestrictionDistribution:
         [[0.3], [0.5, -0.5, 0.0], [0.1, -0.2, 0.5, -0.4, 0.25], np.linspace(-0.5, 0.5, 7)],
     )
     def test_table_is_the_product_enumeration(self, anchor):
-        # values, order and probabilities (math.prod, left to right) bit for bit
+        # restricted_mean's expansion: values, order and probabilities
+        # (math.prod, left to right) bit for bit
         dist = bf.RestrictionDistribution(anchor)
-        values, probs = bf._restriction_table(dist)
+        values, probs = expanded_enumeration(dist)
         want = enumeration_oracle(dist.p_plus, dist.p_minus, dist.p_star)
         want_probs = np.array([p for _, p in want]).tobytes()
         assert values.dtype == np.int8 and values.shape == (len(want), dist.n_vars)

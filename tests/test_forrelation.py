@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -437,6 +438,10 @@ def test_digests_hold_with_every_transform_shared(monkeypatch):
 
 
 def test_uniform_null_is_inline_on_one_cpu(monkeypatch):
-    # the digest on the caller alone, even for the (4096, 1024) chunk
-    monkeypatch.setattr(_kernels, "_cpus", lambda: 1)
+    # the digest on the caller alone, even for the (4096, 1024) chunk: any
+    # thread the null started would raise here
+    def no_thread(*args, **kwargs):
+        raise AssertionError("the uniform null started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
     test_uniform_null_matches_pinned_digest(monkeypatch)

@@ -22,6 +22,7 @@ import forrlab.verifier as ver
 from forrlab.errors import CapacityError
 from forrlab.report import FAIL, PASS
 
+from conftest import expanded_enumeration
 from oracles import enumeration_oracle, fd_derivative, restrict_loop_oracle
 
 
@@ -74,6 +75,27 @@ class TestRestrictionIdentity:
             ver.verify_restriction_identity(f, [0.6, 0.0])
         with pytest.raises(ValueError):
             ver.verify_restriction_identity(f, [0.0, 0.0, 0.0])
+
+    def test_no_pairs_at_one_variable(self):
+        # C(1, 2) = 0 pairs: the largest residual over none is 0.0, and the
+        # anchor is still checked
+        f = bf.from_coeffs(1, [0.3, -0.7])
+        for x in ([0.2], [0.5], [-0.5]):
+            residual = ver.verify_restriction_identity(f, x)
+            assert type(residual) is float and residual == 0.0
+        with pytest.raises(ValueError, match="finite"):
+            ver.verify_restriction_identity(f, [np.nan])
+
+    def test_one_pair_and_no_other_variable_at_two(self):
+        # the pair's derivative table is the single entry c[{0, 1}], folded by
+        # no other variable, against 4 times its restricted mean
+        rng = np.random.default_rng(2)
+        for x in (rng.uniform(-0.5, 0.5, 2), np.array([0.5, -0.5])):
+            f = bf.from_coeffs(2, rng.standard_normal(4))
+            expected = bf.restricted_mean(f, bf.RestrictionDistribution(x))
+            want = abs(bf.partial_derivative(f, (0, 1), x) - 4.0 * expected[3])
+            assert ver.verify_restriction_identity(f, x) == want
+            assert want < 1e-12
 
     def test_anchor_range_is_the_restriction_distributions(self):
         f = bf.from_coeffs(2, [0.0, 0.0, 0.0, 1.0])
@@ -134,7 +156,8 @@ def _identity_cases():
                 yield f, x
 
 
-# sha256 over _identity_cases of the enumeration's values and probabilities,
+# sha256 over _identity_cases of the enumeration's values and probabilities
+# (read back from restricted_mean's expansion, which builds no value array),
 # of E_rho[f_rho] (``expected``) and of the identity's residual.  Pinned from
 # the loop that built one Restriction and one restricted function per term
 # and added p * table in enumeration order; the row-blocked fold keeps every
@@ -151,7 +174,7 @@ def test_restriction_identity_matches_pinned_digests():
     h = {key: hashlib.sha256() for key in IDENTITY_DIGESTS}
     for f, x in _identity_cases():
         dist = bf.RestrictionDistribution(x)
-        values, probs = bf._restriction_table(dist)
+        values, probs = expanded_enumeration(dist)
         h["enumeration"].update(values.tobytes())
         h["probabilities"].update(probs.tobytes())
         h["expected"].update(bf.restricted_mean(f, dist).tobytes())
