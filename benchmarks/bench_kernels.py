@@ -5,8 +5,8 @@ wall time.  Path kernels also report path-steps (one Euler step of one
 path) and nanoseconds per path-step of the best call.  The --json record
 holds, for every shape, the tracemalloc peak of one call in MiB
 (``peak_traced_mb``), and for each tree the CPUs this process may run on
-(``allowed_cpus``, the count its kernels gate draw-ahead and transform
-sharing on; ``cpus`` is the host's count).
+(``allowed_cpus``, the count its kernels gate draw-ahead on; ``cpus`` is
+the host's count).
 
 --against PARENT_SRC compares two trees in one interpreter: it imports the
 whole ``forrlab`` package under PARENT_SRC as modules of its own next to
@@ -78,9 +78,9 @@ def timed(fn):
 
 # row-transform rows: (name, rows, row length, copy).  Each call transforms
 # seeded normal rows in place, a fresh copy of them when copy is set; without
-# it (the uniform null's 32 MB chunk at n = 1024) each call scales the rows by
-# the length, far from overflow.  1024x64 is the sampler's phi rows at n = 64
-# for one stream block.
+# it (a 32 MB batch at n = 1024) each call scales the rows by the length, far
+# from overflow.  1024x64 is the sampler's phi rows at n = 64 for one stream
+# block.
 WHT_ROWS = [
     ("batched WHT 4096x128", 4096, 128, True),
     ("wht_rows_4096x1024", 4096, 1024, False),

@@ -5,8 +5,7 @@ Two families of kernels live here:
 * one fast Walsh-Hadamard butterfly routine (unnormalized; callers
   rescale) that serves both float rows and the sampler's paths-minor
   columns; its short levels (contiguous runs under ``_SHORT_RUN``, such as
-  h = 1 to 8 on rows) iterate with the block index innermost.  A long row
-  transform shares its row blocks with one worker thread.  phi =
+  h = 1 to 8 on rows) iterate with the block index innermost.  phi =
   (1/n) x^T H y transforms y: a float64 copy through the butterflies, or,
   for +-1 integer rows, blocks of y through BLAS, one matmul per Kronecker
   factor of H (order at most 2^7), in float32 up to 2^16 entries a row
@@ -60,7 +59,6 @@ the discretization error.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import os
@@ -92,10 +90,6 @@ _BARRIER = 0.5
 _CANDIDATE_BLOCK = 1 << 12
 _GATHER_BLOCK = 1 << 12
 _WHT_BLOCK = 1 << 15  # entries per row block of wht_inplace_np (256 KiB)
-# a transform shares its row blocks with a worker thread from this many
-# entries; below it the worker's start and join cost about as much as the
-# blocks it takes (CHANGES.md has the size table that set it)
-_SHARE_MIN = 1 << 18
 # butterfly levels whose contiguous run h * post is shorter than this run
 # with the block index innermost (runs of 16 to 128 timed alike)
 _SHORT_RUN = 16
@@ -155,58 +149,21 @@ def _wht_axis_np(src, dst, scratch):
         dst[...] = a
 
 
-def _take_blocks(rows, step, todo):
-    """Transform the row blocks whose starts this thread pops from ``todo``, until none is left."""
-    scratch = np.empty_like(rows[:step])
-    while True:
-        try:
-            i = todo.popleft()
-        except IndexError:
-            return
-        block = rows[i : i + step]
-        _wht_axis_np(block, block, scratch[: len(block)])
-
-
 def wht_inplace_np(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard butterflies over the last axis, in place.
 
     ``a`` is 1-D or 2-D (one transform per row); the last-axis length must
     be a power of two (not validated here).
     Applying this twice multiplies the input by the axis length.  Blocks of
-    rows (``_WHT_BLOCK`` entries, at least one row) run through a block of
-    scratch in cache; each row's adds are those of the row alone.  The
-    starts of the blocks wait on one deque, whose pops are thread-safe.
-    From ``_SHARE_MIN`` entries and two blocks, on a second CPU, a worker
-    thread pops blocks next to the caller (numpy releases the GIL inside
-    each add) and the caller joins it when none is left.  Each taker has a
-    block of scratch of its own, so the taker of a block changes no bit.
-    When the caller raises, the blocks not yet taken are dropped and the
-    worker ends after the block in hand; a worker's exception is raised
-    after the join.
+    rows (``_WHT_BLOCK`` entries, at least one row) run through one block of
+    scratch in cache; each row's adds are those of the row alone.
     """
     rows = a.reshape(-1, a.shape[-1], 1)
     step = max(1, _WHT_BLOCK // rows.shape[1])
-    todo = collections.deque(range(0, len(rows), step))
-    errors = []
-
-    def work():
-        try:
-            _take_blocks(rows, step, todo)
-        except BaseException as exc:  # raised again in the caller after the join
-            errors.append(exc)
-
-    worker = None
-    if a.size >= _SHARE_MIN and len(todo) > 1 and _cpus() > 1:
-        worker = threading.Thread(target=work, daemon=True)
-        worker.start()
-    try:
-        _take_blocks(rows, step, todo)
-    finally:
-        todo.clear()
-        if worker is not None:
-            worker.join()
-    if errors:
-        raise errors[0]
+    scratch = np.empty_like(rows[:step])
+    for i in range(0, len(rows), step):
+        block = rows[i : i + step]
+        _wht_axis_np(block, block, scratch[: len(block)])
     return a
 
 
@@ -222,9 +179,10 @@ wht_batch_numpy = wht_inplace_np
 @functools.cache
 def _hadamard_factor(order, dtype):
     """The read-only +-1 Sylvester matrix of ``order`` in ``dtype`` (cached)."""
-    h = np.ones((1, 1), dtype)
-    while len(h) < order:
-        h = np.block([[h, h], [h, -h]])
+    h = np.eye(order)[None]
+    # H I = H by the butterflies, not through wht_inplace_np: the +-1 row route never calls it
+    _wht_axis_np(h, h, np.empty_like(h))
+    h = h[0].astype(dtype)
     h.flags.writeable = False
     return h
 

@@ -456,9 +456,12 @@ def restricted_mean(f: BooleanFunction, dist: RestrictionDistribution) -> np.nda
     depth-first, the last ones in blocks of at most ``_RESTRICTION_BLOCK``
     entries.  Each block's reduce down its rows starts from the running sum,
     so every add is that of a loop over the restrictions one by one.  Capped
-    at ENUMERATION_VAR_LIMIT variables, checked before anything is allocated.
+    at ENUMERATION_VAR_LIMIT variables; that and the variable counts of f
+    and ``dist`` are checked before anything is allocated.
     """
     n = dist.n_vars
+    if n != f.n_vars:
+        raise ValueError(f"restriction distribution has {n} coordinates, function has {f.n_vars}")
     if n > ENUMERATION_VAR_LIMIT:
         raise CapacityError(
             f"restriction enumeration is capped at {ENUMERATION_VAR_LIMIT} variables"

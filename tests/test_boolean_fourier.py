@@ -526,6 +526,15 @@ class TestRestrictionDistribution:
         # a 3^11 table would hold 1.7 MiB of values alone
         assert peak < 64 * 2**10
 
+    @pytest.mark.parametrize("coords", [2, 4])
+    def test_restricted_mean_rejects_a_variable_count_mismatch(self, coords):
+        # two coordinates used to restrict only f's first two variables, and
+        # four failed inside numpy's reshape
+        f = bf.from_coeffs(3, np.arange(8.0))
+        dist = bf.RestrictionDistribution(np.zeros(coords))
+        with pytest.raises(ValueError, match=f"distribution has {coords} coordinates, function has 3"):
+            bf.restricted_mean(f, dist)
+
     @pytest.mark.parametrize(
         "anchor",
         [[0.3], [0.5, -0.5, 0.0], [0.1, -0.2, 0.5, -0.4, 0.25], np.linspace(-0.5, 0.5, 7)],

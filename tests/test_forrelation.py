@@ -424,19 +424,6 @@ def test_uniform_signs_from_the_draws_bits(bit_generator, buffered, m, n):
     npt.assert_equal(a.bit_generator.state, b.bit_generator.state)
 
 
-def share_every_transform(monkeypatch):
-    """Every transform of two row blocks or more shares them with a worker."""
-    monkeypatch.setattr(_kernels, "_SHARE_MIN", 0)
-    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
-
-
-def test_digests_hold_with_every_transform_shared(monkeypatch):
-    share_every_transform(monkeypatch)
-    test_uniform_null_matches_pinned_digest(monkeypatch)
-    test_phi_batch_matches_pinned_digest()
-    test_sign_rows_equal_phi_batch_bit_for_bit()
-
-
 def test_uniform_null_is_inline_on_one_cpu(monkeypatch):
     # the digest on the caller alone, even for the (4096, 1024) chunk: any
     # thread the null started would raise here

@@ -92,6 +92,20 @@ def test_blocked_transform_memory():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("shape", [(4096, 1024), (2 * (K._WHT_BLOCK // 64) + K._WHT_BLOCK // 128, 64)])
+def test_row_transform_starts_no_thread(monkeypatch, shape):
+    # a 32 MiB batch, and two full row blocks and a partial one, on the
+    # caller alone even with a second CPU: any thread started would raise
+    def no_thread(*args, **kwargs):
+        raise AssertionError("the row transform started a thread")
+
+    monkeypatch.setattr(K, "_cpus", lambda: 2)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    a = np.random.default_rng(list(shape)).standard_normal(shape)
+    want = np.stack([K.wht_inplace_np(row.copy()) for row in a])
+    assert (K.wht_inplace_np(a) == want).all()
+
+
 @pytest.mark.parametrize("post", [1, 2, 3, 5, 15])
 def test_paths_minor_short_runs_equal_row_transform(post):
     # with post < _SHORT_RUN the first levels run with the block index
@@ -858,120 +872,6 @@ def test_hadamard_factor_is_cached_and_read_only():
     h = K._hadamard_factor(8, np.dtype(np.float32))
     assert h is K._hadamard_factor(8, np.dtype(np.float32)) and not h.flags.writeable
     npt.assert_array_equal(h, K.wht_inplace_np(np.eye(8)))
-
-
-# ---------------------------------------------------------------------------
-# Long-row transforms shared with a worker thread
-# ---------------------------------------------------------------------------
-
-
-def recorded_takers(monkeypatch, cpus=2, share_min=0):
-    """Record the thread of every _take_blocks call; every transform of two
-    blocks or more shares its blocks when ``cpus`` > 1."""
-    takers = []
-    take = K._take_blocks
-
-    def recorded(*args):
-        takers.append(threading.get_ident())
-        return take(*args)
-
-    monkeypatch.setattr(K, "_take_blocks", recorded)
-    monkeypatch.setattr(K, "_cpus", lambda: cpus)
-    monkeypatch.setattr(K, "_SHARE_MIN", share_min)
-    return takers
-
-
-def shared_shapes():
-    # one row, two full row blocks and a partial one, and a 32 MB chunk at
-    # n = 1024, in both dtypes
-    for dtype in (np.float32, np.float64):
-        for shape in ((1, 64), (2 * 512 + 100, 64), (4096, 1024)):
-            yield dtype, shape
-
-
-@pytest.mark.parametrize("dtype, shape", list(shared_shapes()), ids=lambda v: getattr(v, "__name__", str(v)))
-def test_shared_transform_equals_the_inline_one(monkeypatch, dtype, shape):
-    a = np.random.default_rng(list(shape)).choice((-1.0, 1.0), size=shape).astype(dtype)
-    a[:, 1::3] *= 3.0  # entries other than +-1 too
-    inline = K.wht_inplace_np(a.copy())
-    takers = recorded_takers(monkeypatch)
-    # the caller and the worker race for the blocks
-    assert run_bounded(K.wht_inplace_np, a.copy()).tobytes() == inline.tobytes()
-    # one taker for a single block; else the caller and a worker, at once
-    assert len(set(takers)) == len(takers) == (2 if shape[0] > 1 else 1)
-
-
-def test_one_cpu_transforms_inline(monkeypatch):
-    takers = recorded_takers(monkeypatch, cpus=1)
-    before = threading.active_count()
-    K.wht_inplace_np(np.ones((4096, 64)))
-    assert takers == [threading.get_ident()]
-    assert threading.active_count() == before
-
-
-def test_small_transforms_stay_inline(monkeypatch):
-    # 2^16 entries, (1024, 64), are under the gate; 2^18, (4096, 64), are not
-    takers = recorded_takers(monkeypatch, share_min=K._SHARE_MIN)
-    K.wht_inplace_np(np.ones((1024, 64), dtype=np.float32))
-    assert takers == [threading.get_ident()]
-    K.wht_inplace_np(np.ones((4096, 64), dtype=np.float32))
-    assert len(set(takers)) == 2
-
-
-def test_transform_worker_ends_on_return(monkeypatch):
-    takers = recorded_takers(monkeypatch)
-    before = threading.active_count()
-    a = np.ones((4096, 64))
-    assert K.wht_inplace_np(a) is a
-    assert len(takers) == 2
-    assert threading.active_count() == before
-    npt.assert_array_equal(a[:, 0], 64.0)
-
-
-def failing_blocks(monkeypatch, fails, waits):
-    """_wht_axis_np raising MemoryError on the thread ``fails`` picks and,
-    on the thread ``waits`` picks, first waiting (10 s at most) for that."""
-    failed = threading.Event()
-    wht = K._wht_axis_np
-
-    def failing_wht(*args):
-        if fails(threading.get_ident()):
-            failed.set()
-            raise MemoryError("block")
-        if waits(threading.get_ident()):
-            failed.wait(timeout=10)
-        return wht(*args)
-
-    monkeypatch.setattr(K, "_wht_axis_np", failing_wht)
-    return failed
-
-
-def test_transform_worker_ends_when_the_caller_raises(monkeypatch):
-    # the caller's first block raises; the worker stops after the block in hand
-    recorded_takers(monkeypatch)
-    caller = []
-    failing_blocks(monkeypatch, fails=lambda ident: ident in caller, waits=lambda ident: False)
-    before = threading.active_count()
-
-    def transform():
-        caller.append(threading.get_ident())
-        K.wht_inplace_np(np.ones((4096, 1024)))
-
-    with pytest.raises(MemoryError, match="block"):
-        run_bounded(transform)
-    assert threading.active_count() == before
-
-
-def test_transform_worker_error_reaches_the_caller(monkeypatch):
-    # the caller holds its first block until the worker's first one has raised
-    recorded_takers(monkeypatch)
-    caller = threading.get_ident()
-    failed = failing_blocks(monkeypatch, fails=lambda ident: ident != caller, waits=lambda ident: ident == caller)
-    before = threading.active_count()
-    with pytest.raises(MemoryError, match="block"):
-        K.wht_inplace_np(np.ones((4096, 64)))
-    assert failed.is_set()
-    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("run", [K.run_paths_dense_numpy], ids=["numpy"])
