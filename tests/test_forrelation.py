@@ -424,6 +424,15 @@ def test_uniform_signs_from_the_draws_bits(bit_generator, buffered, m, n):
     npt.assert_equal(a.bit_generator.state, b.bit_generator.state)
 
 
+def test_digests_hold_with_a_second_cpu(monkeypatch):
+    # the null, phi and the +-1 row route give the same bits whatever the
+    # CPU count
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
+    test_uniform_null_matches_pinned_digest(monkeypatch)
+    test_phi_batch_matches_pinned_digest()
+    test_sign_rows_equal_phi_batch_bit_for_bit()
+
+
 def test_uniform_null_is_inline_on_one_cpu(monkeypatch):
     # the digest on the caller alone, even for the (4096, 1024) chunk: any
     # thread the null started would raise here

@@ -106,6 +106,53 @@ def test_row_transform_starts_no_thread(monkeypatch, shape):
     assert (K.wht_inplace_np(a) == want).all()
 
 
+def row_transform_shapes():
+    # one row, two full row blocks and a partial one, and a 32 MB chunk at
+    # n = 1024, in both dtypes
+    for dtype in (np.float32, np.float64):
+        for shape in ((1, 64), (2 * (K._WHT_BLOCK // 64) + 100, 64), (4096, 1024)):
+            yield dtype, shape
+
+
+@pytest.mark.parametrize("dtype, shape", list(row_transform_shapes()), ids=lambda v: getattr(v, "__name__", str(v)))
+def test_row_transform_equals_each_row_alone_in_both_dtypes(dtype, shape):
+    a = np.random.default_rng(list(shape)).choice((-1.0, 1.0), size=shape).astype(dtype)
+    a[:, 1::3] *= 3.0  # entries other than +-1 too
+    want = np.stack([K.wht_inplace_np(row.copy()) for row in a])
+    out = K.wht_inplace_np(a)
+    assert out is a and out.dtype == dtype
+    assert out.tobytes() == want.tobytes()
+
+
+def test_row_transform_returns_its_input_and_leaves_no_thread():
+    before = threading.active_count()
+    a = np.ones((4096, 64))
+    assert K.wht_inplace_np(a) is a
+    npt.assert_array_equal(a[:, 0], 64.0)
+    npt.assert_array_equal(a[:, 1:], 0.0)
+    assert threading.active_count() == before
+
+
+def test_row_transform_error_reaches_the_caller(monkeypatch):
+    # the second row block raises: the error leaves wht_inplace_np on the
+    # caller's thread, after the first block and before the third
+    blocks = []
+    wht = K._wht_axis_np
+
+    def failing_wht(*args):
+        blocks.append(threading.get_ident())
+        if len(blocks) == 2:
+            raise MemoryError("block")
+        return wht(*args)
+
+    monkeypatch.setattr(K, "_wht_axis_np", failing_wht)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="block"):
+        K.wht_inplace_np(np.ones((4096, 64)))
+    assert blocks == [threading.get_ident()] * 2
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("post", [1, 2, 3, 5, 15])
 def test_paths_minor_short_runs_equal_row_transform(post):
     # with post < _SHORT_RUN the first levels run with the block index
