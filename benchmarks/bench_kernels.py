@@ -6,7 +6,11 @@ path) and nanoseconds per path-step of the best call.  The --json record
 holds, for every shape, the tracemalloc peak of one call in MiB
 (``peak_traced_mb``), and for each tree the CPUs this process may run on
 (``allowed_cpus``, the count its kernels gate draw-ahead on; ``cpus`` is
-the host's count).
+the host's count), and ``second_cpu_speedup``: how much faster two
+Generators fill 2^16 normals each on two threads than one after the other.
+Near 2 the second CPU was free and draw-ahead could overlap the step; near
+1 it was busy, and draw-ahead rows read as if drawn inline.  Both are
+printed before the rows.
 
 --against PARENT_SRC compares two trees in one interpreter: it imports the
 whole ``forrlab`` package under PARENT_SRC as modules of its own next to
@@ -53,6 +57,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 
@@ -364,6 +369,30 @@ def measure(calls, dt, repeat):
     return rows
 
 
+def second_cpu_speedup(size=1 << 16, repeat=15):
+    """Median time of two Generators filling ``size`` normals each one after
+    the other, over the median time of the same fills on two threads."""
+    rngs = [np.random.default_rng(k) for k in range(2)]
+    bufs = np.empty((2, size))
+
+    def fill(k):
+        rngs[k].standard_normal(out=bufs[k])
+
+    def in_turn():
+        fill(0)
+        fill(1)
+
+    def on_two_threads():
+        threads = [threading.Thread(target=fill, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+    times = alternate([lambda call=call: timed(call)[0] for call in (in_turn, on_two_threads)], repeat)
+    return statistics.median(times[0]) / statistics.median(times[1])
+
+
 def store_json(path, args, runs):
     """Write ``runs`` (label -> rows) to ``path``, each with the run's settings."""
     settings = {
@@ -423,7 +452,13 @@ def main():
         packages, labels = [load_package(args.against), packages[0]], ["before", "after"]
         tags = [" (before)", " (after)"]
     args.repeat = even_rounds(len(packages), args.repeat)
-    runs = [{"kernels": {}, "allowed_cpus": package._kernels._cpus()} for package in packages]
+    speedup = second_cpu_speedup()
+    runs = [
+        {"kernels": {}, "allowed_cpus": package._kernels._cpus(), "second_cpu_speedup": speedup}
+        for package in packages
+    ]
+    for run, tag in zip(runs, tags):
+        print(f"allowed_cpus{tag}: {run['allowed_cpus']}, second_cpu_speedup: {speedup:.2f}")
     srcs = [pathlib.Path(package.__file__).resolve().parents[1] for package in packages]
     roots = [src.parent for src in srcs]
     for name in args.perfbench:

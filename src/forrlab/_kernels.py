@@ -54,7 +54,9 @@ crossed.  Paths that never stop report tau = epsilon exactly.  The grid
 endpoint before that clamp (``x_raw``, with the generator accumulator) and
 its ``|u|^2 / n`` (``phi_raw``, with phi) are returned too: identities that
 are martingales on the grid hold exactly there, so the clamp alone carries
-the discretization error.
+the discretization error.  A run that records none of these (no stored
+point, phi or accumulator) keeps only tau and exited: its exit steps and
+survivors skip the gather, clamp and crossing placement.
 """
 
 from __future__ import annotations
@@ -470,9 +472,13 @@ def _bridge_crossings_np(r, prev, new, hvar, work):
     any whose uniform is exactly 0, ``_CANDIDATE_BLOCK`` candidates at a
     time.  Elsewhere both exponents are at most
     -40, so p < 2 e^-40 < 2^-53, below every nonzero uniform, and the
-    result is that of the full-array formula.
+    result is that of the full-array formula.  Candidates are found as one
+    flat index f = i * live + j, which reads ``prev`` and ``new`` by 1-D
+    indexing; each block splits its share of f into (i, j) for the uniforms
+    and variances.  Only f is held from block to block.
     """
     a = _BARRIER
+    live = prev.shape[1]
     near = a - np.sqrt(20.0 * hvar.max())
     cand = np.abs(prev, out=work) > near
     inside = np.abs(new, out=work) <= a
@@ -480,22 +486,25 @@ def _bridge_crossings_np(r, prev, new, hvar, work):
     if not r.all():
         cand |= r == 0.0
     cand &= inside
-    i, j = np.nonzero(cand)
+    f = np.flatnonzero(cand)
+    flat_prev, flat_new = prev.reshape(-1), new.reshape(-1)
 
-    def crossings(ci, cj):
-        pv, nv, rv, hv = prev[ci, cj], new[ci, cj], r[ci, cj], hvar[ci]
+    def crossings(fb):
+        i, j = np.divmod(fb, live)
+        pv, nv, rv, hv = flat_prev[fb], flat_new[fb], r[i, j], hvar[i]
         p_up = np.exp(-2.0 * (a - pv) * (a - nv) / hv)
         p_dn = np.exp(-2.0 * (a + pv) * (a + nv) / hv)
-        return rv < p_up + p_dn - p_up * p_dn, rv < p_up
+        return i, j, rv < p_up + p_dn - p_up * p_dn, rv < p_up
 
-    if i.size <= _CANDIDATE_BLOCK:
-        crossed, up = crossings(i, j)
-    else:
-        crossed, up = np.empty((2, i.size), dtype=bool)
-        for s in range(0, i.size, _CANDIDATE_BLOCK):
-            b = slice(s, s + _CANDIDATE_BLOCK)
-            crossed[b], up[b] = crossings(i[b], j[b])
-    return i[crossed], j[crossed], up[crossed]
+    if f.size <= _CANDIDATE_BLOCK:
+        i, j, crossed, up = crossings(f)
+        return i[crossed], j[crossed], up[crossed]
+    crossed, up = np.empty((2, f.size), dtype=bool)
+    for s in range(0, f.size, _CANDIDATE_BLOCK):
+        b = slice(s, s + _CANDIDATE_BLOCK)
+        _, _, crossed[b], up[b] = crossings(f[b])
+    i, j = np.divmod(f[crossed], live)
+    return i, j, up[crossed]
 
 
 def _structured_mixer(n):
@@ -521,7 +530,10 @@ def _dense_mixer(sig_sqrt):
 
     At dim 1 the product is one multiply, one rounding as in the matmul.  A
     one-row matmul takes another BLAS route than a taller one, so rows alone
-    in their stream block (``solo``) are redone as one-row products.
+    in their stream block (``solo``) are redone as one-row products.  The
+    product stays in the draws' ``(live, dim)`` layout and is added to the
+    state through its transpose: sig_sqrt @ g.T, in the state's layout, is
+    rounded otherwise by OpenBLAS at dims from 12 on.
     """
     dim = sig_sqrt.shape[0]
     sig_t = sig_sqrt.T
@@ -561,12 +573,14 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
     the survivors') for finalize, then the compacted state (the two swap),
     and for the bridge test the previous state and the test's scratch.
     Normals drawn ahead fill two more buffers a stream, sized by
-    ``_ahead_sizes``.
+    ``_ahead_sizes``.  With nothing recorded but tau and exited, exits and
+    survivors skip finalize.
     """
     count, dim, width = out["tau"].size, mix.dim, mix.width
     store = out["x_tau"] is not None
     want_phi = out["phi"] is not None
     want_acc = gen_coeffs is not None
+    record = store or want_phi or want_acc
 
     st_buf, spare = np.zeros(dim * count), np.empty(dim * count)
     prev_buf, work_buf = (np.empty(dim * count) for _ in range(2)) if bridge else (None, None)
@@ -646,8 +660,12 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
                 stop[cj] = True
 
             if want_acc:
+                # 0.5 * (af_prev + af_new) * h, rounded in that order, over af_prev
                 af_new = _eval_multilinear_cols_np(gen_coeffs, st)
-                acc += 0.5 * (af_prev + af_new) * h
+                trap = np.add(af_prev, af_new, out=af_prev)
+                trap *= 0.5
+                trap *= h
+                acc += trap
                 af_prev = af_new
 
             if stop.any():
@@ -656,8 +674,9 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
                 rows = alive[gone]
                 out["tau"][rows] = min(t, epsilon)
                 out["exited"][rows] = True
-                crossed = (np.cumsum(stop)[cj] - 1, ci, up) if bridge else None
-                finalize(rows, exiting_rows(gone), crossed)
+                if record:
+                    crossed = (np.cumsum(stop)[cj] - 1, ci, up) if bridge else None
+                    finalize(rows, exiting_rows(gone), crossed)
                 if want_acc:
                     out["accumulator"][rows] = acc[gone]
                     acc = acc[keep]
@@ -675,7 +694,7 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
 
     # the survivors leave as exits do, once the other scratch (views too) is free
     prev_buf = work_buf = prev = work = ahead = draw = None
-    if alive.size:
+    if record and alive.size:
         finalize(alive, exiting_rows(np.arange(alive.size)))
         if want_acc:
             out["accumulator"][alive] = acc

@@ -199,12 +199,15 @@ def _uniform_signs(rng, m: int, n: int) -> np.ndarray:
 def uniform_phi_null(n: int, samples: int, rng) -> Estimate:
     """Mean phi over independent uniform sign pairs (analytically zero).
 
-    Each chunk of ``_NULL_CHUNK`` rows draws x's signs and then y's as int8
-    (``_uniform_signs``) and takes phi as ``_kernels._phi_rows(ys, xs)``,
-    which transforms x by BLAS and dots it with y, exactly; H is symmetric,
-    so that is x^T H y.  Arguments are checked before any draw, and a chunk
-    whose two sign arrays and transform blocks would exceed
-    STORED_PATHS_BYTE_LIMIT bytes raises CapacityError.
+    Each chunk of ``_NULL_CHUNK`` rows draws x's signs as int8
+    (``_uniform_signs``), then y's one ``_kernels._sign_layout`` block of
+    rows at a time, each just before its phi
+    ``_kernels._phi_rows(ys, xs[s : s + step])``, which transforms x by
+    BLAS and dots it with y, exactly; H is symmetric, so that is x^T H y.
+    Consecutive draws continue one stream, so a chunk's y equals one draw
+    of all its rows.  Arguments are checked before any draw, and a chunk
+    whose x signs, one block of y signs and the transform blocks would
+    exceed STORED_PATHS_BYTE_LIMIT bytes raises CapacityError.
     """
     if n < 1 or n & (n - 1):
         raise ValueError("n must be a power of two >= 1")
@@ -212,7 +215,7 @@ def uniform_phi_null(n: int, samples: int, rng) -> Estimate:
         raise ValueError("samples must be >= 2")
     rows = min(_NULL_CHUNK, samples)
     step, dtype = _kernels._sign_layout(rows, n)
-    chunk = rows * n * 2 + 2 * step * n * dtype.itemsize
+    chunk = rows * n + step * n + 2 * step * n * dtype.itemsize
     if chunk > STORED_PATHS_BYTE_LIMIT:
         raise CapacityError(
             f"uniform null chunks of n = {n} hold {chunk} bytes of signs and transform blocks, over the "
@@ -224,8 +227,10 @@ def uniform_phi_null(n: int, samples: int, rng) -> Estimate:
     while done < samples:
         m = min(_NULL_CHUNK, samples - done)
         xs = _uniform_signs(rng, m, n)
-        ys = _uniform_signs(rng, m, n)
-        vals = _kernels._phi_rows(ys, xs)
+        vals = np.empty(m)
+        for s in range(0, m, step):
+            ys = _uniform_signs(rng, min(step, m - s), n)
+            vals[s : s + step] = _kernels._phi_rows(ys, xs[s : s + step])
         total += float(vals.sum())
         total_sq += float((vals**2).sum())
         done += m

@@ -175,3 +175,25 @@ def test_path_rows_call_the_kernels_with_hand_built_inputs(monkeypatch):
         for key, value in expected[name].items():
             assert same(calls[0][key], value), (name, key)
         assert dt == calls[0]["dt"], name
+
+
+def test_second_cpu_speedup_times_both_fills_of_both_streams(monkeypatch):
+    # a tiny fill: the ratio of in-turn to two-thread medians, finite and
+    # positive, and each Generator drew every round's values
+    bench = load_script()
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(bench.np.random, "default_rng", recording_rng)
+    speedup = bench.second_cpu_speedup(size=64, repeat=3)
+    assert math.isfinite(speedup) and speedup > 0.0
+    # three rounds of each mode: each stream filled 64 values six times
+    assert len(made) == 2
+    for k, rng in enumerate(made):
+        fresh = default_rng(k)
+        fresh.standard_normal(6 * 64)
+        assert rng.bit_generator.state == fresh.bit_generator.state

@@ -292,8 +292,8 @@ class TestUniformNull:
             forr.uniform_phi_null(2**22, 4096, rng)
         assert rng.bit_generator.state == state
 
-    def test_chunk_of_long_rows_peaks_under_16_mib(self):
-        # one (4096, 1024) chunk holds x and y as int8: 8 MiB
+    @staticmethod
+    def traced_peak_of_long_rows():
         forr.uniform_phi_null(1024, 4096, np.random.default_rng(0))
         tracemalloc.start()
         try:
@@ -301,7 +301,17 @@ class TestUniformNull:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        return peak
+
+    def test_chunk_of_long_rows_peaks_under_16_mib(self):
+        # one (4096, 1024) chunk holds x as int8, 4 MiB, and one 64-row
+        # block of y, 64 KiB
+        assert self.traced_peak_of_long_rows() < 16 * 2**20
+
+    def test_chunk_of_long_rows_draws_y_a_block_at_a_time(self):
+        # x's chunk, one block of y and the two float32 transform blocks
+        # (512 KiB) peaked at 4.6 MiB; all of y drawn at once took it to 8.6
+        assert self.traced_peak_of_long_rows() < 6 * 2**20
 
     def test_choice_stream_is_integers_stream(self):
         # the null draws rng.integers(0, 2, dtype=np.int32) for the signs

@@ -1161,3 +1161,86 @@ def test_bridge_candidates_give_the_full_array_masks(per_coordinate):
 def test_bridge_candidates_in_small_blocks_give_the_full_array_masks(monkeypatch, per_coordinate):
     monkeypatch.setattr(K, "_CANDIDATE_BLOCK", 7)
     test_bridge_candidates_give_the_full_array_masks(per_coordinate)
+
+
+@pytest.mark.parametrize("dim, live", [(1, 2048), (3, 1025)])
+@pytest.mark.parametrize("block", [1, 7])
+def test_flat_bridge_candidates_give_the_full_array_masks(monkeypatch, dim, live, block):
+    # the sampler's uniforms are the transpose of a C-ordered (live, dim)
+    # buffer; candidates are split into (i, j) from one flat index a block
+    # at a time, down to blocks of one
+    monkeypatch.setattr(K, "_CANDIDATE_BLOCK", block)
+    rng = np.random.default_rng([dim, live])
+    h = 1e-2
+    diag = rng.uniform(0.5, 1.0, dim)
+    hvar = np.broadcast_to(h * diag[:, None], (dim, live))
+    prev = rng.uniform(-0.5, 0.5, (dim, live))
+    new = prev + np.sqrt(hvar) * rng.standard_normal((dim, live))
+    r = rng.random((live, dim))
+    r[::97] = 0.0
+    i, j, up = K._bridge_crossings_np(r.T, prev, new, h * diag, np.empty_like(new))
+    got = np.zeros((2, dim, live), dtype=bool)
+    got[np.where(up, 0, 1), i, j] = True
+    want = full_bridge_masks(r.T, prev, new, hvar)
+    assert want[0].any() and want[1].any()
+    for g, w in zip(got, want):
+        npt.assert_array_equal(g, w)
+    # row-major (i, j) order, as a 2-D nonzero of the crossings gives
+    assert np.all(np.diff(i * live + j) > 0)
+
+
+def unrecorded_cases():
+    """Per case: the kernel, its arguments, and the keywords of its recorded run."""
+    cov3 = equicorrelated_covariance(3, 0.2)
+    dense = K.run_paths_dense_numpy
+    return {
+        "dense-d1-bridge": (dense, (5, 2100, np.eye(1), np.ones(1), 0.25 / 64, 0.25, True), {}),
+        "dense-d3-grid": (dense, (6, 1500, cov3.sqrt_matrix, np.ones(3), 0.05 / 64, 0.05), {}),
+        "structured-n4-bridge": (K.run_paths_structured_numpy, (7, 1100, 4, 0.09 / 64, 0.09, True),
+                                 dict(want_phi=True)),
+    }
+
+
+@pytest.mark.parametrize("case", list(unrecorded_cases()))
+def test_unrecorded_runs_give_the_recorded_stops(case):
+    # a run that records no endpoint, phi or accumulator skips finalize; its
+    # stops and streams are those of the recorded run
+    kernel, args, recording = unrecorded_cases()[case]
+    recorded = kernel(*args, store=True, **recording)
+    unrecorded = kernel(*args, store=False)
+    assert 0 < recorded["exited"].sum() < recorded["exited"].size
+    for key in ("tau", "exited", "stream_ids"):
+        assert recorded[key].dtype == unrecorded[key].dtype
+        assert recorded[key].tobytes() == unrecorded[key].tobytes(), key
+    assert unrecorded["x_tau"] is None
+
+
+def test_unrecorded_bridge_run_clamps_nothing(monkeypatch):
+    clip, calls = np.clip, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return clip(*args, **kwargs)
+
+    monkeypatch.setattr(np, "clip", counted)
+    kernel, args, _ = unrecorded_cases()["dense-d1-bridge"]
+    kernel(*args, store=False)
+    assert not calls
+    kernel(*args, store=True)
+    assert calls
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 64])
+def test_dense_increment_is_the_row_product(dim):
+    # every row's increment is its row of g @ sig_sqrt.T; the last row, alone
+    # in its stream block, is the one-row product.  At h = 1 the scale is
+    # exact and the state starts at zero, so the state is the increment
+    live = K.STREAM_BLOCK + 1
+    rng = np.random.default_rng(dim)
+    sig_sqrt = rng.standard_normal((dim, dim))
+    g = rng.standard_normal((live, dim))
+    st = np.zeros((dim, live))
+    K._dense_mixer(sig_sqrt)(g.copy(), st, 1.0, (live - 1,))
+    want = g @ sig_sqrt.T
+    want[-1:] = g[-1:] @ sig_sqrt.T
+    assert st.tobytes() == np.ascontiguousarray(want.T).tobytes()
