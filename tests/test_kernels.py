@@ -362,6 +362,36 @@ STRUCTURED_DIGESTS = {
         "phi": "9ceb5170c772bfa56726f9c0b06111db26f652cb4372b9e3156fa7cb40bffc10",
         "stream_ids": "5f70bf18a086007016e948b04aed3b82103a36bea41755b6cddfaf10ace3c6ef",
     },
+    # grid runs whose Kronecker factors of H differ from n64's and n1024's,
+    # pinned from the kernel that transformed every column by butterflies
+    ("n2-grid", 17, 4096, 2, 64, False, False): {
+        "x_tau": "e6409736cc41807336d9cc2700613206fc29ef8a3a7192722a0bdeea4ed35714",
+        "tau": "f50e9ad0d71bfee8a0156bf1c6da2070b94b9fb2adec6bb69daf922e40e29c86",
+        "exited": "5a9b51e9d82dab15e5f0cce0d4b9c92d5c4102b2eace9edd4094fb81ac4c26a5",
+        "phi": "0c61ae2d2c8a8348cd0564757c494cf15cc65f52d185f55427054147fc8dac94",
+        "stream_ids": "fca9dce19f407d8c610dab30dd18504584d07be73a3ae85a6f87bf90281507fc",
+    },
+    ("n16-grid", 18, 4096, 16, 64, False, False): {
+        "x_tau": "97528de6aeb3a5a105b67816e5e126c76490de431afd67efc5129500f2703125",
+        "tau": "5b17af8643e1840bdf51e976d466259da6657950ba6a9672064a32ad6101973f",
+        "exited": "94c587e8b9b6605b66701b2b74630f09d000c8eeef348016258d4ad4c1a37a1c",
+        "phi": "e01e14799c5c0a34b7dd7108f8fd56c07504f1cba7e4e4c9837f17d7df2fec57",
+        "stream_ids": "fca9dce19f407d8c610dab30dd18504584d07be73a3ae85a6f87bf90281507fc",
+    },
+    ("n128-grid", 19, 1024, 128, 64, False, False): {
+        "x_tau": "ff66ac7161ad5a7aab0425900fbc8f8eaf91cbb80cb77560a06c77742f8476e8",
+        "tau": "d9ac8c6fd8ace39f48f08819a7bb16a18e63f6495ff030c26a55f6392a0267ff",
+        "exited": "d5d27ff86e0ee810ff50432e1603f02fa27f07011f8bd1e242cd0505b8e78f7a",
+        "phi": "fc16180a971efdde2ba5f5a9a5143156b5ecfb3e8b68aa2b3a01e18c3801dfdd",
+        "stream_ids": "9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47",
+    },
+    ("n256-grid", 20, 1024, 256, 32, False, False): {
+        "x_tau": "69edb93a2f6f31032db51d857d235aad8360ceebd8f131ca2e270f2bdc3cdd7f",
+        "tau": "52c8976b6c85131ccf0c28dadeef3469afb65c350920a9b1d8a92de26134e6d2",
+        "exited": "018895d318a0c0f1c0207550da01a8f81c3f57be988f80d181650b7378b37442",
+        "phi": "20c09cc3c5d5a8f609581eb2462d2b9478b7d8f0c1ced2c8b11e93e5e4397f59",
+        "stream_ids": "9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47",
+    },
 }
 
 
@@ -1037,6 +1067,10 @@ def one_step_dim64_peak(dt, bridge):
     """Traced peak, in states, of one step of 2048 dense dim-64 paths, and
     the run's record; the state is 64 x 2048 float64 (1 MiB)."""
     dim, paths = 64, 2048
+    # numpy loads numpy.random on first use; a first run in a fresh process
+    # would trace the import's allocations (0.7 states) as the step's
+    import numpy.random  # noqa: F401
+
     tracemalloc.start()
     try:
         out = K.run_paths_dense_numpy(3, paths, np.eye(dim), np.ones(dim), dt, dt, bridge=bridge, store=False)
