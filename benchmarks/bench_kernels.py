@@ -204,6 +204,10 @@ PATH_ROWS = [
     ("structured paths n=64", 64, 4096, None, 256, dict(store=False, want_phi=True)),
     # two stream blocks in one group: the seeded sample-n16 run's shape
     ("structured paths n=16", 16, 1500, None, 256, dict(store=False, want_phi=True)),
+    # one stream block of 16 steps, the per-layer probes' larger shapes: the
+    # column transform's two factors are 16 x 16 and 32 x 32 there
+    ("structured paths n=256", 256, 1024, None, 16, dict(store=False, want_phi=True)),
+    ("structured paths n=1024", 1024, 1024, None, 16, dict(store=False, want_phi=True)),
     ("dense paths dim=4", (4, 0.2), None, None, 256, dict(store=False)),
     # verify-dynkin's bare instance
     ("dense Dynkin dim=2", (2, 0.5), None, 0.05, 1024,

@@ -94,7 +94,7 @@ def test_cli_runs_import_their_own_trees_forrlab(tmp_path, monkeypatch):
 ROW_NAMES = [
     "batched WHT 4096x128", "wht_rows_4096x1024", "wht_rows_1024x64", "multilinear eval 200x2^10",
     "structured paths n=64, 200 paths", "structured paths n=64, 4096 paths",
-    "structured paths n=16, 1500 paths",
+    "structured paths n=16, 1500 paths", "structured paths n=256, 1024 paths", "structured paths n=1024, 1024 paths",
     "dense paths dim=4, 200 paths", "dense Dynkin dim=2, 200 paths", "dense tiny dim=2, 64 paths",
     "dense bridge dim=1, 200 paths", "structured bridge n=64, 1024 paths", "uniform_null_n1024x4096",
     "sign_rows_phi_100000x64", "boolean_round_25000x128", "level2_scan_n11", "level2_scan_n12",
@@ -141,7 +141,7 @@ def test_path_rows_call_the_kernels_with_hand_built_inputs(monkeypatch):
     rows = [row(args, forrlab) for row in bench.BENCHES]
     assert [name for name, _, _ in rows] == ROW_NAMES
 
-    e64, e16, e4 = (1.0 / (8.0 * math.log(N)) for N in (128, 32, 4))
+    e64, e16, e4, e256, e1024 = (1.0 / (8.0 * math.log(N)) for N in (128, 32, 4, 512, 2048))
     phi = dict(store=False, want_phi=True)
     expected = {
         "structured paths n=64, 200 paths": bound(structured, 3, 200, 64, e64 / 256, e64, **phi),
@@ -149,6 +149,8 @@ def test_path_rows_call_the_kernels_with_hand_built_inputs(monkeypatch):
             structured, 3, 4 * K.STREAM_BLOCK, 64, e64 / 256, e64, **phi
         ),
         "structured paths n=16, 1500 paths": bound(structured, 3, 1500, 16, e16 / 256, e16, **phi),
+        "structured paths n=256, 1024 paths": bound(structured, 3, 1024, 256, e256 / 16, e256, **phi),
+        "structured paths n=1024, 1024 paths": bound(structured, 3, 1024, 1024, e1024 / 16, e1024, **phi),
         "dense paths dim=4, 200 paths": bound(
             dense, 3, 200, eigh_root(4, 0.2), np.ones(4), e4 / 256, e4, store=False
         ),
