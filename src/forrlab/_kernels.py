@@ -21,7 +21,16 @@ Two families of kernels live here:
 A single path loop over a paths-minor ``(dim, live)`` state serves both
 covariance families; a family only supplies the mixer that adds one step's
 increment (n normals through a WHT for the structured covariance, a matrix
-product with the square root for a dense one).
+product with the square root for a dense one).  A structured run under
+the grid test without an accumulator reads the bottom half Hu/sqrt(n)
+only to decide exits and in finalize, so from n = 16 on its exit test
+rounds the tops to float32 and transforms them by float32 BLAS matmuls,
+Kronecker factor by factor of H (order at most 2^5), each small enough
+to run on the calling thread.  Those bottoms are within a proven m(n) of
+the butterflies'; a column with a coordinate beyond 1/2 - m(n) gets the
+butterflies' bottom, which decides its stop, and the survivors get
+theirs before finalize, so every output keeps the butterflies' bits
+(``_structured_mixer`` has the bound).
 
 Randomness: batch kernels consume one independent RNG stream per block of
 ``STREAM_BLOCK`` paths.  Stream seeds are derived from the master seed via
@@ -99,6 +108,21 @@ _SHORT_RUN = 16
 # the largest Kronecker factor it multiplies by, 2^7
 _SIGN_BLOCK = 1 << 16
 _FACTOR_BITS = 7
+# the largest Kronecker factor of the exit test's column transform, 2^5:
+# on 1024 float32 columns 8 x 8 took 49 us at n = 64 against 82 us for
+# one factor of 64 (float64: 77 against 175 us, and 8 x 16 206 us at
+# n = 128 against 342 us for 128); the +-1 rows lose 17% at n = 64 with
+# 8 x 8, so they keep 2^7
+_COLUMN_FACTOR_BITS = 5
+# multiply-adds per matmul of that transform at most.  OpenBLAS (0.3.31 on
+# 2 vCPUs) ran products of up to 2^19 on the calling thread and woke its
+# second thread from 2^20, which then spun beside the draw-ahead worker:
+# n = 1024 runs took 1.2x the butterflies' time.  2^18 keeps a factor of 2
+_COLUMN_GEMM = 1 << 18
+# the smallest n whose grid runs take the certified exit test: below it a
+# step's butterflies are at most three levels, which the column matmuls
+# undercut by less than the flagged columns' refinement costs
+_CERTIFIED_MIN_N = 16
 # the longest +-1 rows whose transform and dot are exact in float32: their
 # partial sums are integers of magnitude at most n^1.5 = 2^24
 _FLOAT32_EXACT = 1 << 16
@@ -189,11 +213,12 @@ def _hadamard_factor(order, dtype):
     return h
 
 
-def _factor_orders(n):
-    """Orders of the Kronecker factors of H_n: as few as ``_FACTOR_BITS`` allows, near equal."""
+@functools.cache
+def _factor_orders(n, bits=_FACTOR_BITS):
+    """Orders of the Kronecker factors of H_n: as few as orders of at most 2^bits allow, near equal."""
     k = n.bit_length() - 1
-    count = max(1, -(-k // _FACTOR_BITS))
-    return [1 << (k * (i + 1) // count - k * i // count) for i in range(count)]
+    count = max(1, -(-k // bits))
+    return tuple(1 << (k * (i + 1) // count - k * i // count) for i in range(count))
 
 
 def _sign_layout(m, n):
@@ -507,21 +532,146 @@ def _bridge_crossings_np(r, prev, new, hvar, work):
     return i, j, up[crossed]
 
 
+def _beyond(x, a):
+    """Columns of x with an entry strictly outside [-a, a]: the grid exit test."""
+    return (x.max(axis=0) > a) | (x.min(axis=0) < -a)
+
+
+def _hadamard_columns(top, bot, scratch, scale=1.0):
+    """scale times the unnormalized transform of the columns of ``(n, live)`` top, into bot, by BLAS.
+
+    Each Kronecker factor H_b of ``_factor_orders(n, _COLUMN_FACTOR_BITS)``,
+    slowest index first, is ``H_b @ v.reshape(pre, b, -1)``, pre the
+    product of the factors already applied, so the paths stay the fastest
+    index and nothing is transposed; the last factor is scale H_b.  Its
+    columns go in runs of at most ``_COLUMN_GEMM / b^2``, one BLAS matmul
+    (stacked over pre) a run.  The products go between bot and scratch
+    (both shaped like top) and end in bot.  Not the butterflies' bits:
+    ``_structured_mixer`` bounds the difference.
+    """
+    orders = _factor_orders(top.shape[0], _COLUMN_FACTOR_BITS)
+    bufs = [bot, scratch] if len(orders) % 2 else [scratch, bot]
+    v, pre = top, 1
+    for i, order in enumerate(orders):
+        out = bufs[0]
+        bufs.reverse()
+        h = _hadamard_factor(order, v.dtype)
+        if i == len(orders) - 1 and scale != 1.0:
+            h = h * scale
+        src, dst = v.reshape(pre, order, -1), out.reshape(pre, order, -1)
+        step = max(1, _COLUMN_GEMM // (order * order))
+        for j in range(0, src.shape[2], step):
+            np.matmul(h, src[:, :, j : j + step], out=dst[:, :, j : j + step])
+        v, pre = out, pre * order
+
+
+def _exit_margin(n):
+    """m(n): a float32 column whose tops and bottoms are within [-(a - m), a - m] stays inside a.
+
+    The bound of ``_structured_mixer``'s docstring, for a = ``_BARRIER``.
+    """
+    k = n.bit_length() - 1
+    terms = (sum(_factor_orders(n, _COLUMN_FACTOR_BITS)) + 3) * 2.0**-24 + (k + 1) * 2.0**-53
+    return (terms * (1.0 + 2.0**-10) * math.sqrt(n) + 2.0**-53) * _BARRIER + 2.0**-100
+
+
 def _structured_mixer(n):
     """Mixer for [[I, H], [H, I]]: rows :n are u, rows n: are Hu / sqrt(n).
 
-    Once added, the normals ``g`` serve as the transform's scratch.
+    Once added, the normals ``g`` serve as the transform's scratch.  The
+    mixer's bottom half is the butterflies' transform of the top times
+    inv = 1/sqrt(n) in float64.  From n = ``_CERTIFIED_MIN_N`` on,
+    ``mix.certified`` serves runs that read the state only at the grid
+    exit test and in finalize (no bridge test, no accumulator): its step
+    only adds the increment to the top, and ``stops(st, spare)`` decides
+    the exits.  It rounds the tops to float32 in the spare buffer (the
+    step's normals are spent by then), computes their bottoms there by
+    ``_hadamard_columns`` with float32 inv in the last factor, and flags
+    the columns with a float32 top or bottom beyond e, the largest
+    float32 at most a - m(n) (a = ``_BARRIER``).  It gathers the flagged
+    columns' float64 tops into the spare buffer ``_GATHER_BLOCK`` entries
+    at a time, gives them the butterflies' bottoms (a block of columns
+    transforms to the bits of the whole state's) and decides their stop
+    from those, exactly as before; the exact bottoms go back into the
+    state for finalize, and ``settle(st, spare)`` gives the survivors
+    theirs before it.  The other columns' bottoms in the state are stale
+    until then.  Every draw, tau, stopped point and phi is the
+    butterflies'.
+
+    m(n) = ((sum b + 3) v + (k + 1) u)(1 + 2^-10) sqrt(n) a + u a +
+    2^-100, with u = 2^-53, v = 2^-24, k = log2 n and b the factor orders
+    (``_exit_margin``).  Rounding is monotone and m >= v a, so a top
+    beyond a rounds to a float32 beyond e: an unflagged column has its
+    float64 top x in [-a, a], and S = sum |x_i| <= n a.  With gamma_j = j
+    u / (1 - j u), and gamma'_j the same with v: each butterfly output is
+    a k-level tree of adds and subtracts of the +-x_i, within gamma_k S
+    of the exact Hx, and its product with the float64 inv is within
+    gamma_{k+1} inv S of inv Hx.  The float32 tops are within v |x_i|.
+    A matmul by H_b sums b exact products, in whatever order, blocking or
+    FMA BLAS uses, within gamma'_b times the sum of their magnitudes;
+    the last factor's entries are +-fl32(inv), within v inv of inv, one
+    more rounding a product.  |H| is all ones, so the float32 bottom is
+    within gamma'_{sum b + 3} (1 + v)^2 inv S of inv Hx.  The two bottoms
+    differ by at most that plus gamma_{k+1} inv S, and inv <= (1 + u) /
+    ((1 - u) sqrt(n)): within the first term of m(n) for sum b < 2^13
+    (the factor also covers m's own roundings).  a - m rounds up by at
+    most u a, and 2^-100 covers float32 underflow, whose absolute errors
+    of at most 2^-150 an operation the gamma bound does not count.  A
+    float32 bottom within [-e, e] thus has its butterfly bottom within
+    [-a, a], and the column does not stop.
     """
     inv = 1.0 / np.sqrt(n)
 
-    def mix(g, st, h, solo=()):
-        g *= np.sqrt(h)
-        top, bot = st[:n], st[n:]
-        top += g.T
-        _wht_axis_np(top[None], bot[None], g.reshape(1, n, -1))
+    def butterflies(top, bot, scratch):
+        # in place when bot is top: _wht_axis_np tells that by identity
+        src = top[None]
+        _wht_axis_np(src, src if bot is top else bot[None], scratch[None])
         bot *= inv
 
+    def add(g, st, h, solo=()):
+        g *= np.sqrt(h)
+        top = st[:n]
+        top += g.T
+
+    def mix(g, st, h, solo=()):
+        add(g, st, h)
+        butterflies(st[:n], st[n:], g.reshape(n, -1))
+
     mix.dim, mix.width = 2 * n, n
+    if n < _CERTIFIED_MIN_N:
+        return mix
+    inv32 = np.float32(inv)
+    edge = np.float32(_BARRIER - _exit_margin(n))
+    if float(edge) > _BARRIER - _exit_margin(n):
+        edge = np.nextafter(edge, np.float32(0))
+
+    def stops(st, spare):
+        live = st.shape[1]
+        flat32 = spare.view(np.float32)
+        x = _rows(flat32, 2 * n, live)
+        np.copyto(x[:n], st[:n], casting="same_kind")
+        _hadamard_columns(x[:n], x[n:], _rows(flat32[x.size :], n, live), inv32)
+        # the float32 copy is spent after the test: one abs and one max
+        stop = np.abs(x, out=x).max(axis=0) > edge
+        flagged = stop.nonzero()[0]
+        step = max(1, _GATHER_BLOCK // n)
+        for s in range(0, flagged.size, step):
+            cols = flagged[s : s + step]
+            # the block's tops, then in place their bottoms; scratch after them
+            v = _rows(spare, n, cols.size)
+            np.take(st[:n], cols, axis=1, out=v, mode="clip")
+            hit = _beyond(v, _BARRIER)
+            butterflies(v, v, _rows(spare[v.size :], n, cols.size))
+            stop[cols] = hit | _beyond(v, _BARRIER)
+            st[n:, cols] = v
+        return stop
+
+    def settle(st, spare):
+        butterflies(st[:n], st[n:], _rows(spare, n, st.shape[1]))
+
+    add.dim, add.width = 2 * n, n
+    add.stops, add.settle = stops, settle
+    mix.certified = add
     return mix
 
 
@@ -563,8 +713,12 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
     the batch record (views; None for an output not asked for), and draws
     from ``rngs[k]``.  ``mix(g, st, h, solo)`` adds one step's increment to
     the ``(mix.dim, live)`` state in place from the ``(live, mix.width)``
-    normals ``g``.  ``diag`` holds the variance rate of each coordinate, so
-    the bridge test uses step variances ``h * diag``.
+    normals ``g``.  Without the bridge test and the accumulator, a mixer's
+    ``certified`` variant steps instead where it has one: its
+    ``stops(st, spare)`` decides the grid exits and leaves the exits'
+    columns exact, and its ``settle(st, spare)`` makes the survivors'
+    exact before finalize.  ``diag`` holds the variance rate of each
+    coordinate, so the bridge test uses step variances ``h * diag``.
     ``phi_raw`` is ``|u|^2 / n`` of the top half u of the grid endpoint
     before the clamp; ``x_raw`` is that endpoint before the clamp and before
     bridge-crossed coordinates are put on the barrier.  State-sized arrays
@@ -581,6 +735,11 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
     want_phi = out["phi"] is not None
     want_acc = gen_coeffs is not None
     record = store or want_phi or want_acc
+    # the grid test alone reads the state only to decide exits and in
+    # finalize: a mixer's certified variant, where it has one, is exact there
+    certified = None if bridge or want_acc else getattr(mix, "certified", None)
+    if certified is not None:
+        mix = certified
 
     st_buf, spare = np.zeros(dim * count), np.empty(dim * count)
     prev_buf, work_buf = (np.empty(dim * count) for _ in range(2)) if bridge else (None, None)
@@ -650,7 +809,7 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
             mix(g, st, h, solo)
             t += h
 
-            stop = (st.max(axis=0) > _BARRIER) | (st.min(axis=0) < -_BARRIER)
+            stop = _beyond(st, _BARRIER) if certified is None else certified.stops(st, spare)
             if bridge:
                 r = _rows(spare, live, dim)
                 for rng, a, b in blocks:
@@ -695,6 +854,8 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
     # the survivors leave as exits do, once the other scratch (views too) is free
     prev_buf = work_buf = prev = work = ahead = draw = None
     if record and alive.size:
+        if certified is not None:
+            certified.settle(st, spare)
         finalize(alive, exiting_rows(np.arange(alive.size)))
         if want_acc:
             out["accumulator"][alive] = acc

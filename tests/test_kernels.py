@@ -181,6 +181,181 @@ def test_structured_mixer_transform_matches_row_transform(k):
         npt.assert_array_equal(st[n:], want)
 
 
+# ---------------------------------------------------------------------------
+# Certified exit test of structured grid runs
+# ---------------------------------------------------------------------------
+
+
+def mixed_states(mix, n, g):
+    """The ``(2n, live)`` state one step of ``mix`` makes from the origin with
+    normals g at h = 1 (the step's scaling by sqrt(h) is then exact)."""
+    st = np.zeros((2 * n, len(g)))
+    mix(g.copy(), st, 1.0)
+    return st
+
+
+def float32_bottoms(n, g):
+    """The certified test's float32 bottoms of the tops g.T, as float64."""
+    x = np.ascontiguousarray(g.T, dtype=np.float32)
+    bot, scratch = np.empty_like(x), np.empty_like(x)
+    K._hadamard_columns(x, bot, scratch, np.float32(1.0 / np.sqrt(n)))
+    return bot.astype(np.float64)
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_column_matmuls_stay_within_the_exit_margin(k):
+    # tops in the cube, among them the +-1/2 rows of H, whose bottoms reach
+    # sqrt(n)/2 and the largest rounding errors; the float32 route's
+    # bottoms are within m(n), less its last two terms, of the
+    # butterflies'.  Every n, also those whose runs keep the butterflies
+    n = 2**k
+    e = np.zeros((3, n))
+    e[np.arange(3), [0, n // 3, n - 1]] = 1.0
+    walsh = K.wht_inplace_np(e) * 0.5
+    rng = np.random.default_rng(k)
+    g = np.concatenate([walsh, -walsh, rng.uniform(-0.5, 0.5, (40, n))])
+    exact = mixed_states(K._structured_mixer(n), n, g)
+    npt.assert_array_equal(g.T, exact[:n])
+    gap = np.abs(float32_bottoms(n, g) - exact[n:]).max()
+    assert gap <= K._exit_margin(n) - 2.0**-53 * K._BARRIER - 2.0**-100
+    if n >= 8:
+        assert gap > 0  # the float32 route does not run the butterflies
+
+
+@pytest.mark.parametrize("n, live", [(2, 32768), (16, 4096), (64, 1024), (256, 1024), (1024, 1024)])
+def test_column_matmuls_fit_the_calling_thread(monkeypatch, n, live):
+    # every product of a group's column transform stays within
+    # _COLUMN_GEMM multiply-adds, and the runs cover every column once
+    products = []
+    matmul = np.matmul
+
+    def spy(h, v, out):
+        products.append((h.shape[0], v.shape))
+        return matmul(h, v, out=out)
+
+    top = np.random.default_rng(n).uniform(-0.5, 0.5, (n, live)).astype(np.float32)
+    bot, scratch = np.full_like(top, np.nan), np.empty_like(top)
+    monkeypatch.setattr(np, "matmul", spy)
+    K._hadamard_columns(top, bot, scratch)
+    monkeypatch.undo()
+    assert max(b * b * shape[-1] for b, shape in products) <= K._COLUMN_GEMM
+    assert sum(np.prod(shape) for _, shape in products) == n * live * len(K._factor_orders(n, K._COLUMN_FACTOR_BITS))
+    assert np.isfinite(bot).all()
+
+
+def last_bit_column(n):
+    """A top u, the coordinate i of its largest float32 bottom, and that
+    bottom, where the butterflies' bottom i is further from 0."""
+    mix = K._structured_mixer(n)
+    rng = np.random.default_rng(n)
+    for _ in range(1000):
+        g = rng.uniform(-0.5, 0.5, (1, n))
+        exact, approx = mixed_states(mix, n, g), float32_bottoms(n, g)
+        i = np.abs(approx[:, 0]).argmax()
+        a = abs(approx[i, 0])
+        if abs(exact[n + i, 0]) > a >= np.abs(g).max():
+            return g[0], i, a
+    raise AssertionError("no column found")
+
+
+class OneTop:
+    """A stand-in Generator whose normals are one fixed top, at every draw."""
+
+    def __init__(self, top):
+        self.top = top
+
+    def standard_normal(self, out):
+        out[...] = self.top
+        return out
+
+
+def test_certified_exit_follows_the_butterflies(monkeypatch):
+    # the barrier sits on the float32 bottom, inside the butterflies'
+    # bottom: the grid test must stop the path, as the butterflies do, and
+    # record the butterflies' point
+    n = 64
+    top, i, a = last_bit_column(n)
+    monkeypatch.setattr(K, "_BARRIER", a)
+    mix = K._structured_mixer(n)
+    exact = mixed_states(mix, n, top[None])
+    assert not K._beyond(float32_bottoms(n, top[None]), a)[0] and K._beyond(exact, a)[0]
+    st = mixed_states(mix.certified, n, top[None])
+    assert mix.certified.stops(st, np.empty(st.size)).tolist() == [True]
+    npt.assert_array_equal(st, exact)
+    # one path, one step of h = 1 through the sampler's loop
+    out = {
+        "tau": np.full(1, 1.0),
+        "exited": np.zeros(1, dtype=bool),
+        "x_tau": np.empty((1, 2 * n)),
+        "phi": np.empty(1),
+        "phi_raw": np.empty(1),
+        "accumulator": None,
+        "x_raw": None,
+    }
+    K._paths_block_np([OneTop(top)], out, mix, 1.0, 1.0, 1.0, False, None)
+    assert out["exited"].tolist() == [True]
+    npt.assert_array_equal(out["x_tau"][0], np.clip(exact[:, 0], -a, a))
+    # without the margin the float32 bottom alone would keep the path
+    monkeypatch.setattr(K, "_exit_margin", lambda n: 0.0)
+    mix = K._structured_mixer(n)
+    st = mixed_states(mix.certified, n, top[None])
+    assert mix.certified.stops(st, np.empty(st.size)).tolist() == [False]
+
+
+def test_grid_runs_send_only_flagged_columns_to_the_butterflies(monkeypatch):
+    # an unrecorded grid run (no finalize, no settle): every column the
+    # butterflies see has a top or butterfly bottom beyond a - 3 m(n), which
+    # holds a float32 top or bottom beyond a - m(n) (m(64) is about 4.5e-6)
+    n = 64
+    eps = 1.0 / (8.0 * np.log(2 * n))
+    for dtype in (np.float32, np.float64):
+        K._hadamard_factor(8, np.dtype(dtype))  # built by the butterflies
+    seen = []
+    wht = K._wht_axis_np
+
+    def spy(src, dst, scratch):
+        top = src.copy()
+        wht(src, dst, scratch)
+        seen.append((top[0], dst[0] * (1.0 / np.sqrt(n))))
+
+    monkeypatch.setattr(K, "_wht_axis_np", spy)
+    out = K.run_paths_structured_numpy(5, 1024, n, eps / 64, eps, store=False)
+    edge = K._BARRIER - 3 * K._exit_margin(n)
+    assert sum(top.shape[1] for top, _ in seen) >= out["exited"].sum() > 0
+    for top, bot in seen:
+        assert top.shape[0] == n
+        assert ((np.abs(top) > edge).any(axis=0) | (np.abs(bot) > edge).any(axis=0)).all()
+
+
+@pytest.mark.parametrize(
+    "bridge, generator", [(True, False), (False, True)], ids=["bridge", "generator"]
+)
+def test_bridge_and_generator_runs_transform_every_step_by_butterflies(monkeypatch, bridge, generator):
+    # both read bottoms beyond the exit test: no step takes the matmuls.  A
+    # generator table has 2^(2n) entries, so n = 2 is given a certified variant
+    monkeypatch.setattr(K, "_CERTIFIED_MIN_N", 2)
+    assert hasattr(K._structured_mixer(2), "certified")
+    calls = []
+    monkeypatch.setattr(K, "_hadamard_columns", lambda *args: calls.append(args))
+    gen = np.random.default_rng(1).standard_normal(2**4) if generator else None
+    eps = 0.09
+    out = K.run_paths_structured_numpy(7, 300, 2, eps / 16, eps, bridge=bridge, gen_coeffs=gen)
+    assert out["exited"].any() and not calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_small_grid_runs_keep_the_butterflies(monkeypatch, n):
+    # below _CERTIFIED_MIN_N a step's butterflies cost no more than the
+    # matmuls plus the flagged columns' refinement: no certified variant
+    assert n < K._CERTIFIED_MIN_N
+    assert not hasattr(K._structured_mixer(n), "certified")
+    calls = []
+    monkeypatch.setattr(K, "_hadamard_columns", lambda *args: calls.append(args))
+    eps = 1.0 / (8.0 * np.log(2 * n))
+    out = K.run_paths_structured_numpy(7, 600, n, eps / 64, eps, store=False, want_phi=True)
+    assert out["exited"].any() and not calls
+
+
 class TestMultilinearEvalKernels:
     def test_matches_naive_sum(self):
         rng = np.random.default_rng(42)
@@ -904,6 +1079,14 @@ def test_factor_orders_multiply_to_n(n):
     assert max(orders) <= 2 * min(orders)
 
 
+def test_column_factor_orders():
+    # the sampler's column transform takes factors of at most 2^5
+    orders = {n: K._factor_orders(n, K._COLUMN_FACTOR_BITS) for n in (2, 16, 32, 64, 128, 256, 1024, 2048)}
+    assert orders == {
+        2: (2,), 16: (16,), 32: (32,), 64: (8, 8), 128: (8, 16), 256: (16, 16), 1024: (32, 32), 2048: (8, 16, 16)
+    }
+
+
 def extreme_sign_rows(n):
     """+-1 int8 rows whose transform reaches magnitude n (the constant rows
     and a row of H itself, each with its negation) and two random rows."""
@@ -1090,6 +1273,26 @@ def test_a_step_where_every_path_exits_holds_no_copy_of_the_exits(bridge, states
     peak, out = one_step_dim64_peak(1.0, bridge)
     assert out["exited"].all()
     assert peak <= states
+
+
+def test_a_structured_step_where_every_column_is_flagged_copies_no_state():
+    # 2048 paths at n = 32 all exit in one step of dt = 4, so the certified
+    # exit test sends every column to the butterflies, a block of tops at a
+    # time through the spare buffer, before finalize takes the exits' rows.
+    # Both routes peaked at 2.55 states (64 x 2048 float64, 1 MiB); a copy
+    # of the flagged columns would add one
+    n, paths, dt = 32, 2048, 4.0
+    import numpy.random  # noqa: F401  (loaded on first use: see one_step_dim64_peak)
+
+    tracemalloc.start()
+    try:
+        out = K.run_paths_structured_numpy(3, paths, n, dt, dt, store=False, want_phi=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out["exited"].all()
+    assert peak <= K.working_set_bytes(paths, 2 * n, n, dt, dt, False)
+    assert peak <= 2.8 * 8 * 2 * n * paths
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.03, 0.25])
