@@ -111,14 +111,20 @@ def bench_uniform_null(args, pkg):
     return "uniform_null_n1024x4096", run, None
 
 
-def bench_sign_rows_phi(args, pkg):
-    # advantage --rounded's phi of the rounded halves: int8 bits of 1e5 stopped points at n = 64
-    bits = np.random.default_rng(args.seed).choice(np.array([-1, 1], dtype=np.int8), size=(100_000, 128))
+# +-1 row phi rows: (rows, row length).  100000x64 is advantage --rounded's
+# phi of the rounded halves, int8 bits of 1e5 stopped points at n = 64; at
+# n = 128 and 16384 the row route's Kronecker factors differ with the
+# largest factor order it allows
+SIGN_ROWS = [(100_000, 64), (50_000, 128), (400, 16384)]
+
+
+def bench_sign_rows_phi(m, n, args, pkg):
+    bits = np.random.default_rng(args.seed).choice(np.array([-1, 1], dtype=np.int8), size=(m, 2 * n))
 
     def run():
-        pkg._kernels._phi_rows(bits[:, :64], bits[:, 64:])
+        pkg._kernels._phi_rows(bits[:, :n], bits[:, n:])
 
-    return "sign_rows_phi_100000x64", run, None
+    return f"sign_rows_phi_{m}x{n}", run, None
 
 
 def bench_boolean_round(args, pkg):
@@ -418,7 +424,8 @@ def store_json(path, args, runs):
 
 BENCHES = [
     *(functools.partial(bench_wht, *row) for row in WHT_ROWS), bench_eval,
-    *(functools.partial(bench_paths, *row) for row in PATH_ROWS), bench_uniform_null, bench_sign_rows_phi,
+    *(functools.partial(bench_paths, *row) for row in PATH_ROWS), bench_uniform_null,
+    *(functools.partial(bench_sign_rows_phi, *row) for row in SIGN_ROWS),
     bench_boolean_round, functools.partial(bench_level2_scan, 11), functools.partial(bench_level2_scan, 12),
     bench_level2_scan_mc, bench_restriction_identity_n4, functools.partial(bench_restriction_identity, 8),
     functools.partial(bench_restriction_identity, 10),

@@ -97,7 +97,8 @@ ROW_NAMES = [
     "structured paths n=16, 1500 paths", "structured paths n=256, 1024 paths", "structured paths n=1024, 1024 paths",
     "dense paths dim=4, 200 paths", "dense Dynkin dim=2, 200 paths", "dense tiny dim=2, 64 paths",
     "dense bridge dim=1, 200 paths", "structured bridge n=64, 1024 paths", "uniform_null_n1024x4096",
-    "sign_rows_phi_100000x64", "boolean_round_25000x128", "level2_scan_n11", "level2_scan_n12",
+    "sign_rows_phi_100000x64", "sign_rows_phi_50000x128", "sign_rows_phi_400x16384", "boolean_round_25000x128",
+    "level2_scan_n11", "level2_scan_n12",
     "level2_scan_mc_n11x200", "restriction_identity_n4x250", "restriction_identity_n8", "restriction_identity_n10",
 ]
 
