@@ -2,15 +2,16 @@
 
 Two families of kernels live here:
 
-* one fast Walsh-Hadamard butterfly routine (unnormalized; callers
-  rescale) that serves both float rows and the sampler's paths-minor
-  columns; its short levels (contiguous runs under ``_SHORT_RUN``, such as
-  h = 1 to 8 on rows) iterate with the block index innermost.  phi =
-  (1/n) x^T H y transforms y: a float64 copy through the butterflies, or,
-  for +-1 integer rows, blocks of y through BLAS, one matmul per Kronecker
-  factor of H (order at most 2^7), in float32 up to 2^16 entries a row
-  (float64 above), which is exact: every intermediate is an integer of
-  magnitude at most n, and every partial sum of the dot one of at most
+* two Walsh-Hadamard transforms (unnormalized; callers rescale), each
+  serving both rows and the sampler's paths-minor columns: the float64
+  butterflies, whose short levels (contiguous runs under ``_SHORT_RUN``,
+  such as h = 1 to 8 on rows) iterate with the block index innermost, and
+  BLAS, one matmul per Kronecker factor of H (order at most 2^5, left
+  products of at most ``_GEMM`` multiply-adds).  phi = (1/n) x^T H y
+  transforms y: a float64 copy through the butterflies, or, for +-1
+  integer rows, blocks of y through BLAS in float32 up to 2^16 entries a
+  row (float64 above), which is exact: every intermediate is an integer
+  of magnitude at most n, and every partial sum of the dot one of at most
   n^1.5; and
 * Euler-Maruyama path loops for the stopped diffusion dX_t = sigma dB_t
   on the solid cube [-1/2, 1/2]^N, with grid-time exit detection, an
@@ -24,13 +25,11 @@ increment (n normals through a WHT for the structured covariance, a matrix
 product with the square root for a dense one).  A structured run under
 the grid test without an accumulator reads the bottom half Hu/sqrt(n)
 only to decide exits and in finalize, so from n = 16 on its exit test
-rounds the tops to float32 and transforms them by float32 BLAS matmuls,
-Kronecker factor by factor of H (order at most 2^5), each small enough
-to run on the calling thread.  Those bottoms are within a proven m(n) of
-the butterflies'; a column with a coordinate beyond 1/2 - m(n) gets the
-butterflies' bottom, which decides its stop, and the survivors get
-theirs before finalize, so every output keeps the butterflies' bits
-(``_structured_mixer`` has the bound).
+rounds the tops to float32 and transforms them by the BLAS route.  Those
+bottoms are within a proven m(n) of the butterflies'; a column with a
+coordinate beyond 1/2 - m(n) gets the butterflies' bottom, which decides
+its stop, and the survivors get theirs before finalize, so every output
+keeps the butterflies' bits (``_structured_mixer`` has the bound).
 
 Randomness: batch kernels consume one independent RNG stream per block of
 ``STREAM_BLOCK`` paths.  Stream seeds are derived from the master seed via
@@ -104,21 +103,14 @@ _WHT_BLOCK = 1 << 15  # entries per row block of wht_inplace_np (256 KiB)
 # butterfly levels whose contiguous run h * post is shorter than this run
 # with the block index innermost (runs of 16 to 128 timed alike)
 _SHORT_RUN = 16
-# entries per row block of the +-1 row transform (256 KiB of float32), and
-# the largest Kronecker factor it multiplies by, 2^7
+# entries per row block of the +-1 row transform (256 KiB of float32)
 _SIGN_BLOCK = 1 << 16
-_FACTOR_BITS = 7
-# the largest Kronecker factor of the exit test's column transform, 2^5:
-# on 1024 float32 columns 8 x 8 took 49 us at n = 64 against 82 us for
-# one factor of 64 (float64: 77 against 175 us, and 8 x 16 206 us at
-# n = 128 against 342 us for 128); the +-1 rows lose 17% at n = 64 with
-# 8 x 8, so they keep 2^7
-_COLUMN_FACTOR_BITS = 5
-# multiply-adds per matmul of that transform at most.  OpenBLAS (0.3.31 on
-# 2 vCPUs) ran products of up to 2^19 on the calling thread and woke its
-# second thread from 2^20, which then spun beside the draw-ahead worker:
-# n = 1024 runs took 1.2x the butterflies' time.  2^18 keeps a factor of 2
-_COLUMN_GEMM = 1 << 18
+# multiply-adds per left product of the BLAS transform at most.  OpenBLAS
+# (0.3.31 on 2 vCPUs) ran products of up to 2^19 on the calling thread and
+# woke its second thread from 2^20, which then spun beside the draw-ahead
+# worker: n = 1024 runs took 1.2x the butterflies' time.  2^18 keeps a
+# factor of 2
+_GEMM = 1 << 18
 # the smallest n whose grid runs take the certified exit test: below it a
 # step's butterflies are at most three levels, which the column matmuls
 # undercut by less than the flagged columns' refinement costs
@@ -134,7 +126,7 @@ def stream_seeds(master_seed: int, n_streams: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Walsh-Hadamard butterflies
+# Walsh-Hadamard transforms: butterflies, and BLAS by Kronecker factors
 # ---------------------------------------------------------------------------
 
 
@@ -197,16 +189,11 @@ def wht_inplace_np(a: np.ndarray) -> np.ndarray:
 wht_batch_numpy = wht_inplace_np
 
 
-# ---------------------------------------------------------------------------
-# phi on rows, and the exact BLAS transform of +-1 integer rows
-# ---------------------------------------------------------------------------
-
-
 @functools.cache
 def _hadamard_factor(order, dtype):
     """The read-only +-1 Sylvester matrix of ``order`` in ``dtype`` (cached)."""
     h = np.eye(order)[None]
-    # H I = H by the butterflies, not through wht_inplace_np: the +-1 row route never calls it
+    # H I = H by the butterflies, not through wht_inplace_np: the BLAS route never calls it
     _wht_axis_np(h, h, np.empty_like(h))
     h = h[0].astype(dtype)
     h.flags.writeable = False
@@ -214,11 +201,69 @@ def _hadamard_factor(order, dtype):
 
 
 @functools.cache
-def _factor_orders(n, bits=_FACTOR_BITS):
-    """Orders of the Kronecker factors of H_n: as few as orders of at most 2^bits allow, near equal."""
+def _factor_orders(n):
+    """Orders of the Kronecker factors of H_n: as few as orders of at most 2^5 allow, near equal.
+
+    On 1024 float32 columns 8 x 8 took 49 us at n = 64 against 82 us for
+    one factor of 64 (float64: 77 against 175 us, and 8 x 16 206 us at
+    n = 128 against 342 us for 128).  ``_phi_rows`` on +-1 rows took 0.79
+    ms against 1.40 ms with factors of up to 2^7 on 16 x 16384 rows, 13.1
+    against 16.4 on 50000 x 128 and 1.59 against 1.89 on 2 x 131072; at
+    n = 64 it took 1.25x the time of one factor of 64, a product OpenBLAS
+    splits over two threads (on one thread 8 x 8 was as fast).
+    """
     k = n.bit_length() - 1
-    count = max(1, -(-k // bits))
+    count = max(1, -(-k // 5))
     return tuple(1 << (k * (i + 1) // count - k * i // count) for i in range(count))
+
+
+def _hadamard_blas(src, dst, scratch, scale=1.0):
+    """scale times the unnormalized WHT along axis 1 of a ``(pre, n, post)`` array, by BLAS.
+
+    H_n is the Kronecker product of the Sylvester factors H_b of
+    ``_factor_orders(n)``.  They apply slowest index first, each as
+    ``H_b @ v.reshape(-1, b, inner)``, inner being post times the orders
+    after it, so nothing is transposed; where inner is 1 (the last factor
+    of rows), as ``v.reshape(-1, b) @ H_b``, H being symmetric.  The last
+    factor is scale H_b.  A left product runs in runs of its last axis of
+    at most ``_GEMM`` multiply-adds a matmul (stacked over the first axis),
+    which OpenBLAS keeps on the calling thread beside the sampler's
+    draw-ahead worker.  The right product is the one uncapped: it serves
+    rows only, which transform after sampling, beside no such worker.
+
+    The products alternate between ``dst`` and ``scratch`` (both shaped
+    like ``src``, their planes C-contiguous) and end in dst, except in
+    place (``src`` is dst) with an odd factor count, where they end in
+    scratch rather than copy back; returns the array that holds the result.
+    On +-1 integer values with scale 1 every product is +-1 times an
+    integer and every partial sum an integer of magnitude at most n, so
+    the result is exact in float32 for n up to 2^24, the butterflies' for
+    any blocking, summation order or thread count.  Otherwise it is not
+    the butterflies' bits: ``_structured_mixer`` bounds the difference.
+    """
+    n, post = src.shape[1:]
+    orders = _factor_orders(n)
+    bufs = [dst, scratch] if len(orders) % 2 and src is not dst else [scratch, dst]
+    v, inner = src, n * post
+    for i, order in enumerate(orders):
+        out, inner = bufs[i % 2], inner // order
+        h = _hadamard_factor(order, v.dtype)
+        if i == len(orders) - 1 and scale != 1.0:
+            h = h * scale
+        if inner == 1:
+            np.matmul(v.reshape(-1, order), h, out=out.reshape(-1, order))
+        else:
+            s, d = v.reshape(-1, order, inner), out.reshape(-1, order, inner)
+            step = max(1, _GEMM // (order * order))
+            for j in range(0, inner, step):
+                np.matmul(h, s[:, :, j : j + step], out=d[:, :, j : j + step])
+        v = out
+    return v
+
+
+# ---------------------------------------------------------------------------
+# phi on rows
+# ---------------------------------------------------------------------------
 
 
 def _sign_layout(m, n):
@@ -227,38 +272,11 @@ def _sign_layout(m, n):
     return max(1, min(m, _SIGN_BLOCK // n)), dtype
 
 
-def _sign_transform(rows, buf, spare):
-    """Unnormalized transform of +-1 integer rows, exactly, through two flat float buffers.
-
-    H_n is the Kronecker product of the Sylvester factors H_b of
-    ``_factor_orders(n)``, the last one on the fastest index.  That one is
-    ``v.reshape(-1, b) @ H_b``, and each factor before it is
-    ``H_b @ v.reshape(-1, b, inner)``, inner being the product of the
-    factors already applied: one BLAS matmul per factor, no transposes.
-    Every product is +-1 times an integer, and every partial sum is an
-    integer of magnitude at most n, so the result is exact in the buffers'
-    dtype (``_sign_layout``) for any blocking, summation order or thread
-    count.  ``rows`` is copied into ``buf``; returns a view of one buffer.
-    """
-    v, out = buf[: rows.size], spare[: rows.size]
-    np.copyto(v.reshape(rows.shape), rows)
-    inner = 1
-    for order in reversed(_factor_orders(rows.shape[1])):
-        h = _hadamard_factor(order, v.dtype)
-        if inner == 1:
-            np.matmul(v.reshape(-1, order), h, out=out.reshape(-1, order))
-        else:
-            np.matmul(h, v.reshape(-1, order, inner), out=out.reshape(-1, order, inner))
-        v, out = out, v
-        inner *= order
-    return v.reshape(rows.shape)
-
-
 def _phi_dot(x, hy):
     """Row-wise phi = (1/n) x^T H y from x and hy, the unnormalized transform of y.
 
     Summed in hy's dtype and scaled in float64.  hy is float64, or float32
-    from ``_sign_transform`` on rows of at most ``_FLOAT32_EXACT`` entries,
+    from ``_hadamard_blas`` on rows of at most ``_FLOAT32_EXACT`` entries,
     whose x is +-1 integers (cast exactly, whatever their width).  On +-1
     rows the sum is exact: the partial sums are integers of magnitude at
     most n^1.5, at most 2^24 in float32, so every route and summation order
@@ -273,9 +291,10 @@ def _phi_rows(x, y):
     """Row-wise (1/n) x^T H y for matched ``(m, n)`` arrays; neither is changed.
 
     When x and y are both integer arrays, of +-1 entries, y's rows transform
-    by BLAS a block at a time (``_sign_transform``, ``_SIGN_BLOCK`` entries,
-    at least one row) and each block is dotted with x's rows at once, all
-    exactly.  Otherwise a float64 copy of y goes through the butterflies.
+    by BLAS a block at a time (``_hadamard_blas`` in place on a copy in one
+    of two flat ``_sign_layout`` buffers, ``_SIGN_BLOCK`` entries, at least
+    one row) and each block is dotted with x's rows at once, all exactly.
+    Otherwise a float64 copy of y goes through the butterflies.
     """
     if not (np.issubdtype(x.dtype, np.integer) and np.issubdtype(y.dtype, np.integer)):
         return _phi_dot(x, wht_inplace_np(np.array(y, dtype=np.float64, order="C")))
@@ -284,7 +303,10 @@ def _phi_rows(x, y):
     bufs = np.empty((2, step * n), dtype)
     out = np.empty(m)
     for s in range(0, m, step):
-        out[s : s + step] = _phi_dot(x[s : s + step], _sign_transform(y[s : s + step], *bufs))
+        rows = y[s : s + step]
+        v, spare = (buf[: rows.size].reshape(-1, n, 1) for buf in bufs)
+        np.copyto(v[:, :, 0], rows)
+        out[s : s + step] = _phi_dot(x[s : s + step], _hadamard_blas(v, v, spare)[:, :, 0])
     return out
 
 
@@ -537,41 +559,13 @@ def _beyond(x, a):
     return (x.max(axis=0) > a) | (x.min(axis=0) < -a)
 
 
-def _hadamard_columns(top, bot, scratch, scale=1.0):
-    """scale times the unnormalized transform of the columns of ``(n, live)`` top, into bot, by BLAS.
-
-    Each Kronecker factor H_b of ``_factor_orders(n, _COLUMN_FACTOR_BITS)``,
-    slowest index first, is ``H_b @ v.reshape(pre, b, -1)``, pre the
-    product of the factors already applied, so the paths stay the fastest
-    index and nothing is transposed; the last factor is scale H_b.  Its
-    columns go in runs of at most ``_COLUMN_GEMM / b^2``, one BLAS matmul
-    (stacked over pre) a run.  The products go between bot and scratch
-    (both shaped like top) and end in bot.  Not the butterflies' bits:
-    ``_structured_mixer`` bounds the difference.
-    """
-    orders = _factor_orders(top.shape[0], _COLUMN_FACTOR_BITS)
-    bufs = [bot, scratch] if len(orders) % 2 else [scratch, bot]
-    v, pre = top, 1
-    for i, order in enumerate(orders):
-        out = bufs[0]
-        bufs.reverse()
-        h = _hadamard_factor(order, v.dtype)
-        if i == len(orders) - 1 and scale != 1.0:
-            h = h * scale
-        src, dst = v.reshape(pre, order, -1), out.reshape(pre, order, -1)
-        step = max(1, _COLUMN_GEMM // (order * order))
-        for j in range(0, src.shape[2], step):
-            np.matmul(h, src[:, :, j : j + step], out=dst[:, :, j : j + step])
-        v, pre = out, pre * order
-
-
 def _exit_margin(n):
     """m(n): a float32 column whose tops and bottoms are within [-(a - m), a - m] stays inside a.
 
     The bound of ``_structured_mixer``'s docstring, for a = ``_BARRIER``.
     """
     k = n.bit_length() - 1
-    terms = (sum(_factor_orders(n, _COLUMN_FACTOR_BITS)) + 3) * 2.0**-24 + (k + 1) * 2.0**-53
+    terms = (sum(_factor_orders(n)) + 3) * 2.0**-24 + (k + 1) * 2.0**-53
     return (terms * (1.0 + 2.0**-10) * math.sqrt(n) + 2.0**-53) * _BARRIER + 2.0**-100
 
 
@@ -586,7 +580,7 @@ def _structured_mixer(n):
     only adds the increment to the top, and ``stops(st, spare)`` decides
     the exits.  It rounds the tops to float32 in the spare buffer (the
     step's normals are spent by then), computes their bottoms there by
-    ``_hadamard_columns`` with float32 inv in the last factor, and flags
+    ``_hadamard_blas`` with float32 inv in the last factor, and flags
     the columns with a float32 top or bottom beyond e, the largest
     float32 at most a - m(n) (a = ``_BARRIER``).  It gathers the flagged
     columns' float64 tops into the spare buffer ``_GATHER_BLOCK`` entries
@@ -650,7 +644,7 @@ def _structured_mixer(n):
         flat32 = spare.view(np.float32)
         x = _rows(flat32, 2 * n, live)
         np.copyto(x[:n], st[:n], casting="same_kind")
-        _hadamard_columns(x[:n], x[n:], _rows(flat32[x.size :], n, live), inv32)
+        _hadamard_blas(x[None, :n], x[None, n:], _rows(flat32[x.size :], n, live)[None], inv32)
         # the float32 copy is spent after the test: one abs and one max
         stop = np.abs(x, out=x).max(axis=0) > edge
         flagged = stop.nonzero()[0]

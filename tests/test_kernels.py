@@ -196,10 +196,10 @@ def mixed_states(mix, n, g):
 
 def float32_bottoms(n, g):
     """The certified test's float32 bottoms of the tops g.T, as float64."""
-    x = np.ascontiguousarray(g.T, dtype=np.float32)
+    x = np.ascontiguousarray(g.T, dtype=np.float32)[None]
     bot, scratch = np.empty_like(x), np.empty_like(x)
-    K._hadamard_columns(x, bot, scratch, np.float32(1.0 / np.sqrt(n)))
-    return bot.astype(np.float64)
+    K._hadamard_blas(x, bot, scratch, np.float32(1.0 / np.sqrt(n)))
+    return bot[0].astype(np.float64)
 
 
 @pytest.mark.parametrize("k", range(12))
@@ -222,25 +222,36 @@ def test_column_matmuls_stay_within_the_exit_margin(k):
         assert gap > 0  # the float32 route does not run the butterflies
 
 
+@pytest.mark.parametrize("layout", ["columns", "rows"])
 @pytest.mark.parametrize("n, live", [(2, 32768), (16, 4096), (64, 1024), (256, 1024), (1024, 1024)])
-def test_column_matmuls_fit_the_calling_thread(monkeypatch, n, live):
-    # every product of a group's column transform stays within
-    # _COLUMN_GEMM multiply-adds, and the runs cover every column once
-    products = []
+def test_column_matmuls_fit_the_calling_thread(monkeypatch, n, live, layout):
+    # every left product of the BLAS transform, the only kind a group's
+    # (1, n, live) columns take, stays within _GEMM multiply-adds, and the
+    # runs cover every entry once a factor.  (live, n, 1) rows end in one
+    # uncapped right product, the last factor's: rows transform after
+    # sampling, beside no draw-ahead worker for BLAS's threads to spin by
+    left, right = [], []
     matmul = np.matmul
 
-    def spy(h, v, out):
-        products.append((h.shape[0], v.shape))
-        return matmul(h, v, out=out)
+    def spy(a, b, out):
+        if a.ndim == 2 and b.ndim == 3:
+            left.append((a.shape[0], b.shape))
+        else:
+            right.append(a.shape)
+        return matmul(a, b, out=out)
 
-    top = np.random.default_rng(n).uniform(-0.5, 0.5, (n, live)).astype(np.float32)
-    bot, scratch = np.full_like(top, np.nan), np.empty_like(top)
+    shape = (1, n, live) if layout == "columns" else (live, n, 1)
+    src = np.random.default_rng(n).uniform(-0.5, 0.5, shape).astype(np.float32)
+    dst, scratch = np.full_like(src, np.nan), np.empty_like(src)
     monkeypatch.setattr(np, "matmul", spy)
-    K._hadamard_columns(top, bot, scratch)
+    assert K._hadamard_blas(src, dst, scratch) is dst
     monkeypatch.undo()
-    assert max(b * b * shape[-1] for b, shape in products) <= K._COLUMN_GEMM
-    assert sum(np.prod(shape) for _, shape in products) == n * live * len(K._factor_orders(n, K._COLUMN_FACTOR_BITS))
-    assert np.isfinite(bot).all()
+    orders = K._factor_orders(n)
+    assert all(b * b * shape[-1] <= K._GEMM for b, shape in left)
+    assert len(right) == (layout == "rows")
+    entries = sum(np.prod(shape) for _, shape in left) + sum(np.prod(shape) for shape in right)
+    assert entries == n * live * len(orders)
+    assert np.isfinite(dst).all()
 
 
 def last_bit_column(n):
@@ -336,7 +347,8 @@ def test_bridge_and_generator_runs_transform_every_step_by_butterflies(monkeypat
     monkeypatch.setattr(K, "_CERTIFIED_MIN_N", 2)
     assert hasattr(K._structured_mixer(2), "certified")
     calls = []
-    monkeypatch.setattr(K, "_hadamard_columns", lambda *args: calls.append(args))
+    blas = K._hadamard_blas
+    monkeypatch.setattr(K, "_hadamard_blas", lambda *args: calls.append(args) or blas(*args))
     gen = np.random.default_rng(1).standard_normal(2**4) if generator else None
     eps = 0.09
     out = K.run_paths_structured_numpy(7, 300, 2, eps / 16, eps, bridge=bridge, gen_coeffs=gen)
@@ -350,7 +362,8 @@ def test_small_grid_runs_keep_the_butterflies(monkeypatch, n):
     assert n < K._CERTIFIED_MIN_N
     assert not hasattr(K._structured_mixer(n), "certified")
     calls = []
-    monkeypatch.setattr(K, "_hadamard_columns", lambda *args: calls.append(args))
+    blas = K._hadamard_blas
+    monkeypatch.setattr(K, "_hadamard_blas", lambda *args: calls.append(args) or blas(*args))
     eps = 1.0 / (8.0 * np.log(2 * n))
     out = K.run_paths_structured_numpy(7, 600, n, eps / 64, eps, store=False, want_phi=True)
     assert out["exited"].any() and not calls
@@ -1067,24 +1080,21 @@ def test_close_waits_only_for_the_fill_in_progress():
 
 
 # ---------------------------------------------------------------------------
-# Exact BLAS transform of +-1 integer rows
+# BLAS transform: exact on +-1 values
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 2**6, 2**7, 2**8, 2**14, 2**15, 2**17])
-def test_factor_orders_multiply_to_n(n):
-    orders = K._factor_orders(n)
-    assert np.prod(orders) == n and max(orders) <= 2**K._FACTOR_BITS
-    assert len(orders) == max(1, -(-(n.bit_length() - 1) // K._FACTOR_BITS))
-    assert max(orders) <= 2 * min(orders)
-
-
-def test_column_factor_orders():
-    # the sampler's column transform takes factors of at most 2^5
-    orders = {n: K._factor_orders(n, K._COLUMN_FACTOR_BITS) for n in (2, 16, 32, 64, 128, 256, 1024, 2048)}
+def test_factor_orders():
+    # one rule for rows and columns: as few factors of at most 2^5 as
+    # multiply to n, near equal, slowest index first
+    orders = {2**k: K._factor_orders(2**k) for k in range(18)}
     assert orders == {
-        2: (2,), 16: (16,), 32: (32,), 64: (8, 8), 128: (8, 16), 256: (16, 16), 1024: (32, 32), 2048: (8, 16, 16)
+        1: (1,), 2: (2,), 4: (4,), 8: (8,), 16: (16,), 32: (32,), 64: (8, 8), 128: (8, 16), 256: (16, 16),
+        512: (16, 32), 1024: (32, 32), 2048: (8, 16, 16), 4096: (16, 16, 16), 8192: (16, 16, 32),
+        16384: (16, 32, 32), 32768: (32, 32, 32), 65536: (16, 16, 16, 16), 131072: (16, 16, 16, 32),
     }
+    for n, factors in orders.items():
+        assert np.prod(factors) == n and max(factors) <= 32 and max(factors) <= 2 * min(factors)
 
 
 def extreme_sign_rows(n):
@@ -1110,14 +1120,45 @@ def test_sign_transform_equals_the_butterflies(monkeypatch, n, cut):
     assert np.abs(want).max() == n
     _, dtype = K._sign_layout(len(rows), n)
     assert dtype == cut
-    bufs = np.empty((2, rows.size), dtype)
-    got = K._sign_transform(rows, *bufs)
+    v, spare = np.empty((2, len(rows), n, 1), dtype)
+    np.copyto(v[:, :, 0], rows)
+    got = K._hadamard_blas(v, v, spare)[:, :, 0]
     assert got.dtype == dtype
     npt.assert_array_equal(got, want)
     # phi of every pair of rows, a block at a time, to the float route's bit
     xs, ys = np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1))
     want_phi = K._phi_rows(xs.astype(np.float64), ys.astype(np.float64))
     assert K._phi_rows(xs, ys).tobytes() == want_phi.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 16, 32, 2**11])
+def test_hadamard_blas_in_place_with_an_odd_factor_count_ends_in_scratch(n):
+    # one factor, or three: in place, the last product lands in scratch,
+    # which is returned, rather than copy back
+    assert len(K._factor_orders(n)) % 2
+    rows = extreme_sign_rows(n)
+    want = K.wht_inplace_np(rows.astype(np.float64))
+    v = rows.astype(np.float32)[:, :, None]
+    scratch = np.full_like(v, np.nan)
+    assert K._hadamard_blas(v, v, scratch) is scratch
+    npt.assert_array_equal(scratch[:, :, 0], want)
+
+
+@pytest.mark.parametrize("n", [8, 64, 2**11])
+def test_hadamard_blas_transforms_axis_1_of_pre_n_post_blocks(monkeypatch, n):
+    # +-1 values of a (pre, n, post) array with pre and post > 1, into dst
+    # and left unchanged: each line (i, :, j) transforms exactly, as the
+    # butterflies transform it.  A lowered _GEMM splits the left products'
+    # last axis into runs
+    monkeypatch.setattr(K, "_GEMM", 2**10)
+    src = np.random.default_rng(n).choice((-1.0, 1.0), size=(3, n, 5)).astype(np.float32)
+    kept = src.copy()
+    want = np.empty(src.shape)
+    K._wht_axis_np(src.astype(np.float64), want, np.empty(src.shape))
+    dst, scratch = np.full_like(src, np.nan), np.empty_like(src)
+    assert K._hadamard_blas(src, dst, scratch) is dst
+    npt.assert_array_equal(dst, want)
+    npt.assert_array_equal(src, kept)
 
 
 def test_sign_rows_take_strided_views():
