@@ -1109,10 +1109,12 @@ def extreme_sign_rows(n):
 
 
 @pytest.mark.parametrize("cut", ["float32", "float64"])
-@pytest.mark.parametrize("n", [1, 2, 2**6, 2**7, 2**8, 2**9, 2**14, 2**15])
+@pytest.mark.parametrize("n", [1, 2, 16, 32, 2**6, 2**7, 2**8, 2**9, 2**11, 2**14, 2**15])
 def test_sign_transform_equals_the_butterflies(monkeypatch, n, cut):
-    # one block of every row, in float32 and, under a lowered cut, float64;
-    # n = 2^9 has unequal factors, 16 and 32
+    # one block of every row, in place, in float32 and, under a lowered
+    # cut, float64; n = 2^9 has unequal factors, 16 and 32.  With an odd
+    # factor count (here n = 1 to 32, 2^11, 2^14 and 2^15) the last product
+    # lands in the scratch, which is returned, rather than copy back
     if cut == "float64":
         monkeypatch.setattr(K, "_FLOAT32_EXACT", 0)
     rows = extreme_sign_rows(n)
@@ -1122,26 +1124,15 @@ def test_sign_transform_equals_the_butterflies(monkeypatch, n, cut):
     assert dtype == cut
     v, spare = np.empty((2, len(rows), n, 1), dtype)
     np.copyto(v[:, :, 0], rows)
-    got = K._hadamard_blas(v, v, spare)[:, :, 0]
+    res = K._hadamard_blas(v, v, spare)
+    assert res is (spare if len(K._factor_orders(n)) % 2 else v)
+    got = res[:, :, 0]
     assert got.dtype == dtype
     npt.assert_array_equal(got, want)
     # phi of every pair of rows, a block at a time, to the float route's bit
     xs, ys = np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1))
     want_phi = K._phi_rows(xs.astype(np.float64), ys.astype(np.float64))
     assert K._phi_rows(xs, ys).tobytes() == want_phi.tobytes()
-
-
-@pytest.mark.parametrize("n", [2, 16, 32, 2**11])
-def test_hadamard_blas_in_place_with_an_odd_factor_count_ends_in_scratch(n):
-    # one factor, or three: in place, the last product lands in scratch,
-    # which is returned, rather than copy back
-    assert len(K._factor_orders(n)) % 2
-    rows = extreme_sign_rows(n)
-    want = K.wht_inplace_np(rows.astype(np.float64))
-    v = rows.astype(np.float32)[:, :, None]
-    scratch = np.full_like(v, np.nan)
-    assert K._hadamard_blas(v, v, scratch) is scratch
-    npt.assert_array_equal(scratch[:, :, 0], want)
 
 
 @pytest.mark.parametrize("n", [8, 64, 2**11])
