@@ -20,9 +20,9 @@ Two families of kernels live here:
   observable, and the forrelation statistic of the stopped point).
 
 A single path loop over a paths-minor ``(dim, live)`` state serves both
-covariance families; a family only supplies the mixer that adds one step's
-increment (n normals through a WHT for the structured covariance, a matrix
-product with the square root for a dense one).  A structured run under
+covariance families; a family only supplies its mixer (``_paths_block_np``
+has the interface): n normals and a WHT for the structured covariance, a
+matrix product with the square root for a dense one.  A structured run under
 the grid test without an accumulator reads the bottom half Hu/sqrt(n)
 only to decide exits and in finalize, so from n = 16 on its exit test
 rounds the tops to float32 and transforms them by the BLAS route.  Those
@@ -343,11 +343,12 @@ def eval_multilinear_batch_numpy(coeffs: np.ndarray, points: np.ndarray) -> np.n
 def _eval_multilinear_cols_np(coeffs, cols):
     """Multilinear evaluation at each column of a ``(N, points)`` array.
 
-    Folds the table down the first axis: variable i pairs entries 2j and
-    2j+1 as ``c[2j] + x_i * c[2j+1]``, so a paths-minor state needs no
-    transpose or tiled copy of the table.
+    ``coeffs`` is one table of 2^N entries, or a ``(2^N, points)`` array of
+    one table per column.  Folds the table down the first axis: variable i
+    pairs entries 2j and 2j+1 as ``c[2j] + x_i * c[2j+1]``, so a paths-minor
+    state needs no transpose or tiled copy of the table.
     """
-    tab = coeffs[:, None]
+    tab = coeffs.reshape(len(coeffs), -1)
     for x in cols:
         tab = tab[0::2] + x * tab[1::2]
     return tab[0]
@@ -359,9 +360,9 @@ def _eval_multilinear_cols_np(coeffs, cols):
 #
 # Both covariance families step one (dim, live) state array whose column j
 # holds live path alive[j], and differ only in the mixer that adds a step's
-# increment in place: the structured mixer turns n normals per path into
-# (u, Hu/sqrt(n)), the dense mixer multiplies dim normals by sig_sqrt.  The
-# exit and bridge tests, the trapezoid accumulator, compaction of exited
+# increment in place: the structured mixer adds n normals per path to u,
+# then settles Hu/sqrt(n); the dense mixer multiplies dim normals by sig_sqrt.
+# The exit and bridge tests, the trapezoid accumulator, compaction of exited
 # paths and finalize are shared.  Each block of a group draws its normals
 # and bridge uniforms as (live, k) arrays into its rows of one buffer.
 #
@@ -507,26 +508,26 @@ class _NormalsAhead:
         self._thread.join()
 
 
-def _bridge_crossings_np(r, prev, new, hvar, work):
+def _bridge_crossings_np(r, prev, new, h, work):
     """Bridge test on ``(dim, live)`` arrays; returns the crossed entries.
 
-    ``r`` holds the step's uniforms, ``hvar`` each coordinate's step
+    ``r`` holds the step's uniforms, ``h`` is every coordinate's step
     variance, and ``work`` is float scratch of the state's shape.
     The result is (i, j, up): coordinate i of column j crossed, upwards
     where ``up``.  A live path has ``|prev| <= 1/2``, so a coordinate can
     cross only if ``|new| <= 1/2``.  exp is evaluated only at candidates:
-    such coordinates with max(|prev|, |new|) > 1/2 - sqrt(20 max(hvar)), and
-    any whose uniform is exactly 0, ``_CANDIDATE_BLOCK`` candidates at a
-    time.  Elsewhere both exponents are at most
+    such coordinates with max(|prev|, |new|) > 1/2 - sqrt(20 h), and any
+    whose uniform is exactly 0, ``_CANDIDATE_BLOCK`` candidates at a time.
+    Elsewhere both exponents are at most
     -40, so p < 2 e^-40 < 2^-53, below every nonzero uniform, and the
     result is that of the full-array formula.  Candidates are found as one
     flat index f = i * live + j, which reads ``prev`` and ``new`` by 1-D
-    indexing; each block splits its share of f into (i, j) for the uniforms
-    and variances.  Only f is held from block to block.
+    indexing; each block splits its share of f into (i, j) for the
+    uniforms.  Only f is held from block to block.
     """
     a = _BARRIER
     live = prev.shape[1]
-    near = a - np.sqrt(20.0 * hvar.max())
+    near = a - np.sqrt(20.0 * h)
     cand = np.abs(prev, out=work) > near
     inside = np.abs(new, out=work) <= a
     cand |= work > near
@@ -538,9 +539,9 @@ def _bridge_crossings_np(r, prev, new, hvar, work):
 
     def crossings(fb):
         i, j = np.divmod(fb, live)
-        pv, nv, rv, hv = flat_prev[fb], flat_new[fb], r[i, j], hvar[i]
-        p_up = np.exp(-2.0 * (a - pv) * (a - nv) / hv)
-        p_dn = np.exp(-2.0 * (a + pv) * (a + nv) / hv)
+        pv, nv, rv = flat_prev[fb], flat_new[fb], r[i, j]
+        p_up = np.exp(-2.0 * (a - pv) * (a - nv) / h)
+        p_dn = np.exp(-2.0 * (a + pv) * (a + nv) / h)
         return i, j, rv < p_up + p_dn - p_up * p_dn, rv < p_up
 
     if f.size <= _CANDIDATE_BLOCK:
@@ -572,24 +573,23 @@ def _exit_margin(n):
 def _structured_mixer(n):
     """Mixer for [[I, H], [H, I]]: rows :n are u, rows n: are Hu / sqrt(n).
 
-    Once added, the normals ``g`` serve as the transform's scratch.  The
-    mixer's bottom half is the butterflies' transform of the top times
-    inv = 1/sqrt(n) in float64.  From n = ``_CERTIFIED_MIN_N`` on,
-    ``mix.certified`` serves runs that read the state only at the grid
-    exit test and in finalize (no bridge test, no accumulator): its step
-    only adds the increment to the top, and ``stops(st, spare)`` decides
-    the exits.  It rounds the tops to float32 in the spare buffer (the
-    step's normals are spent by then), computes their bottoms there by
-    ``_hadamard_blas`` with float32 inv in the last factor, and flags
-    the columns with a float32 top or bottom beyond e, the largest
-    float32 at most a - m(n) (a = ``_BARRIER``).  It gathers the flagged
-    columns' float64 tops into the spare buffer ``_GATHER_BLOCK`` entries
-    at a time, gives them the butterflies' bottoms (a block of columns
-    transforms to the bits of the whole state's) and decides their stop
-    from those, exactly as before; the exact bottoms go back into the
-    state for finalize, and ``settle(st, spare)`` gives the survivors
-    theirs before it.  The other columns' bottoms in the state are stale
-    until then.  Every draw, tau, stopped point and phi is the
+    ``mix`` adds the increment to the top only; ``settle(st, spare)`` gives
+    every column its bottom: the butterflies' transform of the top times
+    inv = 1/sqrt(n) in float64, with the spare buffer (the step's spent
+    normals) as scratch.  From n = ``_CERTIFIED_MIN_N`` on,
+    ``stops(st, spare)`` decides the grid exits without the butterflies,
+    for runs that read the state only there and in finalize (no bridge
+    test, no accumulator).  It rounds the tops to float32 in the spare
+    buffer, computes their bottoms there by ``_hadamard_blas`` with
+    float32 inv in the last factor, and flags the columns with a float32
+    top or bottom beyond e, the largest float32 at most a - m(n) (a =
+    ``_BARRIER``).  It gathers the flagged columns' float64 tops into the
+    spare buffer ``_GATHER_BLOCK`` entries at a time, gives them the
+    butterflies' bottoms (a block of columns transforms to the bits of the
+    whole state's) and decides their stop from those, exactly as
+    ``settle`` and the grid test would; the exact bottoms go back into the
+    state for finalize.  The other columns' bottoms in the state are stale
+    until ``settle``.  Every draw, tau, stopped point and phi is the
     butterflies'.
 
     m(n) = ((sum b + 3) v + (k + 1) u)(1 + 2^-10) sqrt(n) a + u a +
@@ -622,16 +622,15 @@ def _structured_mixer(n):
         _wht_axis_np(src, src if bot is top else bot[None], scratch[None])
         bot *= inv
 
-    def add(g, st, h, solo=()):
+    def mix(g, st, h, solo=()):
         g *= np.sqrt(h)
         top = st[:n]
         top += g.T
 
-    def mix(g, st, h, solo=()):
-        add(g, st, h)
-        butterflies(st[:n], st[n:], g.reshape(n, -1))
+    def settle(st, spare):
+        butterflies(st[:n], st[n:], _rows(spare, n, st.shape[1]))
 
-    mix.dim, mix.width = 2 * n, n
+    mix.dim, mix.width, mix.settle = 2 * n, n, settle
     if n < _CERTIFIED_MIN_N:
         return mix
     inv32 = np.float32(inv)
@@ -660,12 +659,7 @@ def _structured_mixer(n):
             st[n:, cols] = v
         return stop
 
-    def settle(st, spare):
-        butterflies(st[:n], st[n:], _rows(spare, n, st.shape[1]))
-
-    add.dim, add.width = 2 * n, n
-    add.stops, add.settle = stops, settle
-    mix.certified = add
+    mix.stops = stops
     return mix
 
 
@@ -700,19 +694,22 @@ def _dense_mixer(sig_sqrt):
     return mix
 
 
-def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
+def _paths_block_np(rngs, out, mix, dt, epsilon, bridge, gen_coeffs):
     """Step a group of stream blocks from the origin, in lockstep.
 
     Block k is rows k * STREAM_BLOCK onward of ``out``, the group's rows of
     the batch record (views; None for an output not asked for), and draws
-    from ``rngs[k]``.  ``mix(g, st, h, solo)`` adds one step's increment to
-    the ``(mix.dim, live)`` state in place from the ``(live, mix.width)``
-    normals ``g``.  Without the bridge test and the accumulator, a mixer's
-    ``certified`` variant steps instead where it has one: its
-    ``stops(st, spare)`` decides the grid exits and leaves the exits'
-    columns exact, and its ``settle(st, spare)`` makes the survivors'
-    exact before finalize.  ``diag`` holds the variance rate of each
-    coordinate, so the bridge test uses step variances ``h * diag``.
+    from ``rngs[k]``.  A covariance family is one mixer.
+    ``mix(g, st, h, solo)`` adds a step's increment from the
+    ``(live, mix.width)`` normals ``g`` to the ``(mix.dim, live)`` state, in
+    place.  The structured mixer adds only the top; its ``settle(st, spare)``
+    derives every column's bottom, and the loop settles after each step.  A
+    run without the bridge test and the accumulator reads the state only at
+    the grid test and in finalize, so where the mixer has ``stops(st,
+    spare)``, a grid test that settles only the exits' columns, the loop
+    calls it instead and settles the survivors once, before finalize.  The
+    dense mixer has neither.  Every variance rate is 1 (every accepted
+    covariance has unit diagonal): the bridge test's step variance is h.
     ``phi_raw`` is ``|u|^2 / n`` of the top half u of the grid endpoint
     before the clamp; ``x_raw`` is that endpoint before the clamp and before
     bridge-crossed coordinates are put on the barrier.  State-sized arrays
@@ -729,11 +726,10 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
     want_phi = out["phi"] is not None
     want_acc = gen_coeffs is not None
     record = store or want_phi or want_acc
+    settle = getattr(mix, "settle", None)
     # the grid test alone reads the state only to decide exits and in
-    # finalize: a mixer's certified variant, where it has one, is exact there
-    certified = None if bridge or want_acc else getattr(mix, "certified", None)
-    if certified is not None:
-        mix = certified
+    # finalize, where stops and the last settle make it exact
+    stops = None if bridge or want_acc else getattr(mix, "stops", None)
 
     st_buf, spare = np.zeros(dim * count), np.empty(dim * count)
     prev_buf, work_buf = (np.empty(dim * count) for _ in range(2)) if bridge else (None, None)
@@ -803,13 +799,15 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
             mix(g, st, h, solo)
             t += h
 
-            stop = _beyond(st, _BARRIER) if certified is None else certified.stops(st, spare)
+            if stops is None and settle is not None:
+                settle(st, spare)
+            stop = _beyond(st, _BARRIER) if stops is None else stops(st, spare)
             if bridge:
                 r = _rows(spare, live, dim)
                 for rng, a, b in blocks:
                     rng.random(out=r[a:b])
                 work = _rows(work_buf, dim, live)
-                ci, cj, up = _bridge_crossings_np(r.T, prev, st, h * diag, work)
+                ci, cj, up = _bridge_crossings_np(r.T, prev, st, h, work)
                 stop[cj] = True
 
             if want_acc:
@@ -848,8 +846,8 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
     # the survivors leave as exits do, once the other scratch (views too) is free
     prev_buf = work_buf = prev = work = ahead = draw = None
     if record and alive.size:
-        if certified is not None:
-            certified.settle(st, spare)
+        if stops is not None:
+            settle(st, spare)
         finalize(alive, exiting_rows(np.arange(alive.size)))
         if want_acc:
             out["accumulator"][alive] = acc
@@ -860,7 +858,7 @@ def _paths_block_np(rngs, out, mix, diag, dt, epsilon, bridge, gen_coeffs):
 # ---------------------------------------------------------------------------
 
 
-def _run_blocks_np(master_seed, n_samples, mix, diag, dt, epsilon, bridge, gen_coeffs, store, want_phi):
+def _run_blocks_np(master_seed, n_samples, mix, dt, epsilon, bridge, gen_coeffs, store, want_phi):
     """Allocate the per-path record once (None where not asked for); each group fills its rows."""
     if gen_coeffs is not None:
         gen_coeffs = np.ascontiguousarray(gen_coeffs, dtype=np.float64)
@@ -874,14 +872,13 @@ def _run_blocks_np(master_seed, n_samples, mix, diag, dt, epsilon, bridge, gen_c
         "accumulator": np.empty(n_samples) if want_acc else None,
         "x_raw": np.empty((n_samples, mix.dim)) if want_acc else None,
     }
-    diag = np.broadcast_to(np.asarray(diag, dtype=np.float64), (mix.dim,))
     children = stream_seeds(master_seed, -(-n_samples // STREAM_BLOCK))
     per_group = group_streams(mix.dim)
     for first in range(0, len(children), per_group):
         rows = slice(first * STREAM_BLOCK, (first + per_group) * STREAM_BLOCK)
         group = {key: None if col is None else col[rows] for key, col in out.items()}
         rngs = [np.random.default_rng(child) for child in children[first : first + per_group]]
-        _paths_block_np(rngs, group, mix, diag, dt, epsilon, bridge, gen_coeffs)
+        _paths_block_np(rngs, group, mix, dt, epsilon, bridge, gen_coeffs)
     out["stream_ids"] = np.repeat(np.arange(len(children)), STREAM_BLOCK)[:n_samples]
     return out
 
@@ -890,13 +887,18 @@ def run_paths_structured_numpy(
     master_seed, n_samples, n, dt, epsilon, bridge=False, gen_coeffs=None, store=True, want_phi=False
 ):
     return _run_blocks_np(
-        master_seed, n_samples, _structured_mixer(n), 1.0, dt, epsilon, bridge, gen_coeffs, store, want_phi
+        master_seed, n_samples, _structured_mixer(n), dt, epsilon, bridge, gen_coeffs, store, want_phi
     )
 
 
 def run_paths_dense_numpy(
     master_seed, n_samples, sig_sqrt, diag, dt, epsilon, bridge=False, gen_coeffs=None, store=True
 ):
+    """Dense paths of the root sig_sqrt.  The samplers take every variance rate
+    as 1: ``diag`` must be ones, and stays for the benchmark's positional
+    calls until ROADMAP item 5 deletes it."""
+    if not (np.asarray(diag) == 1.0).all():
+        raise ValueError("the samplers take every variance rate as 1")
     return _run_blocks_np(
-        master_seed, n_samples, _dense_mixer(sig_sqrt), diag, dt, epsilon, bridge, gen_coeffs, store, False
+        master_seed, n_samples, _dense_mixer(sig_sqrt), dt, epsilon, bridge, gen_coeffs, store, False
     )

@@ -335,10 +335,7 @@ def _pair_tables(n_vars: int) -> tuple[np.ndarray, np.ndarray]:
 def _pair_derivatives(f: BooleanFunction, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The masks of the pairs i < j and d_ij f(x), each folded as ``partial_derivative`` folds it."""
     above, rest = _pair_tables(f.n_vars)
-    tab = f.coeffs[above]
-    for xs in x[rest]:
-        tab = tab[0::2] + xs * tab[1::2]
-    return above[0], tab[0]
+    return above[0], _eval_multilinear_cols_np(f.coeffs[above], x[rest])
 
 
 def level_mass(f: BooleanFunction, k: int) -> float:

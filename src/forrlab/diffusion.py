@@ -276,7 +276,6 @@ def sample_stopped_path(cov, config: SamplerConfig, rng, gen_coeffs=None) -> Sto
     output bit for bit; use it to audit distributional behavior.
     """
     dim = cov.dim
-    diag = np.diagonal(cov.matrix) if isinstance(cov, DenseCovariance) else np.ones(dim)
     gen_coeffs = _generator_table(gen_coeffs, dim)
     want_acc = gen_coeffs is not None
 
@@ -297,7 +296,7 @@ def sample_stopped_path(cov, config: SamplerConfig, rng, gen_coeffs=None) -> Sto
             direction[:] = 0
             for i in range(dim):
                 if -BARRIER <= new[i] <= BARRIER:
-                    d = _bridge_crossing(rng, x[i], new[i], h * diag[i])
+                    d = _bridge_crossing(rng, x[i], new[i], h)
                     if d != 0:
                         direction[i] = d
                         stop = True
@@ -349,11 +348,11 @@ def sample_stopped_paths(
     gen_coeffs = _generator_table(gen_coeffs, dim)
     want_acc = gen_coeffs is not None
     if isinstance(cov, CovarianceSpec):
-        mix, diag = _kernels._structured_mixer(cov.n), 1.0
+        mix = _kernels._structured_mixer(cov.n)
     elif want_phi:
         raise ValueError("the half-correlation functional needs the structured covariance")
     else:
-        mix, diag = _kernels._dense_mixer(cov.sqrt_matrix), np.diagonal(cov.matrix).copy()
+        mix = _kernels._dense_mixer(cov.sqrt_matrix)
     # per path: tau, exited, stream id; phi, phi_raw; accumulator; x_tau, x_raw
     batch = n_samples * (17 + 16 * bool(want_phi) + 8 * want_acc + 8 * dim * (bool(store_paths) + want_acc))
     group = min(n_samples, _kernels.group_streams(dim) * _kernels.STREAM_BLOCK)
@@ -367,7 +366,7 @@ def sample_stopped_paths(
             "a smaller dimension"
         )
     raw = _kernels._run_blocks_np(
-        config.seed, n_samples, mix, diag, config.dt, config.epsilon, config.bridge_correction, gen_coeffs,
+        config.seed, n_samples, mix, config.dt, config.epsilon, config.bridge_correction, gen_coeffs,
         store_paths, want_phi,
     )
     return StoppedBatch(**raw)

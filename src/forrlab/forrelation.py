@@ -317,6 +317,8 @@ def advantage_experiment(
     """
 
     def null_and_rounding(paths, payload):
+        if include_rounded and paths.x_tau is None:
+            raise ValueError("rounding needs stored endpoints in the paths batch")
         null = uniform_phi_null(cov.n, len(paths), np.random.default_rng([config.seed, 1]))
         payload.update(
             {
@@ -326,8 +328,6 @@ def advantage_experiment(
             }
         )
         if include_rounded:
-            if paths.x_tau is None:
-                raise ValueError("rounding needs stored endpoints in the paths batch")
             bits = boolean_round(paths.x_tau, np.random.default_rng([config.seed, 2]))
             est_rounded = mean_estimate(_kernels._phi_rows(bits[:, : cov.n], bits[:, cov.n :]))
             payload["mean_phi_rounded"] = est_rounded.value

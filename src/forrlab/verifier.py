@@ -222,20 +222,20 @@ def verify_stopped_mean_bound(
     """
     if f.n_vars != cov.dim:
         raise ValueError(f"function has {f.n_vars} variables but the covariance has dimension {cov.dim}")
+    if paths is None and samples < 2:
+        raise ValueError("samples must be >= 2")
+    if paths is not None and paths.x_tau is None:
+        raise ValueError("paths batch must carry stored endpoints")
     if t is None:
         if f.n_vars > EXHAUSTIVE_VAR_LIMIT:
             raise CapacityError(
                 f"exhaustive level-2 search capped at {EXHAUSTIVE_VAR_LIMIT} variables; supply t"
             )
         t = max_restricted_level2_mass(f)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("t must be nonnegative")
     if paths is None:
-        if samples < 2:
-            raise ValueError("samples must be >= 2")
         paths = sample_stopped_paths(cov, config, samples, store_paths=True)
-    if paths.x_tau is None:
-        raise ValueError("paths batch must carry stored endpoints")
     samples = len(paths)
 
     values = _kernels.eval_multilinear_batch_numpy(f.coeffs, paths.x_tau)

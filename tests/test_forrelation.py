@@ -409,6 +409,18 @@ class TestAdvantageExperiment:
         with pytest.raises(ValueError):
             forr.advantage_experiment(cov, cfg, 100, paths=batch)
 
+    def test_rounding_without_endpoints_is_refused_before_the_null(self, monkeypatch):
+        # the null transforms a uniform pair per sample: refuse before it
+        def no_null(*args, **kwargs):
+            raise AssertionError("the uniform null ran before the endpoints check")
+
+        cov = diff.build_sigma(4)
+        cfg = diff.default_sampler_config(8, seed=42)
+        batch = diff.sample_stopped_paths(cov, cfg, 100, store_paths=False, want_phi=True)
+        monkeypatch.setattr(forr, "uniform_phi_null", no_null)
+        with pytest.raises(ValueError, match="stored endpoints"):
+            forr.advantage_experiment(cov, cfg, 100, include_rounded=True, paths=batch)
+
 
 BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64, np.random.MT19937]
 

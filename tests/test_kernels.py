@@ -177,6 +177,7 @@ def test_structured_mixer_transform_matches_row_transform(k):
     for seed, paths in ((k, 5), (k + 100, 3)):
         st = np.zeros((2 * n, paths))
         mix(np.random.default_rng(seed).standard_normal((paths, n)), st, 1.0)
+        mix.settle(st, np.empty(n * paths))
         want = K.wht_inplace_np(st[:n].T.copy()).T * (1.0 / np.sqrt(n))
         npt.assert_array_equal(st[n:], want)
 
@@ -186,11 +187,14 @@ def test_structured_mixer_transform_matches_row_transform(k):
 # ---------------------------------------------------------------------------
 
 
-def mixed_states(mix, n, g):
+def mixed_states(mix, n, g, settle=True):
     """The ``(2n, live)`` state one step of ``mix`` makes from the origin with
-    normals g at h = 1 (the step's scaling by sqrt(h) is then exact)."""
+    normals g at h = 1 (the step's scaling by sqrt(h) is then exact),
+    settled, or with its bottoms left 0."""
     st = np.zeros((2 * n, len(g)))
     mix(g.copy(), st, 1.0)
+    if settle:
+        mix.settle(st, np.empty(st.size))
     return st
 
 
@@ -290,8 +294,8 @@ def test_certified_exit_follows_the_butterflies(monkeypatch):
     mix = K._structured_mixer(n)
     exact = mixed_states(mix, n, top[None])
     assert not K._beyond(float32_bottoms(n, top[None]), a)[0] and K._beyond(exact, a)[0]
-    st = mixed_states(mix.certified, n, top[None])
-    assert mix.certified.stops(st, np.empty(st.size)).tolist() == [True]
+    st = mixed_states(mix, n, top[None], settle=False)
+    assert mix.stops(st, np.empty(st.size)).tolist() == [True]
     npt.assert_array_equal(st, exact)
     # one path, one step of h = 1 through the sampler's loop
     out = {
@@ -303,14 +307,14 @@ def test_certified_exit_follows_the_butterflies(monkeypatch):
         "accumulator": None,
         "x_raw": None,
     }
-    K._paths_block_np([OneTop(top)], out, mix, 1.0, 1.0, 1.0, False, None)
+    K._paths_block_np([OneTop(top)], out, mix, 1.0, 1.0, False, None)
     assert out["exited"].tolist() == [True]
     npt.assert_array_equal(out["x_tau"][0], np.clip(exact[:, 0], -a, a))
     # without the margin the float32 bottom alone would keep the path
     monkeypatch.setattr(K, "_exit_margin", lambda n: 0.0)
     mix = K._structured_mixer(n)
-    st = mixed_states(mix.certified, n, top[None])
-    assert mix.certified.stops(st, np.empty(st.size)).tolist() == [False]
+    st = mixed_states(mix, n, top[None], settle=False)
+    assert mix.stops(st, np.empty(st.size)).tolist() == [False]
 
 
 def test_grid_runs_send_only_flagged_columns_to_the_butterflies(monkeypatch):
@@ -343,9 +347,13 @@ def test_grid_runs_send_only_flagged_columns_to_the_butterflies(monkeypatch):
 )
 def test_bridge_and_generator_runs_transform_every_step_by_butterflies(monkeypatch, bridge, generator):
     # both read bottoms beyond the exit test: no step takes the matmuls.  A
-    # generator table has 2^(2n) entries, so n = 2 is given a certified variant
+    # generator table has 2^(2n) entries, so n = 2 is given stops.  The
+    # dense mixer adds the whole increment: it has neither settle nor stops
+    dense = K._dense_mixer(np.eye(2))
+    assert not hasattr(dense, "settle") and not hasattr(dense, "stops")
     monkeypatch.setattr(K, "_CERTIFIED_MIN_N", 2)
-    assert hasattr(K._structured_mixer(2), "certified")
+    mix = K._structured_mixer(2)
+    assert hasattr(mix, "settle") and hasattr(mix, "stops")
     calls = []
     blas = K._hadamard_blas
     monkeypatch.setattr(K, "_hadamard_blas", lambda *args: calls.append(args) or blas(*args))
@@ -358,9 +366,11 @@ def test_bridge_and_generator_runs_transform_every_step_by_butterflies(monkeypat
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_small_grid_runs_keep_the_butterflies(monkeypatch, n):
     # below _CERTIFIED_MIN_N a step's butterflies cost no more than the
-    # matmuls plus the flagged columns' refinement: no certified variant
+    # matmuls plus the flagged columns' refinement: settle, and no stops
     assert n < K._CERTIFIED_MIN_N
-    assert not hasattr(K._structured_mixer(n), "certified")
+    mix, wide = K._structured_mixer(n), K._structured_mixer(K._CERTIFIED_MIN_N)
+    assert hasattr(mix, "settle") and not hasattr(mix, "stops")
+    assert hasattr(wide, "settle") and hasattr(wide, "stops")
     calls = []
     blas = K._hadamard_blas
     monkeypatch.setattr(K, "_hadamard_blas", lambda *args: calls.append(args) or blas(*args))
@@ -1353,9 +1363,9 @@ def test_generator_fills_a_partial_last_block():
     cov = equicorrelated_covariance(2, 0.5)
     gen = np.array([0.1, -0.3, 0.2, 0.5])
     eps = 0.25
-    step = (np.ones(2), eps / 64, eps, True, gen)
+    step = (eps / 64, eps, True, gen)
     for paths in (2100, 2049):
-        out = K.run_paths_dense_numpy(31, paths, cov.sqrt_matrix, *step[:3], bridge=True, gen_coeffs=gen)
+        out = K.run_paths_dense_numpy(31, paths, cov.sqrt_matrix, np.ones(2), *step[:2], bridge=True, gen_coeffs=gen)
         parts = []
         for child, count in zip(K.stream_seeds(31, 3), (1024, 1024, paths - 2048)):
             block = {
@@ -1375,27 +1385,24 @@ def test_generator_fills_a_partial_last_block():
             npt.assert_array_equal(out[key], np.concatenate([p[key] for p in parts]))
 
 
-def full_bridge_masks(r, prev, new, hvar):
+def full_bridge_masks(r, prev, new, h):
     """The bridge test with exp over every entry, as a reference."""
     a = 0.5
     with np.errstate(over="ignore", invalid="ignore"):
-        p_up = np.exp(-2.0 * (a - prev) * (a - new) / hvar)
-        p_dn = np.exp(-2.0 * (a + prev) * (a + new) / hvar)
+        p_up = np.exp(-2.0 * (a - prev) * (a - new) / h)
+        p_dn = np.exp(-2.0 * (a + prev) * (a + new) / h)
         p = p_up + p_dn - p_up * p_dn
     crossed = (np.abs(new) <= a) & (r < p)
     up = crossed & (r < p_up)
     return up, crossed & ~up
 
 
-@pytest.mark.parametrize("per_coordinate", [False, True], ids=["unit", "diag"])
-def test_bridge_candidates_give_the_full_array_masks(per_coordinate):
+def test_bridge_candidates_give_the_full_array_masks():
     rng = np.random.default_rng(8)
     dim, live, h = 6, 4000, 1e-3
-    diag = rng.uniform(0.2, 1.0, dim) if per_coordinate else np.ones(dim)
-    hvar = np.broadcast_to(h * np.reshape(diag, (-1, 1)), (dim, live))
-    near = 0.5 - np.sqrt(20.0 * h * np.max(diag))
+    near = 0.5 - np.sqrt(20.0 * h)
     prev = rng.uniform(-0.5, 0.5, (dim, live))
-    new = prev + np.sqrt(hvar) * rng.standard_normal((dim, live))
+    new = prev + np.sqrt(h) * rng.standard_normal((dim, live))
     r = rng.random((dim, live))
     # on the candidate threshold, on the barrier, far outside (where the
     # full formula overflows), and uniforms of exactly 0 inside and out
@@ -1412,24 +1419,23 @@ def test_bridge_candidates_give_the_full_array_masks(per_coordinate):
     # just inside the candidate band, with uniforms below their crossing
     # probability: a narrower band would miss these crossings
     prev[5, :40] = new[5, :40] = 0.5 - 0.95 * (0.5 - near)
-    r[5, :40] = 0.5 * np.exp(-2.0 * (0.5 - prev[5, :40]) ** 2 / hvar[5, :40])
+    r[5, :40] = 0.5 * np.exp(-2.0 * (0.5 - prev[5, :40]) ** 2 / h)
     with np.errstate(over="raise"):
-        i, j, up = K._bridge_crossings_np(r, prev, new, hvar[:, 0].copy(), np.empty_like(new))
+        i, j, up = K._bridge_crossings_np(r, prev, new, h, np.empty_like(new))
     got = np.zeros((2, dim, live), dtype=bool)
     got[np.where(up, 0, 1), i, j] = True
-    want = full_bridge_masks(r, prev, new, hvar)
+    want = full_bridge_masks(r, prev, new, h)
     with np.errstate(over="ignore"):
-        assert np.isinf(np.exp(-2.0 * (0.5 + prev[2]) * (0.5 + new[2]) / hvar[2])).any()
+        assert np.isinf(np.exp(-2.0 * (0.5 + prev[2]) * (0.5 + new[2]) / h)).any()
     assert want[0].any() and want[1].any() and want[0][3].any() | want[1][3].any()
     assert want[0][5, :40].all()
     for g, w in zip(got, want):
         npt.assert_array_equal(g, w)
 
 
-@pytest.mark.parametrize("per_coordinate", [False, True], ids=["unit", "diag"])
-def test_bridge_candidates_in_small_blocks_give_the_full_array_masks(monkeypatch, per_coordinate):
+def test_bridge_candidates_in_small_blocks_give_the_full_array_masks(monkeypatch):
     monkeypatch.setattr(K, "_CANDIDATE_BLOCK", 7)
-    test_bridge_candidates_give_the_full_array_masks(per_coordinate)
+    test_bridge_candidates_give_the_full_array_masks()
 
 
 @pytest.mark.parametrize("dim, live", [(1, 2048), (3, 1025)])
@@ -1441,16 +1447,14 @@ def test_flat_bridge_candidates_give_the_full_array_masks(monkeypatch, dim, live
     monkeypatch.setattr(K, "_CANDIDATE_BLOCK", block)
     rng = np.random.default_rng([dim, live])
     h = 1e-2
-    diag = rng.uniform(0.5, 1.0, dim)
-    hvar = np.broadcast_to(h * diag[:, None], (dim, live))
     prev = rng.uniform(-0.5, 0.5, (dim, live))
-    new = prev + np.sqrt(hvar) * rng.standard_normal((dim, live))
+    new = prev + np.sqrt(h) * rng.standard_normal((dim, live))
     r = rng.random((live, dim))
     r[::97] = 0.0
-    i, j, up = K._bridge_crossings_np(r.T, prev, new, h * diag, np.empty_like(new))
+    i, j, up = K._bridge_crossings_np(r.T, prev, new, h, np.empty_like(new))
     got = np.zeros((2, dim, live), dtype=bool)
     got[np.where(up, 0, 1), i, j] = True
-    want = full_bridge_masks(r.T, prev, new, hvar)
+    want = full_bridge_masks(r.T, prev, new, h)
     assert want[0].any() and want[1].any()
     for g, w in zip(got, want):
         npt.assert_array_equal(g, w)
@@ -1513,3 +1517,29 @@ def test_dense_increment_is_the_row_product(dim):
     want = g @ sig_sqrt.T
     want[-1:] = g[-1:] @ sig_sqrt.T
     assert st.tobytes() == np.ascontiguousarray(want.T).tobytes()
+
+
+def test_benchmark_probe_calls_keep_their_signatures():
+    # the benchmark's probes call these wrappers with exactly these arguments
+    # and read tau; the benchmark's own tests are outside this suite, so a
+    # signature change would otherwise surface only as a failed benchmark run
+    rng = np.random.default_rng(0)
+    rows = rng.normal(size=(4, 64))
+    K.wht_batch_numpy(rows)
+    coeffs, points = rng.normal(size=2**4), rng.uniform(-0.5, 0.5, size=(8, 4))
+    assert K.eval_multilinear_batch_numpy(coeffs, points).shape == (8,)
+    eps = 1.0 / (8.0 * np.log(128))
+    out = K.run_paths_structured_numpy(1, 64, 64, eps / 4, eps, store=False, want_phi=True)
+    assert out["tau"].shape == (64,)
+    sig = equicorrelated_covariance(4, 0.2).sqrt_matrix
+    for sig_sqrt, k, bridge in ((np.eye(1), 1, True), (sig, 4, False)):
+        out = K.run_paths_dense_numpy(1, 64, sig_sqrt, np.ones(k), 0.5 / 64, 0.5, bridge=bridge, store=False)
+        assert out["tau"].shape == (64,)
+
+
+@pytest.mark.parametrize("diag", [[1.0, 2.0], [1.0, np.nan], [1.0 + 1e-13, 1.0]])
+def test_dense_wrapper_refuses_non_unit_variance_rates(diag):
+    # the samplers take every variance rate as 1; the wrapper's diag only
+    # keeps the benchmark's positional calls working
+    with pytest.raises(ValueError, match="variance rate"):
+        K.run_paths_dense_numpy(1, 8, np.eye(2), np.array(diag), 0.01, 0.1)

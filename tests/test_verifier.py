@@ -463,6 +463,38 @@ class TestStoppedMeanBound:
             ver.verify_stopped_mean_bound(f, dense_cov, dense_config, 4, t=1.0, paths=batch)
 
 
+@pytest.mark.parametrize("case", ["one sample", "no endpoints"])
+def test_stopped_mean_bound_refuses_before_the_level2_scan(monkeypatch, dense_cov, dense_config, case):
+    # the exhaustive scan visits 3^N restrictions: refuse before it
+    def no_scan(f):
+        raise AssertionError("the level-2 scan ran before the refusal")
+
+    f = bf.from_coeffs(4, np.eye(16)[0b0011])
+    batch = diff.sample_stopped_paths(dense_cov, dense_config, 4, store_paths=False)
+    monkeypatch.setattr(ver, "max_restricted_level2_mass", no_scan)
+    calls = {
+        "one sample": (lambda: ver.verify_stopped_mean_bound(f, dense_cov, dense_config, 1), "samples"),
+        "no endpoints": (
+            lambda: ver.verify_stopped_mean_bound(f, dense_cov, dense_config, 4, paths=batch),
+            "stored endpoints",
+        ),
+    }
+    call, message = calls[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_stopped_mean_bound_refuses_a_nan_t(monkeypatch, dense_cov, dense_config):
+    # NaN < 0 is false: a NaN t once reached the sampler and gave a FAIL verdict
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the kernel ran before the t check")
+
+    monkeypatch.setattr(diff._kernels, "_run_blocks_np", no_sampling)
+    f = bf.from_coeffs(4, np.eye(16)[0b0011])
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        ver.verify_stopped_mean_bound(f, dense_cov, dense_config, 100, t=float("nan"))
+
+
 @pytest.mark.parametrize("route", ["dynkin", "stopped_mean_bound", "advantage_bound", "advantage_experiment"])
 def test_one_sample_is_refused_before_sampling(monkeypatch, route):
     # a standard error needs two samples; one used to be drawn first
