@@ -69,6 +69,7 @@ survivors skip the gather, clamp and crossing placement.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import os
@@ -77,10 +78,11 @@ import threading
 
 import numpy as np
 
+from .errors import CapacityError
+
 __all__ = [
     "STREAM_BLOCK",
-    "group_streams",
-    "working_set_bytes",
+    "StoppedBatch",
     "stream_seeds",
     "wht_inplace_np",
     "wht_batch_numpy",
@@ -374,12 +376,6 @@ def _eval_multilinear_cols_np(coeffs, cols):
 # a group keeps dim x live at or below the n = 64 block's state: the
 # structured n >= 64 route steps one block at a time
 _GROUP_ENTRIES = 128 * STREAM_BLOCK
-
-
-def group_streams(dim):
-    """Stream blocks stepped in lockstep as one group at state dimension dim."""
-    return max(1, _GROUP_ENTRIES // (dim * STREAM_BLOCK))
-
 
 # a group draws its normals ahead from _AHEAD_MIN normals a step and
 # _AHEAD_TOTAL over all its steps; below either the worker's start, join and
@@ -854,41 +850,89 @@ def _paths_block_np(rngs, out, mix, dt, epsilon, bridge, gen_coeffs):
 
 
 # ---------------------------------------------------------------------------
-# Public wrappers: one RNG stream per block of STREAM_BLOCK paths
+# The batch and its one entry: one RNG stream per block of STREAM_BLOCK paths
 # ---------------------------------------------------------------------------
+
+# a sampling request is refused when the batch it returns or the working set
+# of one group of stream blocks would exceed 1 GiB, ten times the largest
+# batch the acceptance criteria store (1e5 paths at dim 128).  The working
+# set is what working_set_bytes counts for the first group: its state-sized
+# arrays, its draw-ahead buffers and the generator fold.
+STORED_PATHS_BYTE_LIMIT = 2**30
+
+
+@dataclasses.dataclass(frozen=True)
+class StoppedBatch:
+    """Vectorized batch of stopped paths.
+
+    x_tau has shape (samples, dim) or is None when storage was disabled;
+    phi and accumulator are None unless requested.  x_raw (with the
+    accumulator) is the grid endpoint before the clamp and the bridge
+    placement, and phi_raw (with phi) is |u|^2 / n of its top half.
+    stream_ids records which RNG stream produced each path.
+    """
+
+    tau: np.ndarray
+    exited: np.ndarray
+    stream_ids: np.ndarray
+    x_tau: np.ndarray | None = None
+    phi: np.ndarray | None = None
+    accumulator: np.ndarray | None = None
+    x_raw: np.ndarray | None = None
+    phi_raw: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return int(self.tau.size)
 
 
 def _run_blocks_np(master_seed, n_samples, mix, dt, epsilon, bridge, gen_coeffs, store, want_phi):
-    """Allocate the per-path record once (None where not asked for); each group fills its rows."""
-    if gen_coeffs is not None:
+    """Sample n_samples stopped paths of the family's mixer into one StoppedBatch.
+
+    A request whose batch or whose first group's working set would exceed
+    STORED_PATHS_BYTE_LIMIT bytes raises CapacityError before any draw or
+    allocation.  Then the per-path record (None where not asked for) is
+    allocated once, and each group fills its rows.
+    """
+    dim, want_acc = mix.dim, gen_coeffs is not None
+    # per path: tau, exited, stream id; phi, phi_raw; accumulator; x_tau, x_raw
+    batch = n_samples * (17 + 16 * bool(want_phi) + 8 * want_acc + 8 * dim * (bool(store) + want_acc))
+    per_group = max(1, _GROUP_ENTRIES // (dim * STREAM_BLOCK))
+    working = working_set_bytes(
+        min(n_samples, per_group * STREAM_BLOCK), dim, mix.width, dt, epsilon, bridge, 2**dim if want_acc else 0
+    )
+    if max(batch, working) > STORED_PATHS_BYTE_LIMIT:
+        raise CapacityError(
+            f"{n_samples} paths of dim {dim} hold {batch} bytes of output and a {working} byte working set, "
+            f"over the {STORED_PATHS_BYTE_LIMIT} byte limit; sample without path storage, fewer paths or "
+            "a smaller dimension"
+        )
+    children = stream_seeds(master_seed, -(-n_samples // STREAM_BLOCK))
+    if want_acc:
         gen_coeffs = np.ascontiguousarray(gen_coeffs, dtype=np.float64)
-    want_acc = gen_coeffs is not None
     out = {
         "tau": np.full(n_samples, epsilon),
         "exited": np.zeros(n_samples, dtype=bool),
-        "x_tau": np.empty((n_samples, mix.dim)) if store else None,
+        "x_tau": np.empty((n_samples, dim)) if store else None,
         "phi": np.empty(n_samples) if want_phi else None,
         "phi_raw": np.empty(n_samples) if want_phi else None,
         "accumulator": np.empty(n_samples) if want_acc else None,
-        "x_raw": np.empty((n_samples, mix.dim)) if want_acc else None,
+        "x_raw": np.empty((n_samples, dim)) if want_acc else None,
     }
-    children = stream_seeds(master_seed, -(-n_samples // STREAM_BLOCK))
-    per_group = group_streams(mix.dim)
     for first in range(0, len(children), per_group):
         rows = slice(first * STREAM_BLOCK, (first + per_group) * STREAM_BLOCK)
         group = {key: None if col is None else col[rows] for key, col in out.items()}
         rngs = [np.random.default_rng(child) for child in children[first : first + per_group]]
         _paths_block_np(rngs, group, mix, dt, epsilon, bridge, gen_coeffs)
     out["stream_ids"] = np.repeat(np.arange(len(children)), STREAM_BLOCK)[:n_samples]
-    return out
+    return StoppedBatch(**out)
 
 
 def run_paths_structured_numpy(
     master_seed, n_samples, n, dt, epsilon, bridge=False, gen_coeffs=None, store=True, want_phi=False
 ):
-    return _run_blocks_np(
+    return vars(_run_blocks_np(
         master_seed, n_samples, _structured_mixer(n), dt, epsilon, bridge, gen_coeffs, store, want_phi
-    )
+    ))
 
 
 def run_paths_dense_numpy(
@@ -899,6 +943,6 @@ def run_paths_dense_numpy(
     calls until ROADMAP item 5 deletes it."""
     if not (np.asarray(diag) == 1.0).all():
         raise ValueError("the samplers take every variance rate as 1")
-    return _run_blocks_np(
+    return vars(_run_blocks_np(
         master_seed, n_samples, _dense_mixer(sig_sqrt), dt, epsilon, bridge, gen_coeffs, store, False
-    )
+    ))

@@ -281,9 +281,8 @@ def _cmd_sweep(args) -> ExperimentReport:
         raise ValueError("--samples must be 0 (skips sampling) or >= 2")
     rows = ver.stopped_bound_profile(args.n, ell=args.ell, depth=args.depth, c=args.c, k=args.k)
     verdicts = []
-    for row in rows:
-        if args.samples == 0:
-            continue
+    # largest n first: a row past the capacity limit is refused before any row samples
+    for row in reversed(rows) if args.samples else ():
         cov = diff.build_sigma(row["n"])
         config = _build_config(args, cov, args.seed + row["n"], epsilon=row["epsilon"])
         batch = diff.sample_stopped_paths(

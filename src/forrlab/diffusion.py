@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from . import _kernels
+from ._kernels import STORED_PATHS_BYTE_LIMIT, StoppedBatch  # re-exported: the batch type and its limit
 from .errors import CapacityError
 from .report import ExperimentReport, check_upper, combine_verdicts, proportion_estimate
 
@@ -37,13 +38,6 @@ BARRIER = 0.5
 
 # dense covariance construction is quadratic in memory; keep it modest
 DENSE_DIM_LIMIT = 4096
-
-# a sampling request is refused when the batch it returns or the working set
-# of one group of stream blocks would exceed 1 GiB, ten times the largest
-# batch the acceptance criteria store (1e5 paths at dim 128).  The working
-# set is what _kernels.working_set_bytes counts for the first group: its
-# state-sized arrays, its draw-ahead buffers and the generator fold.
-STORED_PATHS_BYTE_LIMIT = 2**30
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -191,6 +185,8 @@ class SamplerConfig:
 
 def canonical_epsilon(dim: int) -> float:
     """The paper's horizon 1/(8 ln dim) for a process of dimension dim >= 2."""
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
     return 1.0 / (8.0 * math.log(dim))
 
 
@@ -198,8 +194,6 @@ def default_sampler_config(
     dim: int, dt_divisor: int = 1024, bridge_correction: bool = False, seed: int = 0
 ) -> SamplerConfig:
     """Config with horizon 1/(8 ln dim) and dt = horizon/dt_divisor."""
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
     if dt_divisor < 1:
         raise ValueError("dt_divisor must be >= 1")
     epsilon = canonical_epsilon(dim)
@@ -214,30 +208,6 @@ class StoppedSample:
     tau: float
     exited: bool
     path_accumulator: float | None = None
-
-
-@dataclasses.dataclass(frozen=True)
-class StoppedBatch:
-    """Vectorized batch of stopped paths.
-
-    x_tau has shape (samples, dim) or is None when storage was disabled;
-    phi and accumulator are None unless requested.  x_raw (with the
-    accumulator) is the grid endpoint before the clamp and the bridge
-    placement, and phi_raw (with phi) is |u|^2 / n of its top half.
-    stream_ids records which RNG stream produced each path.
-    """
-
-    tau: np.ndarray
-    exited: np.ndarray
-    stream_ids: np.ndarray
-    x_tau: np.ndarray | None = None
-    phi: np.ndarray | None = None
-    accumulator: np.ndarray | None = None
-    x_raw: np.ndarray | None = None
-    phi_raw: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return int(self.tau.size)
 
 
 def _bridge_crossing(rng, prev: float, new: float, step_var: float) -> int:
@@ -337,39 +307,24 @@ def sample_stopped_paths(
     gen_coeffs adds the generator accumulator and the pre-clamp endpoints
     x_raw, which are stored like x_tau.  Both families enter the kernel
     once, with their mixer: the fast transform for the structured family,
-    the eigendecomposition root for a dense one.  Every refusal comes
-    before that call: a bad table, want_phi on a dense covariance, and a
-    request whose returned batch or whose working set would exceed
-    STORED_PATHS_BYTE_LIMIT bytes, which raises CapacityError.
+    the eigendecomposition root for a dense one.  A bad table and want_phi
+    on a dense covariance are refused before that call; the kernel refuses
+    a request whose returned batch or whose working set would exceed
+    STORED_PATHS_BYTE_LIMIT bytes with CapacityError before any draw.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    dim = cov.dim
-    gen_coeffs = _generator_table(gen_coeffs, dim)
-    want_acc = gen_coeffs is not None
+    gen_coeffs = _generator_table(gen_coeffs, cov.dim)
     if isinstance(cov, CovarianceSpec):
         mix = _kernels._structured_mixer(cov.n)
     elif want_phi:
         raise ValueError("the half-correlation functional needs the structured covariance")
     else:
         mix = _kernels._dense_mixer(cov.sqrt_matrix)
-    # per path: tau, exited, stream id; phi, phi_raw; accumulator; x_tau, x_raw
-    batch = n_samples * (17 + 16 * bool(want_phi) + 8 * want_acc + 8 * dim * (bool(store_paths) + want_acc))
-    group = min(n_samples, _kernels.group_streams(dim) * _kernels.STREAM_BLOCK)
-    working = _kernels.working_set_bytes(
-        group, dim, mix.width, config.dt, config.epsilon, config.bridge_correction, 2**dim if want_acc else 0
-    )
-    if max(batch, working) > STORED_PATHS_BYTE_LIMIT:
-        raise CapacityError(
-            f"{n_samples} paths of dim {dim} hold {batch} bytes of output and a {working} byte working set, "
-            f"over the {STORED_PATHS_BYTE_LIMIT} byte limit; sample without path storage, fewer paths or "
-            "a smaller dimension"
-        )
-    raw = _kernels._run_blocks_np(
+    return _kernels._run_blocks_np(
         config.seed, n_samples, mix, config.dt, config.epsilon, config.bridge_correction, gen_coeffs,
         store_paths, want_phi,
     )
-    return StoppedBatch(**raw)
 
 
 # entries per block of boolean_round's checks, draws and comparison (512 KiB of doubles)

@@ -85,6 +85,8 @@ def phi_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     n = xs.shape[1]
     if n < 1 or n & (n - 1):
         raise ValueError("row length must be a power of two")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("xs and ys must be finite")
     return _kernels._phi_rows(xs, ys)
 
 

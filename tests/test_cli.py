@@ -548,6 +548,27 @@ class TestSweep:
             assert r["mean_phi"] >= r["bound_eps_over_4"]
             assert r["se_phi"] > 0.0
 
+    def test_row_past_the_capacity_limit_is_refused_before_any_row_samples(self, monkeypatch, capsys):
+        # rows sample largest n first: at this limit the n = 4 and n = 8
+        # groups of 2000 paths fit (working sets of 1.6 and 2.2 MB) and
+        # n = 16 does not (3.4 MB), so sweep exits before drawing for n = 4
+        calls = []
+        loop = _kernels._paths_block_np
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "_paths_block_np", counted)
+        monkeypatch.setattr(_kernels, "STORED_PATHS_BYTE_LIMIT", 3_000_000)
+        assert cli.main(["sweep", "--n", "4", "--samples", "2000"]) == 0
+        assert calls
+        calls.clear()
+        capsys.readouterr()
+        assert cli.main(["sweep", "--n", "4..16", "--samples", "2000"]) == 64
+        assert calls == []
+        assert "byte limit" in capsys.readouterr().err
+
     def test_bad_range_is_usage_error(self):
         proc = run_cli("sweep", "--n", "12..48", "--samples", "0")
         assert proc.returncode == 64

@@ -154,6 +154,12 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             diff.default_sampler_config(1)
 
+    @pytest.mark.parametrize("dim", [1, 0, -3])
+    def test_canonical_epsilon_refuses_dim_below_two(self, dim):
+        # 1/(8 ln 1) divided by zero and ln 0 was a math domain error
+        with pytest.raises(ValueError, match="dim must be >= 2"):
+            diff.canonical_epsilon(dim)
+
 
 class TestSingleReferencePath:
     def test_short_horizon_stays_near_origin(self):
@@ -314,7 +320,7 @@ class TestBatchSampling:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the kernel ran before the capacity check")
 
-        monkeypatch.setattr(diff._kernels, "_run_blocks_np", no_sampling)
+        monkeypatch.setattr(diff._kernels, "stream_seeds", no_sampling)
         cov = diff.build_sigma(1024)
         cfg = diff.default_sampler_config(cov.dim)
         with pytest.raises(CapacityError):
@@ -332,7 +338,7 @@ class TestBatchSampling:
         def reached(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(diff._kernels, "_run_blocks_np", reached)
+        monkeypatch.setattr(diff._kernels, "stream_seeds", reached)
         cov = diff.equicorrelated_covariance(2, 0.5)
         cfg = diff.SamplerConfig(0.05, 0.05 / 64)
         n = diff.STORED_PATHS_BYTE_LIMIT // 41
@@ -354,8 +360,8 @@ class TestBatchSampling:
         def reached(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(diff._kernels, "_run_blocks_np", reached)
-        monkeypatch.setattr(diff, "STORED_PATHS_BYTE_LIMIT", 200_000 * 33)
+        monkeypatch.setattr(diff._kernels, "stream_seeds", reached)
+        monkeypatch.setattr(diff._kernels, "STORED_PATHS_BYTE_LIMIT", 200_000 * 33)
         cov = diff.build_sigma(1)
         cfg = diff.SamplerConfig(0.05, 0.05 / 64)
         with pytest.raises(Reached):
@@ -370,8 +376,8 @@ class TestBatchSampling:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the kernel ran before the capacity check")
 
-        monkeypatch.setattr(diff._kernels, "_run_blocks_np", no_sampling)
-        monkeypatch.setattr(diff, "STORED_PATHS_BYTE_LIMIT", 4 * 2**20)
+        monkeypatch.setattr(diff._kernels, "stream_seeds", no_sampling)
+        monkeypatch.setattr(diff._kernels, "STORED_PATHS_BYTE_LIMIT", 4 * 2**20)
         cov = diff.equicorrelated_covariance(8, 0.1)
         cfg = diff.SamplerConfig(0.05, 0.05 / 64)
         with pytest.raises(CapacityError, match="729088 bytes of output and a 20709376 byte working set"):
@@ -436,7 +442,7 @@ class TestBatchSampling:
             tracemalloc.stop()
         held = sum(v.nbytes for v in vars(batch).values() if isinstance(v, np.ndarray))
         assert peak <= working + held
-        monkeypatch.setattr(diff, "STORED_PATHS_BYTE_LIMIT", working - 1)
+        monkeypatch.setattr(diff._kernels, "STORED_PATHS_BYTE_LIMIT", working - 1)
         with pytest.raises(CapacityError, match=f"a {working} byte working set"):
             diff.sample_stopped_paths(cov, cfg, 2048, store_paths=False)
 
@@ -466,7 +472,7 @@ class TestBatchSampling:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the kernel ran before the capacity check")
 
-        monkeypatch.setattr(diff._kernels, "_run_blocks_np", no_sampling)
+        monkeypatch.setattr(diff._kernels, "stream_seeds", no_sampling)
         cov = diff.build_sigma(2**17)
         cfg = diff.default_sampler_config(cov.dim)
         with pytest.raises(CapacityError):
@@ -478,7 +484,7 @@ class TestBatchSampling:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the kernel ran before the capacity check")
 
-        monkeypatch.setattr(diff._kernels, "_run_blocks_np", no_sampling)
+        monkeypatch.setattr(diff._kernels, "stream_seeds", no_sampling)
         cov = diff.build_sigma(2**14)
         cfg = diff.default_sampler_config(cov.dim, bridge_correction=True)
         with pytest.raises(CapacityError):

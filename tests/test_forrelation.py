@@ -67,6 +67,17 @@ class TestPhi:
         with pytest.raises(ValueError):
             forr.phi([np.inf, 1.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["xs", "ys"])
+    def test_batch_refuses_non_finite_inputs_as_phi_does(self, bad, side):
+        # phi_batch returned nan or inf for such a row, where phi raises
+        rows = {"xs": np.ones((2, 2)), "ys": np.ones((2, 2))}
+        rows[side][1, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            forr.phi(rows["xs"][1], rows["ys"][1])
+        with pytest.raises(ValueError, match="xs and ys must be finite"):
+            forr.phi_batch(rows["xs"], rows["ys"])
+
     def test_batch_matches_single_and_keeps_input(self):
         rng = np.random.default_rng(5)
         xs = rng.uniform(-1, 1, size=(9, 8))

@@ -1,5 +1,6 @@
 """Kernel-level tests: transform oracles, pinned digests, path invariants."""
 
+import dataclasses
 import hashlib
 import sys
 import threading
@@ -13,6 +14,7 @@ import pytest
 
 from forrlab import _kernels as K
 from forrlab.diffusion import equicorrelated_covariance
+from forrlab.errors import CapacityError
 from oracles import direct_wht_oracle, naive_multilinear
 
 
@@ -1529,12 +1531,68 @@ def test_benchmark_probe_calls_keep_their_signatures():
     coeffs, points = rng.normal(size=2**4), rng.uniform(-0.5, 0.5, size=(8, 4))
     assert K.eval_multilinear_batch_numpy(coeffs, points).shape == (8,)
     eps = 1.0 / (8.0 * np.log(128))
+    fields = {field.name for field in dataclasses.fields(K.StoppedBatch)}
     out = K.run_paths_structured_numpy(1, 64, 64, eps / 4, eps, store=False, want_phi=True)
     assert out["tau"].shape == (64,)
+    assert set(out) == fields
     sig = equicorrelated_covariance(4, 0.2).sqrt_matrix
     for sig_sqrt, k, bridge in ((np.eye(1), 1, True), (sig, 4, False)):
         out = K.run_paths_dense_numpy(1, 64, sig_sqrt, np.ones(k), 0.5 / 64, 0.5, bridge=bridge, store=False)
         assert out["tau"].shape == (64,)
+        assert set(out) == fields
+
+
+def wrapper_request(family, n_samples, store, phi, gen):
+    """One wrapper call at dim 2 (structured n = 1, or dense gamma 0.5), eps 0.05, dt eps/8."""
+    table = np.arange(4.0) if gen else None
+    kw = dict(gen_coeffs=table, store=store)
+    if family == "structured":
+        return K.run_paths_structured_numpy(5, n_samples, 1, 0.05 / 8, 0.05, want_phi=phi, **kw)
+    sig_sqrt = equicorrelated_covariance(2, 0.5).sqrt_matrix
+    return K.run_paths_dense_numpy(5, n_samples, sig_sqrt, np.ones(2), 0.05 / 8, 0.05, **kw)
+
+
+@pytest.mark.parametrize("family", ["structured", "dense"])
+def test_wrappers_refuse_over_capacity_before_any_draw(monkeypatch, family):
+    # the wrappers enter the kernel as the sampler does, so the capacity rule
+    # bounds them too: 2^20 paths would allocate 8 MiB of tau alone
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the kernel drew before the capacity check")
+
+    monkeypatch.setattr(K, "stream_seeds", no_draws)
+    monkeypatch.setattr(K, "STORED_PATHS_BYTE_LIMIT", 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="over the 1048576 byte limit"):
+            wrapper_request(family, 2**20, store=True, phi=False, gen=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+# (family, store, phi, generator table): the dense family has no phi
+BATCH_REQUESTS = [
+    (family, store, phi, gen)
+    for family in ("structured", "dense")
+    for store in (False, True)
+    for phi in ((False, True) if family == "structured" else (False,))
+    for gen in (False, True)
+]
+
+
+@pytest.mark.parametrize("family, store, phi, gen", BATCH_REQUESTS)
+def test_refused_output_bytes_are_the_returned_batch_bytes(monkeypatch, family, store, phi, gen):
+    # the rule counts the batch before allocating it: a field the kernel
+    # returns without its bytes in the count fails here.  1500 paths span
+    # two stream blocks
+    with monkeypatch.context() as patch:
+        patch.setattr(K, "STORED_PATHS_BYTE_LIMIT", 0)
+        with pytest.raises(CapacityError) as refused:
+            wrapper_request(family, 1500, store, phi, gen)
+    out = wrapper_request(family, 1500, store, phi, gen)
+    held = sum(a.nbytes for a in out.values() if a is not None)
+    assert f"1500 paths of dim 2 hold {held} bytes of output" in str(refused.value)
 
 
 @pytest.mark.parametrize("diag", [[1.0, 2.0], [1.0, np.nan], [1.0 + 1e-13, 1.0]])
